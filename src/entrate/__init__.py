@@ -28,6 +28,8 @@ from .ingest import SequenceFile, SequenceFileError, ingest, ingest_many
 from .markov import (
     Alphabet,
     CompositeAlphabet,
+    EstimationError,
+    InsufficientDataError,
     ProbabilityVector,
     ReducibleMatrixError,
     Sequence,

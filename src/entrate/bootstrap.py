@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .direct import EntropyEstimate
 from .estimators import EstimatorSpec, run_estimator
-from .markov import Sequence
+from .markov import EstimationError, Sequence
 
 __all__ = [
     "BootstrapConfig",
@@ -33,14 +34,15 @@ P_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Block parameter p in (0, 1], replicate count, and RNG seed."""
+    """Block parameter p in (0, 1] (None: ``choose_p`` of the point
+    estimate), replicate count, and RNG seed."""
 
-    p: float
+    p: float | None
     replicates: int
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
+        if self.p is not None and not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
@@ -48,15 +50,17 @@ class BootstrapConfig:
 
 @dataclass(frozen=True, eq=False)
 class BootstrapResult:
-    """Replicate estimates and their sample standard deviation."""
+    """Point estimate, replicate estimates and their sample standard deviation;
+    ``warnings`` notes a clamped block parameter and failed replicates."""
 
     estimates: np.ndarray
     standard_error: float
     p_used: float
     estimator_tag: str
-    point_estimate: float
+    point: EntropyEstimate
     n_failures: int = 0
     failure_policy: str = "zero"
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.standard_error < 0:
@@ -71,17 +75,21 @@ def choose_p(h_hat: float, n: int) -> float:
     log2(n) / H_hat implied by the entropy estimate.  Clamping (degenerate
     H_hat = 0, or estimates exceeding log2 n) is reported as a warning.
     """
+    p, note = _clamped_p(h_hat, n)
+    if note:
+        _warnings.warn(note, stacklevel=2)
+    return p
+
+
+def _clamped_p(h_hat: float, n: int) -> tuple[float, str]:
+    """``choose_p``'s value and its clamping message ("" when unclamped)."""
     if h_hat < 0:
         raise ValueError("entropy estimate must be nonnegative")
     if n < 2:
         raise ValueError("need n >= 2")
     raw = h_hat / float(np.log2(n))
     p = min(max(raw, P_FLOOR), 1.0)
-    if p != raw:
-        _warnings.warn(
-            f"block parameter clamped from {raw:.3g} to {p:.3g}", stacklevel=2
-        )
-    return p
+    return p, f"block parameter clamped from {raw:.3g} to {p:.3g}" if p != raw else ""
 
 
 def stationary_bootstrap_sample(
@@ -133,27 +141,36 @@ def bootstrap_se(
     *,
     failure_policy: str = "zero",
 ) -> BootstrapResult:
-    """Standard error of an estimator via stationary bootstrap replicates.
+    """Point estimate of ``seq`` plus its stationary-bootstrap standard error.
 
-    Each replicate is resampled and estimated with an independent child stream
-    of the seeded generator, so results do not depend on evaluation order.
-    Estimator failures on a replicate (e.g. a reducible matrix under the eigen
-    method) are handled per ``failure_policy``: "zero" records the replicate
-    as 0.0, "drop" discards it; either way the count is reported.  Failures on
-    the original sequence always propagate.
+    The point estimate is computed once, with the same ``estimator`` as every
+    replicate; errors on the original sequence propagate.  When ``config.p``
+    is None the block parameter is ``choose_p(point, n)``.  Each replicate is
+    resampled and estimated with an independent child stream of the seeded
+    generator, so results do not depend on evaluation order.
+
+    A replicate whose estimator raises EstimationError (e.g. a reducible
+    matrix under the eigen method) is handled per ``failure_policy``: "zero"
+    records it as 0.0, "drop" discards it; either way the count is reported.
+    Any other exception propagates.  Under ``estimator.paper_zero_mode`` a
+    reducible replicate is not a failure: the estimator itself returns 0.0.
     """
     if failure_policy not in ("zero", "drop"):
         raise ValueError("failure_policy must be 'zero' or 'drop'")
     point = run_estimator(seq, estimator)
+    p, notes = config.p, []
+    if p is None:
+        p, note = _clamped_p(point.value, seq.length)
+        notes = [note] if note else []
     streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
     values: list[float] = []
     n_failures = 0
     for stream in streams:
         rng = np.random.default_rng(stream)
-        resample = stationary_bootstrap_sample(seq, config.p, rng)
+        resample = stationary_bootstrap_sample(seq, p, rng)
         try:
             values.append(run_estimator(resample, estimator).value)
-        except (ValueError, np.linalg.LinAlgError):
+        except EstimationError:
             n_failures += 1
             if failure_policy == "zero":
                 values.append(0.0)
@@ -162,13 +179,16 @@ def bootstrap_se(
             f"only {len(values)} of {config.replicates} replicates produced "
             "estimates; cannot compute a standard error"
         )
+    if n_failures:
+        notes.append(f"{n_failures} bootstrap replicate(s) failed ({failure_policy} policy)")
     estimates = np.asarray(values, dtype=np.float64)
     return BootstrapResult(
         estimates=estimates,
         standard_error=float(estimates.std(ddof=1)),
-        p_used=config.p,
+        p_used=p,
         estimator_tag=estimator.tag,
-        point_estimate=point.value,
+        point=point,
         n_failures=n_failures,
         failure_policy=failure_policy,
+        warnings=tuple(notes),
     )

@@ -13,18 +13,24 @@ import argparse
 import csv
 import json
 import sys
-import warnings as _warnings
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, bootstrap_se, choose_p
+from .bootstrap import BootstrapConfig, bootstrap_se
 from .direct import EntropyEstimate, estimate_direct_pooled
 from .estimators import DIRECT_METHODS, EstimatorSpec, run_estimator
-from .ingest import SequenceFile, SequenceFileError, ingest_many, tokens_from_text
-from .markov import Alphabet, Sequence, TransitionMatrix
+from .ingest import (
+    SequenceFile,
+    SequenceFileError,
+    ingest_many,
+    ingest_tokens,
+    read_tokens,
+    tokens_from_text,
+)
+from .markov import Sequence, TransitionMatrix
 from .simulate import (
     BENCHMARK_NAMES,
     ExperimentPlan,
@@ -104,36 +110,14 @@ def _add_report_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _read_alphabet(path: str | None) -> tuple[str, ...] | None:
-    if path is None:
-        return None
-    from .ingest import read_tokens
-
-    return tuple(read_tokens(path))
+    return None if path is None else tuple(read_tokens(path))
 
 
 def _load_sequence(args: argparse.Namespace) -> tuple[Sequence, list[int], dict[str, Any]]:
     declared = _read_alphabet(args.alphabet)
     if args.text is not None:
-        tokens = tokens_from_text(args.text)
-        if not tokens:
-            raise SequenceFileError("empty --text input")
-        if declared is not None:
-            missing = sorted({t for t in tokens if t not in set(declared)})
-            if missing:
-                raise SequenceFileError(
-                    f"--text tokens outside declared alphabet: {', '.join(missing)}"
-                )
-            alphabet = Alphabet(declared)
-        else:
-            alphabet = Alphabet.from_tokens(tokens)
-        if args.collapse_repeats:
-            from .ingest import collapse_repeats
-
-            tokens = collapse_repeats(tokens)
-        if len(tokens) < 2:
-            raise SequenceFileError("fewer than 2 symbols in --text input")
-        seq = Sequence.from_tokens(tokens, alphabet)
-        starts = [0]
+        text = ("--text", tokens_from_text(args.text), args.collapse_repeats)
+        seq, starts = ingest_tokens([text], declared)
         source = {"text": True, "files": []}
     elif args.files:
         files = [
@@ -170,13 +154,10 @@ def _split_segments(seq: Sequence, starts: list[int]) -> list[Sequence]:
 
 
 def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
-    methods = args.method or ["empirical"]
-    specs = []
-    for m in methods:
-        specs.append(
-            EstimatorSpec(m, None if m == "swlz" else args.order)
-        )
-    return specs
+    return [
+        EstimatorSpec(m, None if m == "swlz" else args.order, args.paper_zero_mode)
+        for m in args.method or ["empirical"]
+    ]
 
 
 def _estimate_record(
@@ -197,46 +178,40 @@ def _estimate_record(
     }
 
 
-def _cmd_estimate(args: argparse.Namespace, require_bootstrap: bool) -> int:
-    seq, starts, source = _load_sequence(args)
-    if require_bootstrap and not args.replicates:
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    replicates = args.replicates or None
+    if args.command == "bootstrap" and replicates is None:
         raise SequenceFileError("the bootstrap command requires --replicates")
     specs = _estimator_specs(args)
-    exclude_boundaries = getattr(args, "exclude_boundaries", False)
-    segments = _split_segments(seq, starts) if exclude_boundaries else None
+    if args.exclude_boundaries and replicates and any(
+        spec.method in DIRECT_METHODS for spec in specs
+    ):
+        raise SequenceFileError(
+            "--exclude-boundaries cannot be combined with --replicates for a direct "
+            "method: the bootstrap resamples the concatenated files"
+        )
+    seq, starts, source = _load_sequence(args)
+    segments = _split_segments(seq, starts) if args.exclude_boundaries else None
     records = []
     lines = []
     for spec in specs:
+        se = p_used = None
         extra: list[str] = []
-        if segments is not None and spec.method in DIRECT_METHODS:
+        if replicates:
+            config = BootstrapConfig(p=args.p, replicates=replicates, seed=args.seed)
+            result = bootstrap_se(seq, spec, config)
+            est, se, p_used = result.point, result.standard_error, result.p_used
+            extra.extend(result.warnings)
+        elif segments is not None and spec.method in DIRECT_METHODS:
             est = estimate_direct_pooled(
                 segments,
                 order=spec.order,
                 stationary=spec.method,
-                paper_zero_mode=args.paper_zero_mode,
+                paper_zero_mode=spec.paper_zero_mode,
             )
             extra.append("transitions across file boundaries excluded")
         else:
-            est = run_estimator(seq, spec, paper_zero_mode=args.paper_zero_mode)
-        se = p_used = None
-        replicates = None
-        if args.replicates:
-            if args.p is not None:
-                p_used = args.p
-            else:
-                with _warnings.catch_warnings(record=True) as caught:
-                    _warnings.simplefilter("always")
-                    p_used = choose_p(est.value, seq.length)
-                extra.extend(str(w.message) for w in caught)
-            config = BootstrapConfig(p=p_used, replicates=args.replicates, seed=args.seed)
-            result = bootstrap_se(seq, spec, config)
-            se = result.standard_error
-            replicates = args.replicates
-            if result.n_failures:
-                extra.append(
-                    f"{result.n_failures} bootstrap replicate(s) failed "
-                    f"({result.failure_policy} policy)"
-                )
+            est = run_estimator(seq, spec)
         records.append(_estimate_record(est, se, p_used, replicates, extra))
         detail = f"{est.value:.4f} bits"
         if se is not None:
@@ -244,8 +219,8 @@ def _cmd_estimate(args: argparse.Namespace, require_bootstrap: bool) -> int:
         lines.append(f"{spec.describe():>24}: {detail}")
         for w in records[-1]["warnings"]:
             lines.append(f"{'':>26}warning: {w}")
-    seed = args.seed if args.replicates else None
-    report = _base_report("bootstrap" if require_bootstrap else "estimate", seed)
+    seed = args.seed if replicates else None
+    report = _base_report(args.command, seed)
     report["input"] = source
     report["estimates"] = records
     if args.json:
@@ -421,12 +396,14 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     lengths = _plan_field(plan_dict, "lengths", list)
     if not all(isinstance(v, int) for v in lengths):
         raise PlanError("plan field 'lengths': expected integers")
+    # The plan's top-level flag applies to every estimator it lists.
+    zero_mode = bool(plan_dict.get("paper_zero_mode", False))
     estimators = []
     for k, item in enumerate(_plan_field(plan_dict, "estimators", list)):
         if not isinstance(item, dict) or "method" not in item:
             raise PlanError(f"plan field 'estimators[{k}]': expected object with 'method'")
         try:
-            estimators.append(EstimatorSpec(item["method"], item.get("order")))
+            estimators.append(EstimatorSpec(item["method"], item.get("order"), zero_mode))
         except ValueError as exc:
             raise PlanError(f"plan field 'estimators[{k}]': {exc}") from exc
     try:
@@ -436,7 +413,6 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
             replicates=_plan_field(plan_dict, "replicates", int),
             estimators=tuple(estimators),
             seed=_plan_field(plan_dict, "seed", int),
-            paper_zero_mode=bool(plan_dict.get("paper_zero_mode", False)),
             generator_name=generator_name,
         )
     except ValueError as exc:
@@ -500,8 +476,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _read_numbers(path: str) -> list[float]:
-    from .ingest import read_tokens
-
     tokens = read_tokens(path)
     try:
         return [float(t) for t in tokens]
@@ -546,45 +520,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entrate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="entropy rate estimates for a sequence file")
-    _add_input_options(est)
-    est.add_argument(
-        "--method",
-        action="append",
-        choices=(*DIRECT_METHODS, "swlz"),
-        help="estimator; repeatable (default: empirical)",
-    )
-    est.add_argument("--order", type=int, default=1, help="assumed chain order m")
-    est.add_argument(
-        "--paper-zero-mode",
-        action="store_true",
-        help="report reducible eigen/limit estimates as 0 instead of failing",
-    )
-    est.add_argument(
-        "--exclude-boundaries",
-        action="store_true",
-        help="do not count transitions spanning file boundaries (direct methods)",
-    )
-    est.add_argument("--replicates", type=int, help="attach bootstrap SE with B replicates")
-    est.add_argument("--p", type=float, help="bootstrap block parameter override")
-    est.add_argument("--seed", type=int, default=0, help="bootstrap RNG seed")
-    _add_report_options(est)
-
-    boot = sub.add_parser("bootstrap", help="bootstrap standard errors (requires --replicates)")
-    _add_input_options(boot)
-    boot.add_argument(
-        "--method",
-        action="append",
-        choices=(*DIRECT_METHODS, "swlz"),
-        help="estimator; repeatable (default: empirical)",
-    )
-    boot.add_argument("--order", type=int, default=1)
-    boot.add_argument("--paper-zero-mode", action="store_true")
-    boot.add_argument("--exclude-boundaries", action="store_true")
-    boot.add_argument("--replicates", type=int, required=True)
-    boot.add_argument("--p", type=float)
-    boot.add_argument("--seed", type=int, default=0)
-    _add_report_options(boot)
+    # bootstrap is estimate with --replicates required.
+    for name, help_text in (
+        ("estimate", "entropy rate estimates for a sequence file"),
+        ("bootstrap", "bootstrap standard errors (requires --replicates)"),
+    ):
+        est = sub.add_parser(name, help=help_text)
+        _add_input_options(est)
+        est.add_argument(
+            "--method",
+            action="append",
+            choices=(*DIRECT_METHODS, "swlz"),
+            help="estimator; repeatable (default: empirical)",
+        )
+        est.add_argument("--order", type=int, default=1, help="assumed chain order m")
+        est.add_argument(
+            "--paper-zero-mode",
+            action="store_true",
+            help="report reducible eigen/limit estimates as 0 instead of failing",
+        )
+        est.add_argument(
+            "--exclude-boundaries",
+            action="store_true",
+            help="do not count transitions spanning file boundaries (direct methods); "
+            "not combinable with --replicates for a direct method, because the "
+            "bootstrap resamples the concatenated files",
+        )
+        est.add_argument(
+            "--replicates",
+            type=int,
+            required=name == "bootstrap",
+            help="attach bootstrap SE with B replicates",
+        )
+        est.add_argument("--p", type=float, help="bootstrap block parameter override")
+        est.add_argument("--seed", type=int, default=0, help="bootstrap RNG seed")
+        _add_report_options(est)
 
     par = sub.add_parser("parse", help="shortest-never-seen phrase decomposition")
     _add_input_options(par)
@@ -625,10 +595,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("input", str(exc))
         return EXIT_INPUT
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args, require_bootstrap=False)
-        if args.command == "bootstrap":
-            return _cmd_estimate(args, require_bootstrap=True)
+        if args.command in ("estimate", "bootstrap"):
+            return _cmd_estimate(args)
         if args.command == "parse":
             return _cmd_parse(args)
         if args.command == "simulate":

@@ -22,6 +22,7 @@ import numpy as np
 from .markov import (
     DENSE_STATE_LIMIT,
     CompositeAlphabet,
+    InsufficientDataError,
     ProbabilityVector,
     ReducibleMatrixError,
     Sequence,
@@ -339,7 +340,7 @@ def estimate_direct(
     if order < 1:
         raise ValueError("order must be >= 1")
     if seq.length <= order:
-        raise ValueError(f"insufficient length for order {order}")
+        raise InsufficientDataError(f"insufficient length for order {order}")
     base_kappa = seq.alphabet.kappa
     if isinstance(seq.alphabet, CompositeAlphabet):
         raise ValueError("estimate_direct expects a base-alphabet sequence")
@@ -377,7 +378,7 @@ def estimate_direct_pooled(
         raise ValueError("estimate_direct_pooled expects base-alphabet sequences")
     usable = [seg for seg in segments if seg.length > order]
     if not usable:
-        raise ValueError(f"insufficient length for order {order}")
+        raise InsufficientDataError(f"insufficient length for order {order}")
     pooled: TransitionCounts | None = None
     for seg in usable:
         c = count_transitions(embed_order(seg, order))

@@ -19,10 +19,15 @@ DIRECT_METHODS = ("empirical", "eigen", "limit")
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """An estimator choice: a direct method with an order, or "swlz"."""
+    """An estimator choice: a direct method with an order, or "swlz".
+
+    ``paper_zero_mode`` reports a reducible eigen/limit estimate as 0.0
+    instead of raising; swlz and empirical ignore it.
+    """
 
     method: str
     order: int | None = None
+    paper_zero_mode: bool = False
 
     def __post_init__(self) -> None:
         if self.method == "swlz":
@@ -46,12 +51,10 @@ class EstimatorSpec:
         return f"{self.tag}(m={self.order})"
 
 
-def run_estimator(
-    seq: Sequence, spec: EstimatorSpec, *, paper_zero_mode: bool = False
-) -> EntropyEstimate:
+def run_estimator(seq: Sequence, spec: EstimatorSpec) -> EntropyEstimate:
     """Apply the described estimator to a sequence."""
     if spec.method == "swlz":
         return swlz_entropy(seq)
     return estimate_direct(
-        seq, order=spec.order, stationary=spec.method, paper_zero_mode=paper_zero_mode
+        seq, order=spec.order, stationary=spec.method, paper_zero_mode=spec.paper_zero_mode
     )

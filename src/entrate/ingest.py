@@ -27,6 +27,7 @@ __all__ = [
     "read_tokens",
     "ingest",
     "ingest_many",
+    "ingest_tokens",
 ]
 
 
@@ -82,35 +83,9 @@ def read_tokens(path: str, fmt: str = "tokens") -> list[str]:
     return tokens
 
 
-def _check_alphabet(tokens: list[str], declared: tuple[str, ...], path: str) -> None:
-    allowed = set(declared)
-    offenders = sorted({t for t in tokens if t not in allowed})
-    if offenders:
-        raise SequenceFileError(
-            f"{path}: tokens outside declared alphabet: {', '.join(offenders)}"
-        )
-
-
 def ingest(sf: SequenceFile) -> Sequence:
-    """Read one file into a Sequence.
-
-    The alphabet is the declared one when present (every token must belong to
-    it), otherwise the sorted distinct tokens.  With collapse_repeats the
-    merged sequence must still contain at least 2 symbols.
-    """
-    tokens = read_tokens(sf.path, sf.format)
-    if sf.declared_alphabet is not None:
-        _check_alphabet(tokens, sf.declared_alphabet, sf.path)
-        alphabet = Alphabet(sf.declared_alphabet)
-    else:
-        alphabet = Alphabet.from_tokens(tokens)
-    if sf.collapse_repeats:
-        tokens = collapse_repeats(tokens)
-        if len(tokens) < 2:
-            raise SequenceFileError(
-                f"{sf.path}: fewer than 2 symbols remain after collapsing repeats"
-            )
-    return Sequence.from_tokens(tokens, alphabet)
+    """Read one file into a Sequence: the one-file case of ``ingest_many``."""
+    return ingest_many([sf])[0]
 
 
 def ingest_many(files: list[SequenceFile]) -> tuple[Sequence, list[int]]:
@@ -123,19 +98,38 @@ def ingest_many(files: list[SequenceFile]) -> tuple[Sequence, list[int]]:
     """
     if not files:
         raise SequenceFileError("no input files")
-    token_lists = []
     declared = files[0].declared_alphabet
-    for sf in files:
-        if sf.declared_alphabet != declared:
-            raise SequenceFileError("all files must declare the same alphabet")
-        tokens = read_tokens(sf.path, sf.format)
-        if declared is not None:
-            _check_alphabet(tokens, declared, sf.path)
-        if sf.collapse_repeats:
-            tokens = collapse_repeats(tokens)
-        token_lists.append(tokens)
-    if declared is not None:
-        alphabet = Alphabet(declared)
+    if any(sf.declared_alphabet != declared for sf in files):
+        raise SequenceFileError("all files must declare the same alphabet")
+    return ingest_tokens(
+        [(sf.path, read_tokens(sf.path, sf.format), sf.collapse_repeats) for sf in files],
+        declared,
+    )
+
+
+def ingest_tokens(
+    sources: list[tuple[str, list[str], bool]],
+    declared_alphabet: tuple[str, ...] | None = None,
+) -> tuple[Sequence, list[int]]:
+    """``ingest_many`` for token lists already in memory, such as inline text.
+
+    Each source is (label for error messages, tokens, collapse repeats).  The
+    alphabet is the declared one when present (every token must belong to
+    it), otherwise the sorted distinct tokens of all sources.
+    """
+    token_lists = []
+    for label, tokens, collapse in sources:
+        if not tokens:
+            raise SequenceFileError(f"empty input: {label}")
+        if declared_alphabet is not None:
+            offenders = sorted(set(tokens) - set(declared_alphabet))
+            if offenders:
+                raise SequenceFileError(
+                    f"{label}: tokens outside declared alphabet: {', '.join(offenders)}"
+                )
+        token_lists.append(collapse_repeats(tokens) if collapse else tokens)
+    if declared_alphabet is not None:
+        alphabet = Alphabet(declared_alphabet)
     else:
         alphabet = Alphabet.from_tokens([t for toks in token_lists for t in toks])
     starts = list(np.cumsum([0] + [len(t) for t in token_lists[:-1]]).astype(int))

@@ -24,7 +24,9 @@ __all__ = [
     "TransitionCounts",
     "TransitionMatrix",
     "ProbabilityVector",
+    "EstimationError",
     "ReducibleMatrixError",
+    "InsufficientDataError",
     "count_transitions",
     "embed_order",
     "mle_transition_matrix",
@@ -38,8 +40,17 @@ DENSE_STATE_LIMIT = 4096
 _SUM_TOL = 1e-12
 
 
-class ReducibleMatrixError(ValueError):
+class EstimationError(ValueError):
+    """An estimator cannot produce a value from this particular sequence; the
+    one failure that bootstrap replicates and Monte Carlo cells may count."""
+
+
+class ReducibleMatrixError(EstimationError):
     """Raised when an operation requires an irreducible transition matrix."""
+
+
+class InsufficientDataError(EstimationError):
+    """Raised when a sequence is too short for the requested estimate."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -328,7 +339,9 @@ def count_transitions(seq: Sequence) -> TransitionCounts:
     The grand total equals seq.length - 1.
     """
     if seq.length < 2:
-        raise ValueError("no transitions observed: sequence has fewer than 2 symbols")
+        raise InsufficientDataError(
+            "no transitions observed: sequence has fewer than 2 symbols"
+        )
     kappa = seq.alphabet.kappa
     src = seq.states[:-1]
     dst = seq.states[1:]
@@ -353,7 +366,7 @@ def embed_order(seq: Sequence, m: int) -> Sequence:
     if m < 1:
         raise ValueError("order m must be >= 1")
     if seq.length < m:
-        raise ValueError(f"insufficient length for order {m}")
+        raise InsufficientDataError(f"insufficient length for order {m}")
     if m == 1:
         return seq
     base = seq.alphabet

@@ -34,6 +34,7 @@ from .direct import entropy_rate, stationary_eigen
 from .estimators import EstimatorSpec, run_estimator
 from .markov import (
     Alphabet,
+    EstimationError,
     ProbabilityVector,
     ReducibleMatrixError,
     Sequence,
@@ -363,7 +364,6 @@ class ExperimentPlan:
     replicates: int
     estimators: tuple[EstimatorSpec, ...]
     seed: int
-    paper_zero_mode: bool = False
     generator_name: str = "matrix"
 
     def __post_init__(self) -> None:
@@ -405,8 +405,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     Each replicate simulates one sequence of the longest cut length; every
     estimator is then applied to each prefix cut.  Cells report min, mean,
     max, and the across-replicate sample standard deviation, plus the count of
-    replicates where the estimator failed (too-short prefix, reducible matrix
-    without paper_zero_mode, ...).
+    replicates where the estimator raised EstimationError (too-short prefix,
+    reducible matrix without zero mode in its spec, ...); any other exception
+    propagates.
     """
     gen = plan.generator
     if isinstance(gen, TransitionMatrix):
@@ -431,39 +432,23 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
             cut = seq.prefix(n)
             for est in plan.estimators:
                 try:
-                    values[(n, est)].append(
-                        run_estimator(cut, est, paper_zero_mode=plan.paper_zero_mode).value
-                    )
-                except (ValueError, np.linalg.LinAlgError):
+                    values[(n, est)].append(run_estimator(cut, est).value)
+                except EstimationError:
                     failures[(n, est)] += 1
     cells = []
     for n in plan.lengths:
         for est in plan.estimators:
             vals = np.asarray(values[(n, est)])
-            if vals.size:
-                cells.append(
-                    CellResult(
-                        length=n,
-                        estimator=est,
-                        n_ok=int(vals.size),
-                        n_failed=failures[(n, est)],
-                        minimum=float(vals.min()),
-                        mean=float(vals.mean()),
-                        maximum=float(vals.max()),
-                        sd=float(vals.std(ddof=1)) if vals.size > 1 else None,
-                    )
+            cells.append(
+                CellResult(
+                    length=n,
+                    estimator=est,
+                    n_ok=int(vals.size),
+                    n_failed=failures[(n, est)],
+                    minimum=float(vals.min()) if vals.size else None,
+                    mean=float(vals.mean()) if vals.size else None,
+                    maximum=float(vals.max()) if vals.size else None,
+                    sd=float(vals.std(ddof=1)) if vals.size > 1 else None,
                 )
-            else:
-                cells.append(
-                    CellResult(
-                        length=n,
-                        estimator=est,
-                        n_ok=0,
-                        n_failed=failures[(n, est)],
-                        minimum=None,
-                        mean=None,
-                        maximum=None,
-                        sd=None,
-                    )
-                )
+            )
     return ExperimentReport(plan=plan, cells=tuple(cells))

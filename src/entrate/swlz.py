@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct import EntropyEstimate
-from .markov import Sequence
+from .markov import InsufficientDataError, Sequence
 
 __all__ = [
     "NovelLengths",
@@ -169,7 +169,7 @@ def novel_lengths(seq: Sequence) -> NovelLengths:
     """Novelty lengths at every position 1..n-1, via one incremental pass."""
     n = seq.length
     if n < 2:
-        raise ValueError("need at least 2 symbols")
+        raise InsufficientDataError("need at least 2 symbols")
     states = _as_state_list(seq)
     lengths = np.zeros(n, dtype=np.int64)
     capped = np.zeros(n, dtype=bool)
@@ -233,7 +233,7 @@ def swlz_entropy(seq: Sequence) -> EntropyEstimate:
     """
     n = seq.length
     if n < 2:
-        raise ValueError("need at least 2 symbols")
+        raise InsufficientDataError("need at least 2 symbols")
     nl = novel_lengths(seq)
     value = float(np.log2(n) / nl.mean())
     warn: tuple[str, ...] = ()

@@ -108,7 +108,7 @@ class TestBootstrapSe:
             seq, EstimatorSpec("swlz"), BootstrapConfig(p=0.3, replicates=10, seed=5)
         )
         assert result.estimator_tag == "swlz"
-        assert result.point_estimate > 0
+        assert result.point.value > 0
 
     def test_failure_policies(self):
         # Rare symbol: some resamples never leave state 0, making the eigen
@@ -123,6 +123,54 @@ class TestBootstrapSe:
         assert len(zero.estimates) == 40
         assert len(drop.estimates) == 40 - drop.n_failures
         assert (zero.estimates == 0.0).sum() >= zero.n_failures
+
+    def test_paper_zero_mode_replicates_are_zeros_not_failures(self):
+        seq = int_seq([0] * 60 + [1] + [0] * 60 + [1, 0], kappa=2)
+        config = BootstrapConfig(p=0.9, replicates=40, seed=21)
+        hard = bootstrap_se(seq, EstimatorSpec("eigen", 1), config)
+        soft = bootstrap_se(seq, EstimatorSpec("eigen", 1, paper_zero_mode=True), config)
+        assert hard.n_failures > 0
+        assert soft.n_failures == 0
+        assert (soft.estimates == 0.0).sum() >= hard.n_failures
+        assert soft.warnings == ()
+
+    def test_p_none_is_choose_p_of_the_point(self):
+        rng = np.random.default_rng(23)
+        seq = int_seq(rng.integers(0, 3, 300), kappa=3)
+        spec = EstimatorSpec("empirical", 1)
+        derived = bootstrap_se(seq, spec, BootstrapConfig(p=None, replicates=15, seed=4))
+        p = choose_p(derived.point.value, seq.length)
+        explicit = bootstrap_se(seq, spec, BootstrapConfig(p=p, replicates=15, seed=4))
+        assert derived.p_used == explicit.p_used == p
+        assert np.array_equal(derived.estimates, explicit.estimates)
+        assert derived.standard_error == explicit.standard_error
+
+    def test_clamped_p_is_reported(self):
+        seq = int_seq([1] * 30, kappa=2)
+        result = bootstrap_se(
+            seq, EstimatorSpec("empirical", 1), BootstrapConfig(p=None, replicates=5, seed=1)
+        )
+        assert result.p_used == 1e-6
+        assert any("clamped" in w for w in result.warnings)
+
+    def test_plain_value_error_on_a_replicate_propagates(self, monkeypatch):
+        # Only EstimationError marks a failed replicate; any other ValueError
+        # is a fault and must not be counted away.
+        import entrate.bootstrap as bootstrap_module
+
+        seq = int_seq([0, 1, 1, 0, 1, 0, 0, 1] * 10, kappa=2)
+        real = bootstrap_module.run_estimator
+
+        def faulty(s, spec):
+            if s is not seq:
+                raise ValueError("probabilities must sum to 1 within 1e-12")
+            return real(s, spec)
+
+        monkeypatch.setattr(bootstrap_module, "run_estimator", faulty)
+        with pytest.raises(ValueError, match="sum to 1"):
+            bootstrap_se(
+                seq, EstimatorSpec("empirical", 1), BootstrapConfig(p=0.5, replicates=5, seed=1)
+            )
 
     def test_original_sequence_errors_propagate(self):
         seq = int_seq([0] * 50 + [1], kappa=2)

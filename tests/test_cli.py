@@ -161,7 +161,53 @@ class TestEstimateCommand:
         assert any("reducible" in w for w in record["warnings"])
 
 
+    def test_paper_zero_mode_with_replicates(self, capsys, tmp_path):
+        # The point estimate is 0 under zero mode; the bootstrap must use the
+        # same estimator rather than recompute a failing one.
+        out_json = tmp_path / "r.json"
+        code, _, err = run(
+            capsys, "estimate", "--text", "AAAAABABABAABBBBC", "--method", "eigen",
+            "--paper-zero-mode", "--replicates", "20", "--json", str(out_json),
+        )
+        assert code == 0, err
+        record = json.loads(out_json.read_text())["estimates"][0]
+        assert record["value_bits"] == 0.0
+        assert record["replicates"] == 20
+        assert any("forced to 0" in w for w in record["warnings"])
+
+    def test_exclude_boundaries_with_replicates_rejected(self, capsys, tmp_path):
+        p1 = write(tmp_path, "one.txt", "A B A B A A B\n")
+        p2 = write(tmp_path, "two.txt", "C D C C D D C\n")
+        code, _, err = run(
+            capsys, "estimate", p1, p2, "--exclude-boundaries", "--replicates", "10"
+        )
+        assert code == 1
+        message = json.loads(err)["error"]["message"]
+        assert "--exclude-boundaries" in message and "--replicates" in message
+
+
 class TestBootstrapCommand:
+    def test_one_point_estimate_per_method(self, capsys, tmp_path, monkeypatch):
+        import entrate.bootstrap
+        import entrate.cli
+
+        calls = []
+        for module in (entrate.cli, entrate.bootstrap):
+            real = module.run_estimator
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(args[1].method)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_estimator", counted)
+        path = write(tmp_path, "s.txt", " ".join("abcab" * 20))
+        code, _, _ = run(
+            capsys, "bootstrap", path, "--method", "empirical", "--method", "swlz",
+            "--replicates", "6",
+        )
+        assert code == 0
+        assert calls.count("empirical") == calls.count("swlz") == 1 + 6
+
     def test_requires_replicates(self, capsys, tmp_path):
         path = write(tmp_path, "s.txt", "a b a b\n")
         code, _, err = run(capsys, "bootstrap", path)

@@ -6,6 +6,7 @@ from entrate.ingest import (
     collapse_repeats,
     ingest,
     ingest_many,
+    ingest_tokens,
     tokens_from_text,
 )
 
@@ -105,6 +106,18 @@ class TestIngestMany:
                     SequenceFile(p2, declared_alphabet=("a",)),
                 ]
             )
+
+
+class TestIngestTokens:
+    def test_same_checks_as_files(self):
+        with pytest.raises(SequenceFileError, match="--text: .*y, z"):
+            ingest_tokens([("--text", ["a", "z", "y"], False)], ("a", "b"))
+        with pytest.raises(SequenceFileError, match="fewer than 2"):
+            ingest_tokens([("--text", ["a", "a"], True)])
+        seq, starts = ingest_tokens([("--text", ["b", "b", "a"], True)], ("b", "a"))
+        assert seq.tokens() == ["b", "a"]
+        assert seq.alphabet.symbols == ("b", "a")
+        assert starts == [0]
 
 
 class TestTokensFromText:

@@ -349,14 +349,24 @@ class TestRunExperiment:
                 generator=benchmark_matrix("low"),
                 lengths=(30,),
                 replicates=20,
-                estimators=(EstimatorSpec("eigen", 1),),
+                estimators=(EstimatorSpec("eigen", 1, paper_zero_mode=True),),
                 seed=123,
-                paper_zero_mode=True,
             )
         )
         assert hard.cells[0].n_failed > 0
         assert soft.cells[0].n_failed == 0
         assert soft.cells[0].minimum == 0.0
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        # Only EstimationError counts as a failed replicate.
+        import entrate.simulate as simulate_module
+
+        def faulty(*args, **kwargs):
+            raise ValueError("probabilities must sum to 1 within 1e-12")
+
+        monkeypatch.setattr(simulate_module, "run_estimator", faulty)
+        with pytest.raises(ValueError, match="sum to 1"):
+            run_experiment(self._plan())
 
     def test_mean_tracks_truth_at_long_lengths(self):
         plan = self._plan(
