@@ -67,6 +67,7 @@ from .swlz import (
     novel_length,
     novel_lengths,
     swlz_entropy,
+    swlz_estimate,
     swlz_parse,
 )
 

@@ -153,6 +153,16 @@ def _split_segments(seq: Sequence, starts: list[int]) -> list[Sequence]:
     ]
 
 
+def _replicate_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 replicates, got {value}")
+    return value
+
+
 def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
     return [
         EstimatorSpec(m, None if m == "swlz" else args.order, args.paper_zero_mode)
@@ -179,9 +189,11 @@ def _estimate_record(
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    replicates = args.replicates or None
+    replicates = args.replicates
     if args.command == "bootstrap" and replicates is None:
         raise SequenceFileError("the bootstrap command requires --replicates")
+    if args.p is not None and replicates is None:
+        raise SequenceFileError("--p sets the bootstrap block parameter; it needs --replicates")
     specs = _estimator_specs(args)
     if args.exclude_boundaries and replicates and any(
         spec.method in DIRECT_METHODS for spec in specs
@@ -212,6 +224,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             extra.append("transitions across file boundaries excluded")
         else:
             est = run_estimator(seq, spec)
+        if segments is not None and spec.method == "swlz":
+            extra.append(
+                "--exclude-boundaries does not apply to swlz: the files were concatenated"
+            )
         records.append(_estimate_record(est, se, p_used, replicates, extra))
         detail = f"{est.value:.4f} bits"
         if se is not None:
@@ -548,11 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         est.add_argument(
             "--replicates",
-            type=int,
+            type=_replicate_count,
             required=name == "bootstrap",
-            help="attach bootstrap SE with B replicates",
+            help="attach bootstrap SE with B >= 2 replicates",
         )
-        est.add_argument("--p", type=float, help="bootstrap block parameter override")
+        est.add_argument(
+            "--p", type=float, help="bootstrap block parameter override (needs --replicates)"
+        )
         est.add_argument("--seed", type=int, default=0, help="bootstrap RNG seed")
         _add_report_options(est)
 

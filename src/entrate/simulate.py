@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import swlz
 from .direct import entropy_rate, stationary_eigen
 from .estimators import EstimatorSpec, run_estimator
 from .markov import (
@@ -377,6 +378,9 @@ class ExperimentPlan:
             raise ValueError("replicates must be >= 1")
         if not self.estimators:
             raise ValueError("at least one estimator required")
+        for k, est in enumerate(self.estimators):
+            if est in self.estimators[:k]:
+                raise ValueError(f"estimator {est.describe()} listed twice")
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +407,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Simulate, cut, and estimate per the plan; deterministic under its seed.
 
     Each replicate simulates one sequence of the longest cut length; every
-    estimator is then applied to each prefix cut.  Cells report min, mean,
+    estimator is then applied to each prefix cut, swlz through one pass over
+    the whole sequence that every cut reuses.  Cells report min, mean,
     max, and the across-replicate sample standard deviation, plus the count of
     replicates where the estimator raised EstimationError (too-short prefix,
     reducible matrix without zero mode in its spec, ...); any other exception
@@ -426,13 +431,19 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         (n, est): [] for n in plan.lengths for est in plan.estimators
     }
     failures: dict[tuple[int, EstimatorSpec], int] = dict.fromkeys(values, 0)
+    uses_swlz = any(est.method == "swlz" for est in plan.estimators)
     for stream in np.random.SeedSequence(plan.seed).spawn(plan.replicates):
         seq = sample(max_len, np.random.default_rng(stream))
+        novelty = swlz.novel_lengths(seq) if uses_swlz else None
         for n in plan.lengths:
             cut = seq.prefix(n)
             for est in plan.estimators:
                 try:
-                    values[(n, est)].append(run_estimator(cut, est).value)
+                    if est.method == "swlz":
+                        estimate = swlz.swlz_estimate(novelty.cut(n), seq.alphabet.kappa)
+                    else:
+                        estimate = run_estimator(cut, est)
+                    values[(n, est)].append(estimate.value)
                 except EstimationError:
                     failures[(n, est)] += 1
     cells = []

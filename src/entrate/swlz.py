@@ -6,9 +6,16 @@ anywhere in the history.  The entropy rate estimate is
 
     H_hat = log2(n) / mean(novelty lengths)      (bits per symbol)
 
-with the mean taken over positions 1..n-1.  Matching against the growing
-history uses an incrementally extended suffix automaton, so computing all n-1
-lengths costs roughly the sum of the lengths rather than O(n^2) rescans.
+with the mean taken over positions 1..n-1 (Kontoyiannis, Algoet, Suhov &
+Wyner, IEEE Trans. IT 44(3), 1998).  Every quantity here derives from one
+array, the match lengths M: M[i] is the length of the longest prefix of
+x[i:] that occurs entirely inside x[:i] (the "longest previous
+non-overlapping factor" of Crochemore & Ilie, IPL 106(2), 2008).  The
+novelty length at i is M[i] + 1, and a prefix of length n keeps
+min(M[i], n - i), so one pass over a sequence serves every prefix cut.
+M is computed in numpy by refining L-gram classes one level L at a time; the
+work is about the sum of the match lengths in vectorised steps, and memory
+stays O(n).
 """
 
 from __future__ import annotations
@@ -27,67 +34,9 @@ __all__ = [
     "novel_lengths",
     "swlz_parse",
     "swlz_entropy",
+    "swlz_estimate",
     "format_parsing",
 ]
-
-
-class _SuffixAutomaton:
-    """Online suffix automaton over integer symbols.
-
-    After feeding a text symbol by symbol, the automaton accepts exactly the
-    substrings of the text; walking a query from the root yields the longest
-    query prefix occurring in the text.
-    """
-
-    __slots__ = ("transitions", "link", "length", "last")
-
-    def __init__(self) -> None:
-        self.transitions: list[dict[int, int]] = [{}]
-        self.link: list[int] = [-1]
-        self.length: list[int] = [0]
-        self.last = 0
-
-    def extend(self, symbol: int) -> None:
-        trans = self.transitions
-        link = self.link
-        length = self.length
-        cur = len(trans)
-        trans.append({})
-        link.append(0)
-        length.append(length[self.last] + 1)
-        p = self.last
-        while p != -1 and symbol not in trans[p]:
-            trans[p][symbol] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = trans[p][symbol]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(trans)
-                trans.append(dict(trans[q]))
-                link.append(link[q])
-                length.append(length[p] + 1)
-                while p != -1 and trans[p].get(symbol) == q:
-                    trans[p][symbol] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        self.last = cur
-
-    def longest_match(self, states: list[int], start: int, stop: int) -> int:
-        """Length of the longest prefix of states[start:stop] found in the text."""
-        trans = self.transitions
-        node = 0
-        matched = 0
-        for pos in range(start, stop):
-            node = trans[node].get(states[pos], -1)
-            if node == -1:
-                break
-            matched += 1
-        return matched
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +67,19 @@ class NovelLengths:
     def mean(self) -> float:
         return self.total() / self.n_positions
 
+    def cut(self, n: int) -> NovelLengths:
+        """The novelty lengths of the sequence's first n symbols.
+
+        A prefix keeps each position's history, so only the match can
+        shorten: ``len_i = min(M_i, n - i) + 1`` with ``M_i = lengths[i] - 1``,
+        and position i is capped iff ``i + M_i >= n``.
+        """
+        if n < 2:
+            raise InsufficientDataError("need at least 2 symbols")
+        if n > self.lengths.size:
+            raise ValueError(f"cut {n} is longer than the {self.lengths.size} symbols")
+        return _novelty(self.lengths[:n] - 1, n)
+
 
 @dataclass(frozen=True, eq=False)
 class Parsing:
@@ -140,8 +102,53 @@ class Parsing:
             pos = start + length
 
 
-def _as_state_list(seq: Sequence) -> list[int]:
-    return seq.states.tolist()
+def _match_lengths(states: np.ndarray) -> np.ndarray:
+    """M[i], the length of the longest prefix of x[i:] occurring inside x[:i].
+
+    Level L holds the positions whose L-gram class may still match, sorted by
+    (class, position), so the head of each class run is the class's first
+    occurrence f, and member i is matched at length L iff f + L <= i.  A match
+    of length L + 1 implies one of length L, so M[i] is the last level that
+    matched i.  A class with no matched member cannot match at L + 1 and is
+    dropped, as is every position whose (L+1)-gram would run past the end; the
+    rest are refined into (L+1)-gram classes by a stable sort on (class, next
+    symbol).  Every array is O(n); a level costs a sort of its live positions.
+    """
+    x = np.asarray(states, dtype=np.int64)
+    n = x.size
+    matches = np.zeros(n, dtype=np.int64)
+    # class * radix + symbol < n * kappa stays far inside int64.
+    radix = int(x.max()) + 1
+    pos = np.arange(n)
+    cls = np.zeros(n, dtype=np.int64)
+    L = 0
+    while pos.size:
+        key = cls * radix + x[pos + L]
+        order = np.argsort(key, kind="stable")
+        pos, key = pos[order], key[order]
+        head = np.empty(pos.size, dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        L += 1
+        cls = np.cumsum(head) - 1
+        matched = pos[head][cls] <= pos - L
+        matches[pos[matched]] = L
+        live = np.zeros(int(cls[-1]) + 1, dtype=bool)
+        live[cls[matched]] = True
+        keep = live[cls] & (pos < n - L)
+        pos, cls = pos[keep], cls[keep]
+    return matches
+
+
+def _novelty(matches: np.ndarray, n: int) -> NovelLengths:
+    """Novelty lengths of a length-n sequence from match lengths (n or more)."""
+    remaining = n - np.arange(n)
+    matched = np.minimum(matches[:n], remaining)
+    lengths = matched + 1
+    capped = matched == remaining
+    lengths[0] = 0
+    capped[0] = False
+    return NovelLengths(lengths, capped)
 
 
 def novel_length(seq: Sequence, i: int) -> tuple[int, bool]:
@@ -157,30 +164,16 @@ def novel_length(seq: Sequence, i: int) -> tuple[int, bool]:
         raise ValueError("position 0 has an empty history")
     if i >= n:
         raise ValueError(f"position {i} out of range for length-{n} sequence")
-    states = _as_state_list(seq)
-    sam = _SuffixAutomaton()
-    for s in states[:i]:
-        sam.extend(s)
-    matched = sam.longest_match(states, i, n)
+    matched = int(_match_lengths(seq.states)[i])
     return matched + 1, i + matched == n
 
 
 def novel_lengths(seq: Sequence) -> NovelLengths:
-    """Novelty lengths at every position 1..n-1, via one incremental pass."""
+    """Novelty lengths at every position 1..n-1, from one match-length pass."""
     n = seq.length
     if n < 2:
         raise InsufficientDataError("need at least 2 symbols")
-    states = _as_state_list(seq)
-    lengths = np.zeros(n, dtype=np.int64)
-    capped = np.zeros(n, dtype=bool)
-    sam = _SuffixAutomaton()
-    sam.extend(states[0])
-    for i in range(1, n):
-        matched = sam.longest_match(states, i, n)
-        lengths[i] = matched + 1
-        capped[i] = i + matched == n
-        sam.extend(states[i])
-    return NovelLengths(lengths, capped)
+    return _novelty(_match_lengths(seq.states), n)
 
 
 def swlz_parse(seq: Sequence) -> Parsing:
@@ -192,26 +185,15 @@ def swlz_parse(seq: Sequence) -> Parsing:
     truncated (and flagged) when the sequence ends before novelty is reached.
     """
     n = seq.length
-    states = _as_state_list(seq)
-    sam = _SuffixAutomaton()
+    matches = _match_lengths(seq.states).tolist()
     phrases: list[tuple[int, int]] = []
-    last_capped = False
     p = 0
     while p < n:
-        if p == 0:
-            length = 1
-        else:
-            matched = sam.longest_match(states, p, n)
-            if p + matched == n:
-                length = n - p
-                last_capped = True
-            else:
-                length = matched + 1
-        for t in range(p, p + length):
-            sam.extend(states[t])
+        length = min(matches[p] + 1, n - p)
         phrases.append((p, length))
         p += length
-    return Parsing(tuple(phrases), last_capped)
+    start = phrases[-1][0]
+    return Parsing(tuple(phrases), start + matches[start] == n)
 
 
 def format_parsing(seq: Sequence, parsing: Parsing, separator: str = " | ") -> str:
@@ -231,13 +213,16 @@ def swlz_entropy(seq: Sequence) -> EntropyEstimate:
     needs no assumed chain order but is biased for short sequences: high for
     strongly structured sources, low near the log2(kappa) ceiling.
     """
-    n = seq.length
-    if n < 2:
-        raise InsufficientDataError("need at least 2 symbols")
-    nl = novel_lengths(seq)
-    value = float(np.log2(n) / nl.mean())
+    return swlz_estimate(novel_lengths(seq), seq.alphabet.kappa)
+
+
+def swlz_estimate(novelty: NovelLengths, kappa: int) -> EntropyEstimate:
+    """The SWLZ estimate from novelty lengths (of a sequence or one of its
+    cuts) over an alphabet of kappa symbols."""
+    n = novelty.n_positions + 1
+    value = float(np.log2(n) / novelty.mean())
     warn: tuple[str, ...] = ()
-    cap = np.log2(seq.alphabet.kappa)
+    cap = np.log2(kappa)
     if value > cap and cap > 0:
         warn = (
             f"estimate {value:.4f} exceeds log2(kappa) = {cap:.4f}; "

@@ -23,8 +23,9 @@ def token_seq(text: str) -> Sequence:
 def naive_novel_length(states, start: int, history_end: int | None = None):
     """Brute-force novelty length: scan L = 1, 2, ... with substring search.
 
-    Independent of the suffix-automaton implementation; the optional
-    ``history_end`` checks novelty against a shorter history prefix.
+    Shares nothing with the package's match-length kernel (Python string
+    search over the symbols mapped to letters); the optional ``history_end``
+    checks novelty against a shorter history prefix.
     """
     n = len(states)
     if history_end is None:

@@ -185,6 +185,42 @@ class TestEstimateCommand:
         message = json.loads(err)["error"]["message"]
         assert "--exclude-boundaries" in message and "--replicates" in message
 
+    def test_exclude_boundaries_warns_for_swlz(self, capsys, tmp_path):
+        # swlz matches across the concatenated files whether or not the flag
+        # is given; the record has to say so.
+        p1 = write(tmp_path, "one.txt", "A B A B A A B\n")
+        p2 = write(tmp_path, "two.txt", "C D C C D D C\n")
+        ji, je = tmp_path / "inc.json", tmp_path / "exc.json"
+        run(capsys, "estimate", p1, p2, "--method", "swlz", "--json", str(ji))
+        code, out, _ = run(
+            capsys, "estimate", p1, p2, "--method", "swlz", "--exclude-boundaries",
+            "--json", str(je),
+        )
+        assert code == 0
+        plain = json.loads(ji.read_text())["estimates"][0]
+        record = json.loads(je.read_text())["estimates"][0]
+        assert record["value_bits"] == plain["value_bits"] == pytest.approx(1.7677, abs=1e-4)
+        assert not any("concatenated" in w for w in plain["warnings"])
+        assert any("concatenated" in w for w in record["warnings"])
+        assert "swlz: the files were concatenated" in out
+
+    @pytest.mark.parametrize("count", ["1", "0", "-3"])
+    def test_fewer_than_two_replicates_is_input_error(self, capsys, tmp_path, count):
+        path = write(tmp_path, "s.txt", "a b a b a a b\n")
+        code, _, err = run(capsys, "estimate", path, "--replicates", count)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "--replicates" in error["message"]
+
+    def test_p_without_replicates_is_input_error(self, capsys, tmp_path):
+        path = write(tmp_path, "s.txt", "a b a b a a b\n")
+        code, out, err = run(capsys, "estimate", path, "--p", "0.5")
+        assert code == 1
+        assert out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "--p" in message and "--replicates" in message
+
 
 class TestBootstrapCommand:
     def test_one_point_estimate_per_method(self, capsys, tmp_path, monkeypatch):
@@ -309,6 +345,20 @@ class TestExperimentCommand:
         code, _, err = run(capsys, "experiment", plan_path)
         assert code == 1
         assert "lengths" in json.loads(err)["error"]["message"]
+
+    def test_duplicate_estimator_rejected(self, capsys, tmp_path):
+        # Two identical entries would share one value list and each report
+        # twice the replicates.
+        plan = self.plan_dict()
+        plan["estimators"].append({"method": "empirical", "order": 1})
+        plan_path = write(tmp_path, "plan.json", json.dumps(plan))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", plan_path, "--json", str(out))
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "direct_empirical(m=1)" in error["message"]
+        assert not out.exists()
 
     def test_malformed_json_has_position(self, capsys, tmp_path):
         plan_path = write(tmp_path, "plan.json", "{ nope")

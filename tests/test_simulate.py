@@ -24,6 +24,7 @@ from entrate import (
     simulate_chain,
     simulate_second_order,
     stationary_eigen,
+    swlz_entropy,
 )
 from entrate.simulate import ExperimentPlan
 
@@ -323,6 +324,33 @@ class TestRunExperiment:
     def test_decreasing_lengths_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             self._plan(lengths=(50, 20))
+
+    def test_duplicate_estimator_rejected(self):
+        spec = EstimatorSpec("empirical", 1)
+        with pytest.raises(ValueError, match=r"direct_empirical\(m=1\) listed twice"):
+            self._plan(estimators=(spec, EstimatorSpec("swlz"), spec))
+
+    def test_swlz_cells_equal_fresh_estimates_of_each_cut(self):
+        # The experiment derives every cut from one pass over the sequence.
+        plan = self._plan(
+            generator=benchmark_matrix("low"),
+            lengths=(2, 30, 200, 600),
+            replicates=4,
+            estimators=(EstimatorSpec("swlz"),),
+            seed=11,
+        )
+        report = run_experiment(plan)
+        streams = np.random.SeedSequence(plan.seed).spawn(plan.replicates)
+        init = stationary_eigen(plan.generator)
+        seqs = [
+            simulate_chain(plan.generator, 600, init=init, rng=np.random.default_rng(s))
+            for s in streams
+        ]
+        for cell in report.cells:
+            fresh = [swlz_entropy(seq.prefix(cell.length)).value for seq in seqs]
+            assert (cell.n_ok, cell.n_failed) == (4, 0)
+            assert cell.mean == float(np.mean(fresh))
+            assert (cell.minimum, cell.maximum) == (min(fresh), max(fresh))
 
     def test_second_order_generator(self):
         plan = self._plan(

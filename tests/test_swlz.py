@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import int_seq, naive_novel_length, token_seq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrate import (
     format_parsing,
@@ -169,3 +173,75 @@ class TestSwlzEntropy:
         elapsed = time.perf_counter() - start
         assert est.value > 0
         assert elapsed < 5.0
+
+
+@st.composite
+def short_sequences(draw):
+    """Symbol lists of length >= 2 over 1-4 symbols, half of them built from
+    runs so that constant stretches and long repeats are common."""
+    kappa = draw(st.integers(1, 4))
+    symbol = st.integers(0, kappa - 1)
+    if draw(st.booleans()):
+        states = draw(st.lists(symbol, min_size=2, max_size=60))
+    else:
+        runs = draw(st.lists(st.tuples(symbol, st.integers(1, 16)), min_size=1, max_size=6))
+        states = [s for s, run in runs for _ in range(run)]
+    if len(states) < 2:
+        states = states * 2
+    return int_seq(states, kappa)
+
+
+class TestMatchLengthKernel:
+    @settings(deadline=None)
+    @given(short_sequences())
+    def test_equals_oracle(self, seq):
+        states = seq.states.tolist()
+        nl = novel_lengths(seq)
+        assert nl.lengths[0] == 0 and not nl.capped[0]
+        for i in range(1, seq.length):
+            assert (int(nl.lengths[i]), bool(nl.capped[i])) == naive_novel_length(states, i)
+
+    @settings(deadline=None)
+    @given(short_sequences())
+    def test_cut_equals_fresh_prefix(self, seq):
+        full = novel_lengths(seq)
+        for n in range(2, seq.length + 1):
+            cut, fresh = full.cut(n), novel_lengths(seq.prefix(n))
+            assert np.array_equal(cut.lengths, fresh.lengths)
+            assert np.array_equal(cut.capped, fresh.capped)
+
+    @settings(deadline=None)
+    @given(short_sequences())
+    def test_parse_agrees_with_novel_lengths(self, seq):
+        nl = novel_lengths(seq)
+        parsing = swlz_parse(seq)
+        assert parsing.phrases[0] == (0, 1)
+        for start, length in parsing.phrases[1:]:
+            if nl.capped[start]:
+                assert length == nl.lengths[start] - 1 == seq.length - start
+            else:
+                assert length == nl.lengths[start]
+        last = parsing.phrases[-1][0]
+        assert parsing.last_capped == (last > 0 and bool(nl.capped[last]))
+
+    def test_cut_bounds(self):
+        full = novel_lengths(token_seq(TABLE_STRING))
+        with pytest.raises(ValueError, match="at least 2"):
+            full.cut(1)
+        with pytest.raises(ValueError, match="longer"):
+            full.cut(len(TABLE_STRING) + 1)
+
+    def test_memory_is_linear_in_n_for_large_alphabets(self):
+        # 1e5 Zipf symbols over thousands of distinct values: a table indexed
+        # by (class, symbol) would need hundreds of MB here.
+        raw = np.random.default_rng(2008).zipf(1.4, 100_000)
+        _, states = np.unique(raw, return_inverse=True)
+        seq = int_seq(states, int(states.max()) + 1)
+        assert seq.alphabet.kappa >= 3000
+        tracemalloc.start()
+        try:
+            novel_lengths(seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
