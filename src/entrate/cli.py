@@ -194,6 +194,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise SequenceFileError("the bootstrap command requires --replicates")
     if args.p is not None and replicates is None:
         raise SequenceFileError("--p sets the bootstrap block parameter; it needs --replicates")
+    if args.seed is not None and replicates is None:
+        raise SequenceFileError("--seed sets the bootstrap RNG seed; it needs --replicates")
+    seed = 0 if args.seed is None else args.seed
     specs = _estimator_specs(args)
     if args.exclude_boundaries and replicates and any(
         spec.method in DIRECT_METHODS for spec in specs
@@ -210,7 +213,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         se = p_used = None
         extra: list[str] = []
         if replicates:
-            config = BootstrapConfig(p=args.p, replicates=replicates, seed=args.seed)
+            config = BootstrapConfig(p=args.p, replicates=replicates, seed=seed)
             result = bootstrap_se(seq, spec, config)
             est, se, p_used = result.point, result.standard_error, result.p_used
             extra.extend(result.warnings)
@@ -235,8 +238,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         lines.append(f"{spec.describe():>24}: {detail}")
         for w in records[-1]["warnings"]:
             lines.append(f"{'':>26}warning: {w}")
-    seed = args.seed if replicates else None
-    report = _base_report(args.command, seed)
+    report = _base_report(args.command, seed if replicates else None)
     report["input"] = source
     report["estimates"] = records
     if args.json:
@@ -571,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
         est.add_argument(
             "--p", type=float, help="bootstrap block parameter override (needs --replicates)"
         )
-        est.add_argument("--seed", type=int, default=0, help="bootstrap RNG seed")
+        est.add_argument(
+            "--seed", type=int, help="bootstrap RNG seed (default 0; needs --replicates)"
+        )
         _add_report_options(est)
 
     par = sub.add_parser("parse", help="shortest-never-seen phrase decomposition")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (
-    DENSE_STATE_LIMIT,
     CompositeAlphabet,
     InsufficientDataError,
     ProbabilityVector,
@@ -204,10 +203,7 @@ def entropy_rate(
     weights = pi.probs
     if np.any((weights > 0.0) & ~P.defined_rows):
         raise ValueError("undefined transition row has positive stationary weight")
-    warn = list(extra_warnings)
-    n_undef = int((~P.defined_rows).sum())
-    if n_undef:
-        warn.append(f"{n_undef} never-visited state(s) carry zero stationary weight")
+    warn = list(extra_warnings) + _never_visited_warning(int((~P.defined_rows).sum()))
     value = 0.0
     for i in np.nonzero(weights > 0.0)[0]:
         value += weights[i] * _xlog2x_sum(P.probs[i])
@@ -224,6 +220,12 @@ def entropy_rate(
 
 
 _STATIONARY_METHODS = ("empirical", "eigen", "limit")
+
+
+def _never_visited_warning(n_unvisited: int) -> list[str]:
+    if n_unvisited:
+        return [f"{n_unvisited} never-visited state(s) carry zero stationary weight"]
+    return []
 
 
 def _short_data_warning(n_obs: int, kappa: int, order: int) -> list[str]:
@@ -248,19 +250,12 @@ def _estimate_from_counts(
 ) -> EntropyEstimate:
     method = f"direct_{stationary}"
     warn = _short_data_warning(n_obs, base_kappa, order)
-    if not counts.is_dense:
-        if stationary != "empirical":
-            raise ValueError(
-                f"stationary method '{stationary}' requires a dense transition "
-                f"matrix (at most {DENSE_STATE_LIMIT} states)"
-            )
-        return _estimate_sparse_empirical(counts, order, n_obs, warn, method)
+    if stationary == "empirical":
+        return _estimate_empirical(counts, order, n_obs, warn)
     P = mle_transition_matrix(counts)
     irreducible = is_irreducible(P)
     try:
-        if stationary == "empirical":
-            pi = stationary_empirical(counts)
-        elif stationary == "eigen":
+        if stationary == "eigen":
             pi = stationary_eigen(P)
         else:
             pi = stationary_limit(P, steps=limit_steps)
@@ -286,33 +281,25 @@ def _estimate_from_counts(
     )
 
 
-def _estimate_sparse_empirical(
-    counts: TransitionCounts,
-    order: int,
-    n_obs: int,
-    warn: list[str],
-    method: str,
+def _estimate_empirical(
+    counts: TransitionCounts, order: int, n_obs: int, warn: list[str]
 ) -> EntropyEstimate:
-    # Same arithmetic as the dense path, streamed over nonzero rows.
-    grand = counts.grand_total
-    if grand < 1:
-        raise ValueError("cannot estimate from zero transitions")
-    value = 0.0
-    for i in np.nonzero(counts.row_totals_arr)[0]:
-        total = counts.row_total(i)
-        row = np.array([n for _, n in counts.row_items(i)], dtype=np.float64)
-        value += (total / grand) * _xlog2x_sum(row / total)
-    warn = warn + [
-        f"{int((counts.row_totals_arr == 0).sum())} never-visited state(s) "
-        "carry zero stationary weight"
-    ]
+    """Plug-in rate with observed frequencies as the stationary weights:
+    -sum_ij (n_ij / n_++) log2(n_ij / n_i+), summed over the observed entries.
+
+    Equals ``entropy_rate(mle_transition_matrix(c), stationary_empirical(c))``
+    without building either.
+    """
+    src, dst, n = counts.nonzero()
+    value = -float((n * np.log2(n / counts.row_totals_arr[src])).sum()) / counts.grand_total
+    n_unvisited = int((counts.row_totals_arr == 0).sum())
     return EntropyEstimate(
         value=max(0.0, value),
-        method=method,
+        method="direct_empirical",
         n_obs=n_obs,
         order=order,
-        irreducible=False,
-        warnings=tuple(warn),
+        irreducible=is_irreducible(counts),
+        warnings=tuple(warn + _never_visited_warning(n_unvisited)),
     )
 
 
@@ -379,30 +366,10 @@ def estimate_direct_pooled(
     usable = [seg for seg in segments if seg.length > order]
     if not usable:
         raise InsufficientDataError(f"insufficient length for order {order}")
-    pooled: TransitionCounts | None = None
-    for seg in usable:
-        c = count_transitions(embed_order(seg, order))
-        if pooled is None:
-            pooled = c
-        elif pooled.is_dense:
-            pooled = TransitionCounts(
-                kappa=pooled.kappa,
-                dense=pooled.to_dense() + c.to_dense(),
-                sparse=None,
-                alphabet=pooled.alphabet,
-            )
-        else:
-            merged = {i: dict(row) for i, row in pooled.sparse.items()}
-            for i, row in c.sparse.items():
-                tgt = merged.setdefault(i, {})
-                for j, n in row.items():
-                    tgt[j] = tgt.get(j, 0) + n
-            pooled = TransitionCounts(
-                kappa=pooled.kappa, dense=None, sparse=merged, alphabet=pooled.alphabet
-            )
+    counts = count_transitions(*(embed_order(seg, order) for seg in usable))
     n_obs = sum(seg.length for seg in segments)
     return _estimate_from_counts(
-        pooled,
+        counts,
         stationary=stationary,
         order=order,
         n_obs=n_obs,

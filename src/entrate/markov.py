@@ -12,7 +12,7 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence as TypingSequence
+from typing import Iterable, Sequence as TypingSequence
 
 import numpy as np
 
@@ -99,9 +99,12 @@ class Alphabet:
         return cached
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompositeAlphabet:
     """States of the first-order chain on overlapping m-tuples of a base alphabet.
+
+    Two composite alphabets are equal when they share one base alphabet object
+    and one order, so separately embedded segments can be counted together.
 
     A tuple of base states ``(x_t, ..., x_{t+m-1})`` (oldest first) is encoded
     as ``sum(x_{t+k} * kappa**k for k in range(m))``: the newest symbol is the
@@ -202,7 +205,8 @@ class TransitionCounts:
     """Table n_ij of observed one-step transition counts.
 
     Dense ndarray storage up to DENSE_STATE_LIMIT states; a map-of-maps
-    ``{i: {j: n_ij}}`` above that.
+    ``{i: {j: n_ij}}`` above that.  ``nonzero()`` is the one bulk read of
+    either storage, so code outside this module need not know which it is.
     """
 
     kappa: int
@@ -236,17 +240,21 @@ class TransitionCounts:
     def grand_total(self) -> int:
         return int(self.row_totals_arr.sum())
 
-    def row_total(self, i: int) -> int:
-        return int(self.row_totals_arr[i])
-
-    def row_items(self, i: int) -> Iterator[tuple[int, int]]:
-        """Nonzero (j, n_ij) entries of row i."""
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Int64 arrays ``(src, dst, n)`` of the nonzero entries, row-major."""
         if self.dense is not None:
-            (js,) = np.nonzero(self.dense[i])
-            for j in js:
-                yield int(j), int(self.dense[i, j])
-        else:
-            yield from sorted(self.sparse.get(i, {}).items())
+            # A flat scan of a boolean mask: np.nonzero on the 2-d int64 table
+            # is about three times slower.
+            flat = np.flatnonzero(self.dense.ravel() != 0)
+            return (*np.divmod(flat, self.kappa), self.dense.ravel()[flat])
+        rows = self.sparse.items()
+        size = sum(len(row) for _, row in rows)
+        src = np.fromiter((i for i, row in rows for _ in row), np.int64, size)
+        dst = np.fromiter((j for _, row in rows for j in row), np.int64, size)
+        n = np.fromiter((c for _, row in rows for c in row.values()), np.int64, size)
+        order = np.lexsort((dst, src))
+        order = order[n[order] != 0]
+        return src[order], dst[order], n[order]
 
     def get(self, i: int, j: int) -> int:
         if self.dense is not None:
@@ -333,27 +341,33 @@ class ProbabilityVector:
         return float(self.probs[i])
 
 
-def count_transitions(seq: Sequence) -> TransitionCounts:
+def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
     """Count one-step transitions: counts[i][j] = #{t : x_{t-1}=i, x_t=j}.
 
-    The grand total equals seq.length - 1.
+    Several segments over one alphabet are pooled: each contributes only the
+    pairs within it, never one spanning two segments.  The grand total equals
+    the summed segment lengths minus the number of segments.
     """
-    if seq.length < 2:
+    segments = (seq, *more)
+    alphabet = seq.alphabet
+    if any(s.alphabet != alphabet for s in more):
+        raise ValueError("segments must share a single alphabet")
+    src = np.concatenate([s.states[:-1] for s in segments])
+    dst = np.concatenate([s.states[1:] for s in segments])
+    if src.size < 1:
         raise InsufficientDataError(
             "no transitions observed: sequence has fewer than 2 symbols"
         )
-    kappa = seq.alphabet.kappa
-    src = seq.states[:-1]
-    dst = seq.states[1:]
+    kappa = alphabet.kappa
     if kappa <= DENSE_STATE_LIMIT:
         flat = np.bincount(src * kappa + dst, minlength=kappa * kappa)
-        dense = flat.reshape(kappa, kappa).astype(np.int64)
-        return TransitionCounts(kappa=kappa, dense=dense, sparse=None, alphabet=seq.alphabet)
+        dense = flat.reshape(kappa, kappa).astype(np.int64, copy=False)
+        return TransitionCounts(kappa=kappa, dense=dense, sparse=None, alphabet=alphabet)
     rows: dict[int, dict[int, int]] = {}
     for i, j in zip(src.tolist(), dst.tolist()):
         row = rows.setdefault(i, {})
         row[j] = row.get(j, 0) + 1
-    return TransitionCounts(kappa=kappa, dense=None, sparse=rows, alphabet=seq.alphabet)
+    return TransitionCounts(kappa=kappa, dense=None, sparse=rows, alphabet=alphabet)
 
 
 def embed_order(seq: Sequence, m: int) -> Sequence:
@@ -395,29 +409,37 @@ def mle_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     return TransitionMatrix(probs, defined)
 
 
-def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
+def _reaches_all(src: np.ndarray, dst: np.ndarray, kappa: int) -> bool:
+    """True iff every state is reachable from state 0 along edges src -> dst."""
+    targets = dst[np.argsort(src, kind="stable")].tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=kappa)))).tolist()
+    seen = [False] * kappa
+    seen[0] = True
+    stack = [0]
     while stack:
         node = stack.pop()
-        (nbrs,) = np.nonzero(adjacency[node])
-        for nb in nbrs:
+        for nb in targets[bounds[node] : bounds[node + 1]]:
             if not seen[nb]:
                 seen[nb] = True
-                stack.append(int(nb))
-    return seen
+                stack.append(nb)
+    return all(seen)
 
 
-def is_irreducible(P: TransitionMatrix) -> bool:
+def is_irreducible(chain: TransitionMatrix | TransitionCounts) -> bool:
     """True iff the directed graph of positive transitions is strongly connected.
 
-    Matrices with undefined rows are never irreducible.
+    For counts the graph is that of the observed transitions, which is the
+    graph of their MLE matrix.  A matrix with an undefined row, or counts with
+    a never-visited state, is never irreducible.
     """
-    if not P.all_rows_defined:
-        return False
-    adj = P.probs > 0.0
-    if not _reachable(adj, 0).all():
-        return False
-    return bool(_reachable(adj.T, 0).all())
+    if isinstance(chain, TransitionCounts):
+        if not chain.row_totals_arr.all():
+            return False
+        src, dst, _ = chain.nonzero()
+        kappa = chain.kappa
+    else:
+        if not chain.all_rows_defined:
+            return False
+        src, dst = np.nonzero(chain.probs > 0.0)
+        kappa = chain.size
+    return _reaches_all(src, dst, kappa) and _reaches_all(dst, src, kappa)

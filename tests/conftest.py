@@ -71,6 +71,20 @@ def plugin_rate_oracle(P, n: int, reps: int, seed: int) -> tuple[float, float]:
     return float(rates.mean()), float(rates.std(ddof=1) / np.sqrt(reps))
 
 
+def strongly_connected_oracle(support) -> bool:
+    """Brute-force irreducibility of the directed graph ``support[i, j] != 0``.
+
+    Warshall's transitive closure of the boolean adjacency matrix: the chain
+    is irreducible iff every state reaches every state, itself included, in
+    one or more steps.  A state without outgoing edges (an undefined row)
+    reaches nothing, so it makes the chain reducible.
+    """
+    reach = np.asarray(support) != 0
+    for via in range(reach.shape[0]):
+        reach |= reach[:, via : via + 1] & reach[via : via + 1, :]
+    return bool(reach.all())
+
+
 def random_stochastic(rng: np.random.Generator, k: int, floor: float = 1e-3) -> TransitionMatrix:
     """Random row-stochastic matrix; a positive floor keeps it irreducible."""
     raw = rng.gamma(1.0, 1.0, size=(k, k)) + floor

@@ -221,6 +221,28 @@ class TestEstimateCommand:
         message = json.loads(err)["error"]["message"]
         assert "--p" in message and "--replicates" in message
 
+    def test_seed_without_replicates_is_input_error(self, capsys):
+        code, out, err = run(capsys, "estimate", "--text", "A B A B A A B", "--seed", "5")
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "--seed" in error["message"] and "--replicates" in error["message"]
+
+    def test_bootstrap_seed_defaults_to_zero(self, capsys, tmp_path):
+        path = write(tmp_path, "s.txt", "a b a b a a b b a b a a a b\n")
+        reports = []
+        for seed_args in ([], ["--seed", "0"]):
+            out_json = tmp_path / f"r{len(reports)}.json"
+            code, _, _ = run(
+                capsys, "estimate", path, "--replicates", "10", *seed_args,
+                "--json", str(out_json),
+            )
+            assert code == 0
+            reports.append(out_json.read_text())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["seed"] == 0
+
 
 class TestBootstrapCommand:
     def test_one_point_estimate_per_method(self, capsys, tmp_path, monkeypatch):

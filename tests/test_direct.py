@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import int_seq, random_stochastic
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrate import (
     ProbabilityVector,
@@ -8,9 +10,11 @@ from entrate import (
     Sequence,
     TransitionMatrix,
     count_transitions,
+    embed_order,
     entropy_rate,
     estimate_direct,
     estimate_direct_pooled,
+    mle_transition_matrix,
     shannon_entropy,
     stationary_eigen,
     stationary_empirical,
@@ -252,6 +256,30 @@ class TestEstimateDirect:
         seq = int_seq(rng.integers(0, 70, 400), kappa=70)
         with pytest.raises(ValueError, match="dense"):
             estimate_direct(seq, order=2, stationary="eigen")
+
+    def test_sparse_all_visited_is_irreducible(self):
+        # 65 symbols at m = 2: 4225 composite states, above the dense limit,
+        # every one visited; 64 symbols take the dense path.
+        for kappa in (65, 64):
+            seq = int_seq(np.random.default_rng(0).integers(0, kappa, 200_000), kappa)
+            est = estimate_direct(seq, order=2, stationary="empirical")
+            assert est.irreducible is True
+            assert not any("never-visited" in w for w in est.warnings)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_empirical_equals_plug_in_through_matrix(self, data):
+        kappa = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 3))
+        states = data.draw(st.lists(st.integers(0, kappa - 1), min_size=m + 1, max_size=80))
+        seq = int_seq(states, kappa)
+        counts = count_transitions(embed_order(seq, m))
+        ref = entropy_rate(mle_transition_matrix(counts), stationary_empirical(counts))
+        est = estimate_direct(seq, order=m, stationary="empirical")
+        assert est.value == pytest.approx(ref.value, abs=1e-12)
+        assert est.irreducible == ref.irreducible
+        never = [w for w in est.warnings if "never-visited" in w]
+        assert never == list(ref.warnings)
 
 
 class TestEstimateDirectPooled:

@@ -1,6 +1,12 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
-from conftest import int_seq, random_stochastic
+from conftest import int_seq, random_stochastic, strongly_connected_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entrate import (
     Alphabet,
@@ -12,7 +18,29 @@ from entrate import (
     is_irreducible,
     mle_transition_matrix,
 )
+from entrate.markov import TransitionCounts
 from entrate.simulate import simulate_chain
+
+
+@st.composite
+def count_tables(draw):
+    """Square count tables over 1-8 states, mostly zeros, so that undefined
+    rows and reducible supports are common."""
+    kappa = draw(st.integers(1, 8))
+    return draw(arrays(np.int64, (kappa, kappa), elements=st.sampled_from([0, 0, 0, 1, 5])))
+
+
+def both_storages(table: np.ndarray) -> tuple[TransitionCounts, TransitionCounts]:
+    """The table as dense and as map-of-maps counts; the map keeps the zero
+    entries of every row with a count, which ``nonzero()`` must skip."""
+    kappa = table.shape[0]
+    rows = {i: dict(enumerate(row.tolist())) for i, row in enumerate(table) if row.any()}
+    return TransitionCounts(kappa, table, None), TransitionCounts(kappa, None, rows)
+
+
+def entries(counts: TransitionCounts) -> list[tuple[int, int, int]]:
+    """``counts.nonzero()`` as (i, j, n_ij) triples."""
+    return list(zip(*(a.tolist() for a in counts.nonzero())))
 
 
 class TestAlphabet:
@@ -113,10 +141,8 @@ class TestEmbedOrder:
             emb = embed_order(seq, m)
             comp = emb.alphabet
             counts = count_transitions(emb)
-            for i in range(comp.kappa):
-                for j, n_ij in counts.row_items(i):
-                    if n_ij:
-                        assert comp.legal_successor(i, j)
+            for i, j in zip(*counts.nonzero()[:2]):
+                assert comp.legal_successor(int(i), int(j))
 
 
 class TestCountTransitions:
@@ -157,9 +183,63 @@ class TestCountTransitions:
         counts = count_transitions(emb)
         assert not counts.is_dense
         assert counts.grand_total == 498
-        assert sum(n for i in range(counts.kappa) for _, n in counts.row_items(i)) == 498
+        assert counts.nonzero()[2].sum() == 498
         with pytest.raises(ValueError, match="sparse"):
             counts.to_dense()
+
+    def test_dense_table_built_without_a_copy(self):
+        rng = np.random.default_rng(8)
+        emb = embed_order(int_seq(rng.integers(0, 8, 10_000), 8), 4)  # 4096 states
+        tracemalloc.start()
+        try:
+            counts = count_transitions(emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.is_dense and counts.kappa == 4096
+        assert peak < 1.5 * counts.dense.nbytes, f"peak {peak / counts.dense.nbytes:.2f}x table"
+
+    @settings(deadline=None)
+    @given(count_tables())
+    def test_nonzero_agrees_across_storages_and_with_get(self, table):
+        dense, sparse = both_storages(table)
+        kappa = table.shape[0]
+        expected = [
+            (i, j, int(table[i, j])) for i in range(kappa) for j in range(kappa) if table[i, j]
+        ]
+        for counts in (dense, sparse):
+            assert all(a.dtype == np.int64 for a in counts.nonzero())
+            assert entries(counts) == expected
+            assert [counts.get(i, j) for i in range(kappa) for j in range(kappa)] == (
+                table.ravel().tolist()
+            )
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_pooled_counts_are_the_sum_of_segment_counts(self, data):
+        # 65 symbols at m = 2 is above the dense limit: both storages pool.
+        kappa = data.draw(st.sampled_from([1, 2, 3, 65]))
+        m = data.draw(st.integers(1, 2))
+        symbols = st.lists(st.integers(0, kappa - 1), min_size=m + 1, max_size=30)
+        alphabet = Alphabet.of_size(kappa)
+        segments = [
+            embed_order(Sequence(np.array(s), alphabet), m)
+            for s in data.draw(st.lists(symbols, min_size=1, max_size=4))
+        ]
+        pooled = count_transitions(*segments)
+        expected = Counter()
+        for seg in segments:
+            expected.update({(i, j): n for i, j, n in entries(count_transitions(seg))})
+        assert pooled.is_dense == (kappa**m <= 4096)
+        assert entries(pooled) == [(i, j, n) for (i, j), n in sorted(expected.items())]
+        assert pooled.grand_total == sum(seg.length - 1 for seg in segments)
+
+    def test_pooling_needs_one_alphabet_and_a_transition(self):
+        seq = int_seq([0, 1, 0], kappa=2)
+        with pytest.raises(ValueError, match="single alphabet"):
+            count_transitions(seq, int_seq([1, 0], kappa=2))
+        with pytest.raises(ValueError, match="no transitions"):
+            count_transitions(seq.prefix(1), seq.prefix(1))
 
 
 class TestMleTransitionMatrix:
@@ -222,6 +302,18 @@ class TestIrreducibility:
             ]
         )
         assert is_irreducible(P)
+
+    @settings(deadline=None)
+    @given(count_tables())
+    def test_matches_transitive_closure_oracle(self, table):
+        totals = table.sum(axis=1)
+        defined = totals > 0
+        probs = np.zeros(table.shape)
+        probs[defined] = table[defined] / totals[defined, None]
+        expected = strongly_connected_oracle(table)
+        assert is_irreducible(TransitionMatrix(probs, defined)) == expected
+        for counts in both_storages(table):
+            assert is_irreducible(counts) == expected
 
 
 class TestValidation:
