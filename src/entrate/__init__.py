@@ -54,7 +54,6 @@ from .simulate import (
     run_experiment,
     second_order_entropy,
     second_order_matrix,
-    second_order_matrix_from_reparam,
     second_order_stationary,
     simulate_chain,
     simulate_second_order,

@@ -229,6 +229,12 @@ class TransitionCounts:
         else:
             totals = np.zeros(self.kappa, dtype=np.int64)
             for i, row in self.sparse.items():
+                if not 0 <= i < self.kappa:
+                    raise ValueError(f"counts row {i} out of range for {self.kappa} states")
+                if row and not (min(row) >= 0 and max(row) < self.kappa):
+                    raise ValueError(f"counts column out of range for {self.kappa} states")
+                if row and min(row.values()) < 0:
+                    raise ValueError("counts must be nonnegative")
                 totals[i] = sum(row.values())
         object.__setattr__(self, "row_totals_arr", _freeze(totals))
 

@@ -50,7 +50,6 @@ __all__ = [
     "SecondOrderParams",
     "ReparamPoint",
     "second_order_matrix",
-    "second_order_matrix_from_reparam",
     "reparam_to_abcd",
     "second_order_stationary",
     "second_order_entropy",
@@ -235,25 +234,6 @@ def reparam_to_abcd(point: ReparamPoint) -> SecondOrderParams:
     return SecondOrderParams(a=a, b=b, c=c, d=d)
 
 
-def second_order_matrix_from_reparam(point: ReparamPoint) -> TransitionMatrix:
-    """Build the pair-transition matrix directly from (p, q, phi, gamma).
-
-    Algebraically identical to ``second_order_matrix(reparam_to_abcd(point))``;
-    kept as an independent construction path.
-    """
-    p, q, phi, gamma = point.p, point.q, point.phi, point.gamma
-    fp, fg = 1 + phi, 1 + gamma
-    P = np.array(
-        [
-            [fp * (1 / fp - p), p * fp, 0.0, 0.0],
-            [0.0, 0.0, fg * (q - gamma / fg), (1 - q) * fg],
-            [(1 - p) * fp, fp * (p - phi / fp), 0.0, 0.0],
-            [0.0, 0.0, q * fg, fg * (1 / fg - q)],
-        ]
-    )
-    return TransitionMatrix.from_probs(np.clip(P, 0.0, 1.0))
-
-
 def second_order_stationary(params: SecondOrderParams) -> ProbabilityVector:
     """Closed-form stationary distribution of the pair chain.
 
@@ -351,7 +331,7 @@ def entropy_surface(
                 pi = second_order_stationary(params)
             except ReducibleMatrixError:
                 continue
-            P = second_order_matrix_from_reparam(point)
+            P = second_order_matrix(params)
             out[i, j] = entropy_rate(P, pi, method="direct_exact").value
     return out
 

@@ -85,6 +85,28 @@ def strongly_connected_oracle(support) -> bool:
     return bool(reach.all())
 
 
+def cesaro_loop_oracle(P, steps: int) -> tuple[np.ndarray, float | None]:
+    """Brute-force Cesaro average (1/N) sum_{i<=N} P^i[0, :] of the
+    row-stochastic array ``P``, by N - 1 vector-matrix steps.
+
+    Returns the normalised average and its drift max|avg_N - avg_{N//2}|
+    (None when N//2 < 2, where no drift is measured).
+    """
+    probs = np.asarray(P, dtype=np.float64)
+    row = probs[0].copy()
+    acc = row.copy()
+    half_avg = None
+    half = steps // 2
+    for i in range(2, steps + 1):
+        row = row @ probs
+        acc += row
+        if i == half:
+            half_avg = acc / half
+    avg = acc / steps
+    drift = None if half_avg is None else float(np.max(np.abs(avg - half_avg)))
+    return avg / avg.sum(), drift
+
+
 def random_stochastic(rng: np.random.Generator, k: int, floor: float = 1e-3) -> TransitionMatrix:
     """Random row-stochastic matrix; a positive floor keeps it irreducible."""
     raw = rng.gamma(1.0, 1.0, size=(k, k)) + floor

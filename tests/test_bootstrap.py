@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import int_seq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrate import (
     BootstrapConfig,
@@ -52,6 +54,30 @@ class TestStationaryBootstrapSample:
         out = stationary_bootstrap_sample(seq, 1e-6, np.random.default_rng(5))
         rotations = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
         assert tuple(out.states.tolist()) in rotations
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(0, 5), min_size=2, max_size=300),
+        st.floats(1e-6, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_length_and_symbols_of_the_original(self, values, p, seed):
+        seq = int_seq(values, kappa=6)
+        out = stationary_bootstrap_sample(seq, p, np.random.default_rng(seed))
+        assert out.length == seq.length
+        assert out.alphabet is seq.alphabet
+        assert set(out.states.tolist()) <= set(values)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1))
+    def test_one_block_wraps_modulo_n(self, n, seed):
+        # Distinct symbols name their positions.  At p = 1e-12 a second block
+        # has probability below 3e-10, so the sample is one block: n
+        # consecutive positions from a uniform start, continuing at 0 after
+        # n - 1.
+        seq = int_seq(list(range(n)), kappa=n)
+        out = stationary_bootstrap_sample(seq, 1e-12, np.random.default_rng(seed)).states
+        assert out.tolist() == ((out[0] + np.arange(n)) % n).tolist()
 
     def test_p_one_is_iid_position_sampling(self):
         # Geometric(1) blocks have length exactly 1.

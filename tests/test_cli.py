@@ -282,6 +282,22 @@ class TestBootstrapCommand:
         record = json.loads(out_json.read_text())["estimates"][0]
         assert record["se"] == 0.0
 
+    def test_unconverged_cesaro_note_in_report(self, capsys, tmp_path):
+        from entrate import benchmark_matrix, simulate_chain
+
+        seq = simulate_chain(benchmark_matrix("medium"), 10_000, rng=5)
+        path = write(tmp_path, "medium.txt", " ".join(seq.tokens()))
+        out_json = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "bootstrap", path, "--method", "limit", "--order", "2",
+            "--replicates", "3", "--json", str(out_json),
+        )
+        assert code == 0
+        record = json.loads(out_json.read_text())["estimates"][0]
+        notes = [w for w in record["warnings"] if "not converged after 100000 steps" in w]
+        assert len(notes) == 1 and "drift" in notes[0]
+        assert notes[0] in out
+
 
 class TestSimulateCommand:
     def test_benchmark_deterministic(self, capsys):

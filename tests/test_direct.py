@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import int_seq, random_stochastic
+from conftest import cesaro_loop_oracle, int_seq, random_stochastic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +110,40 @@ class TestStationaryLimit:
         P = TransitionMatrix.from_probs([[1, 0], [0.5, 0.5]])
         with pytest.raises(ReducibleMatrixError):
             stationary_limit(P, steps=10)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 16),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(1, 5000), st.sampled_from([1, 2, 3, 4, 100_000])),
+    )
+    def test_doubling_matches_step_loop(self, k, density, seed, steps):
+        # Random support plus one random k-cycle: irreducible, and periodic
+        # when the support adds nothing to the cycle.
+        rng = np.random.default_rng(seed)
+        cycle = rng.permutation(k)
+        support = rng.random((k, k)) < density
+        support[cycle, np.roll(cycle, 1)] = True
+        raw = np.where(support, rng.gamma(1.0, 1.0, (k, k)) + 1e-3, 0.0)
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        ref, drift = cesaro_loop_oracle(probs, steps)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pi = stationary_limit(TransitionMatrix.from_probs(probs), steps=steps)
+        assert np.max(np.abs(pi.probs - ref)) <= 1e-12
+        fired = any("not converged" in str(w.message) for w in caught)
+        if drift is None or abs(drift - 1e-6) > 1e-12:
+            assert fired == (drift is not None and drift >= 1e-6)
+
+    def test_unconverged_note_reaches_the_estimate(self):
+        seq = simulate_chain(benchmark_matrix("medium"), 10_000, rng=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_direct(seq, order=2, stationary="limit")
+        notes = [w for w in est.warnings if "not converged after 100000 steps" in w]
+        assert len(notes) == 1
+        assert "drift" in notes[0]
 
 
 class TestEntropyRate:

@@ -134,6 +134,24 @@ class TestEmbedOrder:
                 counts = count_transitions(embed_order(seq, m))
                 assert counts.grand_total == seq.length - m
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_windows_biject_onto_composite_indices(self, data):
+        kappa = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(st.integers(0, kappa - 1), min_size=m, max_size=60))
+        emb = embed_order(int_seq(values, kappa), m)
+        comp = emb.alphabet if m > 1 else CompositeAlphabet(Alphabet.of_size(kappa), 1)
+        windows = [tuple(values[t : t + m]) for t in range(len(values) - m + 1)]
+        index_of = {w: sum(x * kappa**k for k, x in enumerate(w)) for w in windows}
+        assert emb.states.tolist() == [index_of[w] for w in windows]
+        assert [comp.decode(i) for i in emb.states.tolist()] == windows
+        # Every index in [0, kappa^m) names exactly one window.
+        assert [comp.encode(comp.decode(i)) for i in range(comp.kappa)] == list(range(comp.kappa))
+        # Consecutive windows overlap in m - 1 base symbols.
+        for a, b in zip(emb.states.tolist(), emb.states.tolist()[1:]):
+            assert comp.decode(a)[1:] == comp.decode(b)[:-1]
+
     def test_structural_zeros(self):
         rng = np.random.default_rng(6)
         seq = int_seq(rng.integers(0, 3, 200), 3)
@@ -317,6 +335,25 @@ class TestIrreducibility:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {0: {5: -1}, 1: {0: 3}},
+            {0: {5: 1}},
+            {0: {-1: 1}},
+            {2: {0: 1}},
+            {-1: {0: 1}},
+            {0: {1: -1, 0: 3}},
+        ],
+    )
+    def test_sparse_counts_checked(self, rows):
+        with pytest.raises(ValueError, match="out of range|nonnegative"):
+            TransitionCounts(2, None, rows)
+
+    def test_sparse_counts_with_empty_row(self):
+        counts = TransitionCounts(2, None, {0: {}, 1: {0: 3}})
+        assert counts.row_totals_arr.tolist() == [0, 3]
+
     def test_defined_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
             TransitionMatrix.from_probs([[0.5, 0.4], [0.5, 0.5]])

@@ -19,7 +19,6 @@ from entrate import (
     run_experiment,
     second_order_entropy,
     second_order_matrix,
-    second_order_matrix_from_reparam,
     second_order_stationary,
     simulate_chain,
     simulate_second_order,
@@ -160,14 +159,6 @@ class TestReparam:
                 )
                 assert params.a / 0.4 - 1 == pytest.approx(phi, abs=1e-12)
                 assert params.d / 0.75 - 1 == pytest.approx(gamma, abs=1e-12)
-
-    def test_two_path_consistency(self):
-        for phi in np.linspace(-0.99, phi_bound(0.4), 21):
-            for gamma in np.linspace(-0.99, gamma_bound(0.75), 21):
-                point = ReparamPoint(p=0.4, q=0.75, phi=float(phi), gamma=float(gamma))
-                direct = second_order_matrix_from_reparam(point)
-                via_abcd = second_order_matrix(reparam_to_abcd(point))
-                assert np.max(np.abs(direct.probs - via_abcd.probs)) < 1e-12
 
 
 class TestFirstOrderProjection:
