@@ -50,16 +50,15 @@ class BootstrapConfig:
 
 @dataclass(frozen=True, eq=False)
 class BootstrapResult:
-    """Point estimate, replicate estimates and their sample standard deviation;
-    ``warnings`` notes a clamped block parameter and failed replicates."""
+    """Point estimate, replicate estimates (0.0 for each of the ``n_failures``
+    failed replicates) and their sample standard deviation; ``warnings`` notes
+    a clamped block parameter and failed replicates."""
 
     estimates: np.ndarray
     standard_error: float
     p_used: float
-    estimator_tag: str
     point: EntropyEstimate
     n_failures: int = 0
-    failure_policy: str = "zero"
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -135,11 +134,7 @@ def stationary_bootstrap_sample(
 
 
 def bootstrap_se(
-    seq: Sequence,
-    estimator: EstimatorSpec,
-    config: BootstrapConfig,
-    *,
-    failure_policy: str = "zero",
+    seq: Sequence, estimator: EstimatorSpec, config: BootstrapConfig
 ) -> BootstrapResult:
     """Point estimate of ``seq`` plus its stationary-bootstrap standard error.
 
@@ -150,13 +145,11 @@ def bootstrap_se(
     generator, so results do not depend on evaluation order.
 
     A replicate whose estimator raises EstimationError (e.g. a reducible
-    matrix under the eigen method) is handled per ``failure_policy``: "zero"
-    records it as 0.0, "drop" discards it; either way the count is reported.
-    Any other exception propagates.  Under ``estimator.paper_zero_mode`` a
-    reducible replicate is not a failure: the estimator itself returns 0.0.
+    matrix under the eigen method) is recorded as 0.0 and counted in
+    ``n_failures``; any other exception propagates.  Under
+    ``estimator.paper_zero_mode`` a reducible replicate is not a failure: the
+    estimator itself returns 0.0.
     """
-    if failure_policy not in ("zero", "drop"):
-        raise ValueError("failure_policy must be 'zero' or 'drop'")
     point = run_estimator(seq, estimator)
     p, notes = config.p, []
     if p is None:
@@ -172,23 +165,15 @@ def bootstrap_se(
             values.append(run_estimator(resample, estimator).value)
         except EstimationError:
             n_failures += 1
-            if failure_policy == "zero":
-                values.append(0.0)
-    if len(values) < 2:
-        raise ValueError(
-            f"only {len(values)} of {config.replicates} replicates produced "
-            "estimates; cannot compute a standard error"
-        )
+            values.append(0.0)
     if n_failures:
-        notes.append(f"{n_failures} bootstrap replicate(s) failed ({failure_policy} policy)")
+        notes.append(f"{n_failures} bootstrap replicate(s) failed (zero policy)")
     estimates = np.asarray(values, dtype=np.float64)
     return BootstrapResult(
         estimates=estimates,
         standard_error=float(estimates.std(ddof=1)),
         p_used=p,
-        estimator_tag=estimator.tag,
         point=point,
         n_failures=n_failures,
-        failure_policy=failure_policy,
         warnings=tuple(notes),
     )

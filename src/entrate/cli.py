@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_se
-from .direct import EntropyEstimate, estimate_direct_pooled
-from .estimators import DIRECT_METHODS, EstimatorSpec, run_estimator
+from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled
+from .estimators import EstimatorSpec, run_estimator
 from .ingest import (
     SequenceFile,
     SequenceFileError,
@@ -30,7 +30,7 @@ from .ingest import (
     read_tokens,
     tokens_from_text,
 )
-from .markov import Sequence, TransitionMatrix
+from .markov import EstimationError, Sequence, TransitionMatrix
 from .simulate import (
     BENCHMARK_NAMES,
     ExperimentPlan,
@@ -72,15 +72,25 @@ def _base_report(command: str, seed: int | None) -> dict[str, Any]:
     }
 
 
-def _write_json(path: str, report: dict[str, Any]) -> None:
-    Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_reports(
+    json_path: str | None,
+    csv_path: str | None,
+    report: dict[str, Any],
+    rows: list[dict[str, Any]],
+) -> None:
+    """Write ``report`` as JSON and its ``rows`` as the flat CSV mirror; a
+    None path skips that file.  The CSV header is the rows' keys, and a list
+    cell is joined with "; "."""
+    if json_path:
+        Path(json_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    if csv_path:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            for row in rows:
+                writer.writerow(
+                    "; ".join(v) if isinstance(v, list) else v for v in row.values()
+                )
 
 
 def _round(x: float | None, digits: int = 10) -> float | None:
@@ -241,16 +251,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     report = _base_report(args.command, seed if replicates else None)
     report["input"] = source
     report["estimates"] = records
-    if args.json:
-        _write_json(args.json, report)
-    if args.csv:
-        header = ["method", "order", "value_bits", "se", "p_used", "replicates", "warnings"]
-        rows = [
-            [r["method"], r["order"], r["value_bits"], r["se"], r["p_used"],
-             r["replicates"], "; ".join(r["warnings"])]
-            for r in records
-        ]
-        _write_csv(args.csv, header, rows)
+    _write_reports(args.json, args.csv, report, records)
     print(f"n = {seq.length} observations over {seq.alphabet.kappa} symbols")
     for line in lines:
         print(line)
@@ -271,14 +272,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     ]
     report["last_capped"] = parsing.last_capped
     report["rendered"] = rendered
-    if args.json:
-        _write_json(args.json, report)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["start", "length"],
-            [[s, ln] for s, ln in parsing.phrases],
-        )
+    _write_reports(args.json, args.csv, report, report["phrases"])
     print(rendered)
     return EXIT_OK
 
@@ -291,16 +285,15 @@ def _parse_matrix_file(path: str) -> TransitionMatrix:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        rows = json.loads(text)
-    else:
-        rows = [
-            [float(tok) for tok in line.split()]
-            for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
     try:
+        if text.lstrip().startswith("["):
+            rows = json.loads(text)
+        else:
+            rows = [
+                [float(tok) for tok in line.split()]
+                for line in text.splitlines()
+                if line.strip() and not line.strip().startswith("#")
+            ]
         return TransitionMatrix.from_probs(np.asarray(rows, dtype=np.float64))
     except ValueError as exc:
         raise SequenceFileError(f"{path}: {exc}") from exc
@@ -321,14 +314,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             a, b, c, d = (float(v) for v in args.second_order.split(","))
         except ValueError as exc:
             raise SequenceFileError("--second-order expects a,b,c,d") from exc
-        seq = simulate_second_order(SecondOrderParams(a, b, c, d), args.length, rng=args.seed)
-    else:
-        if args.benchmark is not None:
-            P = benchmark_matrix(args.benchmark, kappa=args.kappa, diag=args.diag)
+    try:
+        if args.second_order is not None:
+            params = SecondOrderParams(a, b, c, d)
+            seq = simulate_second_order(params, args.length, rng=args.seed)
         else:
-            P = _parse_matrix_file(args.matrix)
-        init = args.init if args.init is not None else None
-        seq = simulate_chain(P, args.length, init=init, rng=args.seed)
+            if args.benchmark is not None:
+                P = benchmark_matrix(args.benchmark, kappa=args.kappa, diag=args.diag)
+            else:
+                P = _parse_matrix_file(args.matrix)
+            seq = simulate_chain(P, args.length, init=args.init, rng=args.seed)
+    except EstimationError:
+        raise  # a chain without a stationary distribution is a numeric failure
+    except ValueError as exc:
+        # A flag value out of its generator's range.
+        raise SequenceFileError(str(exc)) from exc
     line = " ".join(seq.tokens()) + "\n"
     if args.out:
         Path(args.out).write_text(line, encoding="utf-8")
@@ -377,13 +377,11 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
         generator = benchmark_matrix(
             name, kappa=int(gen.get("kappa", 8)), diag=float(gen.get("diag", 0.95))
         )
-        generator_name = name
     elif "matrix" in gen:
         try:
             generator = TransitionMatrix.from_probs(np.asarray(gen["matrix"], dtype=float))
         except ValueError as exc:
             raise PlanError(f"plan field 'generator.matrix': {exc}") from exc
-        generator_name = "matrix"
     elif "second_order" in gen:
         so = gen["second_order"]
         if not isinstance(so, dict):
@@ -405,7 +403,6 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
                 )
         except ValueError as exc:
             raise PlanError(f"plan field 'generator.second_order': {exc}") from exc
-        generator_name = "second_order"
     else:
         raise PlanError(
             "plan field 'generator': need one of benchmark, matrix, second_order"
@@ -431,7 +428,6 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
             replicates=_plan_field(plan_dict, "replicates", int),
             estimators=tuple(estimators),
             seed=_plan_field(plan_dict, "seed", int),
-            generator_name=generator_name,
         )
     except ValueError as exc:
         raise PlanError(f"plan validation: {exc}") from exc
@@ -463,15 +459,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     report = run_experiment(plan)
     out = _report_to_dict(report, plan_dict)
     json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
-    _write_json(json_path, out)
-    if args.csv:
-        header = ["length", "method", "order", "n_ok", "n_failed", "min", "mean", "max", "sd"]
-        rows = [
-            [c["length"], c["method"], c["order"], c["n_ok"], c["n_failed"],
-             c["min"], c["mean"], c["max"], c["sd"]]
-            for c in out["cells"]
-        ]
-        _write_csv(args.csv, header, rows)
+    _write_reports(json_path, args.csv, out, out["cells"])
     fmt = "{:>7} {:>22} {:>9} {:>9} {:>9} {:>9} {:>7}"
     print(fmt.format("length", "estimator", "min", "mean", "max", "sd", "failed"))
     for c in report.cells:
@@ -505,26 +493,15 @@ def _cmd_ttest(args: argparse.Namespace) -> int:
     a = _read_numbers(args.group_a)
     b = _read_numbers(args.group_b)
     cmp = ttest_pooled(a, b)
-    report = _base_report("ttest", None)
-    report.update(
-        {
-            "t_statistic": _round(cmp.t_statistic),
-            "df": cmp.df,
-            "mean_a": _round(cmp.means[0]),
-            "mean_b": _round(cmp.means[1]),
-            "n_a": len(cmp.group_a),
-            "n_b": len(cmp.group_b),
-        }
-    )
-    if args.json:
-        _write_json(args.json, report)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["t_statistic", "df", "mean_a", "mean_b", "n_a", "n_b"],
-            [[report["t_statistic"], cmp.df, report["mean_a"], report["mean_b"],
-              len(cmp.group_a), len(cmp.group_b)]],
-        )
+    stats = {
+        "t_statistic": _round(cmp.t_statistic),
+        "df": cmp.df,
+        "mean_a": _round(cmp.means[0]),
+        "mean_b": _round(cmp.means[1]),
+        "n_a": len(cmp.group_a),
+        "n_b": len(cmp.group_b),
+    }
+    _write_reports(args.json, args.csv, _base_report("ttest", None) | stats, [stats])
     print(f"t = {cmp.t_statistic:.4f}  (df = {cmp.df})")
     print(f"group means: a = {cmp.means[0]:.4f}, b = {cmp.means[1]:.4f}")
     return EXIT_OK

@@ -34,6 +34,7 @@ from .markov import (
 )
 
 __all__ = [
+    "DIRECT_METHODS",
     "EntropyEstimate",
     "shannon_entropy",
     "stationary_empirical",
@@ -43,6 +44,9 @@ __all__ = [
     "estimate_direct",
     "estimate_direct_pooled",
 ]
+
+# Stationary-distribution estimates the direct estimators can plug in.
+DIRECT_METHODS = ("empirical", "eigen", "limit")
 
 # |eigenvalue - 1| below this counts as a unit eigenvalue when checking
 # uniqueness of the stationary distribution.
@@ -246,68 +250,10 @@ def entropy_rate(
     )
 
 
-_STATIONARY_METHODS = ("empirical", "eigen", "limit")
-
-
 def _never_visited_warning(n_unvisited: int) -> list[str]:
     if n_unvisited:
         return [f"{n_unvisited} never-visited state(s) carry zero stationary weight"]
     return []
-
-
-def _short_data_warning(n_obs: int, kappa: int, order: int) -> list[str]:
-    needed = kappa**order
-    if n_obs <= needed:
-        return [
-            f"sequence length {n_obs} <= kappa^m = {needed}; "
-            f"order-{order} direct estimates are unreliable"
-        ]
-    return []
-
-
-def _estimate_from_counts(
-    counts: TransitionCounts,
-    *,
-    stationary: str,
-    order: int,
-    n_obs: int,
-    base_kappa: int,
-    paper_zero_mode: bool,
-    limit_steps: int,
-) -> EntropyEstimate:
-    method = f"direct_{stationary}"
-    warn = _short_data_warning(n_obs, base_kappa, order)
-    if stationary == "empirical":
-        return _estimate_empirical(counts, order, n_obs, warn)
-    P = mle_transition_matrix(counts)
-    irreducible = is_irreducible(P)
-    try:
-        if stationary == "eigen":
-            pi = stationary_eigen(P)
-        else:
-            pi, note = _cesaro_limit(P, limit_steps)
-            if note:
-                warn.append(note)
-    except ReducibleMatrixError as exc:
-        if paper_zero_mode:
-            return EntropyEstimate(
-                value=0.0,
-                method=method,
-                n_obs=n_obs,
-                order=order,
-                irreducible=False,
-                warnings=tuple(warn + [f"{exc}; estimate forced to 0"]),
-            )
-        raise
-    return entropy_rate(
-        P,
-        pi,
-        method=method,
-        order=order,
-        n_obs=n_obs,
-        irreducible=irreducible,
-        extra_warnings=tuple(warn),
-    )
 
 
 def _estimate_empirical(
@@ -338,38 +284,10 @@ def estimate_direct(
     stationary: str = "empirical",
     *,
     paper_zero_mode: bool = False,
-    limit_steps: int = DEFAULT_CESARO_STEPS,
 ) -> EntropyEstimate:
-    """Direct entropy rate estimate of ``seq`` as an order-m chain.
-
-    Embeds the sequence into composite states, counts transitions, takes the
-    MLE transition matrix, estimates the stationary distribution with the
-    chosen method, and evaluates the plug-in entropy rate.
-
-    With ``stationary="eigen"`` (or "limit") a reducible estimated matrix
-    raises ReducibleMatrixError; under ``paper_zero_mode`` the estimate is
-    instead reported as 0.0 with a warning, matching how such failures show up
-    as zero estimates in simulation studies.
-    """
-    if stationary not in _STATIONARY_METHODS:
-        raise ValueError(f"unknown stationary method {stationary!r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if seq.length <= order:
-        raise InsufficientDataError(f"insufficient length for order {order}")
-    base_kappa = seq.alphabet.kappa
-    if isinstance(seq.alphabet, CompositeAlphabet):
-        raise ValueError("estimate_direct expects a base-alphabet sequence")
-    counts = count_transitions(embed_order(seq, order))
-    return _estimate_from_counts(
-        counts,
-        stationary=stationary,
-        order=order,
-        n_obs=seq.length,
-        base_kappa=base_kappa,
-        paper_zero_mode=paper_zero_mode,
-        limit_steps=limit_steps,
-    )
+    """Direct entropy rate estimate of ``seq`` as an order-m chain: the
+    one-segment case of ``estimate_direct_pooled``."""
+    return estimate_direct_pooled([seq], order, stationary, paper_zero_mode=paper_zero_mode)
 
 
 def estimate_direct_pooled(
@@ -378,31 +296,72 @@ def estimate_direct_pooled(
     stationary: str = "empirical",
     *,
     paper_zero_mode: bool = False,
-    limit_steps: int = DEFAULT_CESARO_STEPS,
 ) -> EntropyEstimate:
-    """Direct estimate from transition counts pooled across segments.
+    """Direct entropy rate estimate from transition counts pooled across segments.
 
-    Transitions are counted within each segment only, so pairs spanning a
-    segment boundary are excluded.  All segments must share one alphabet.
+    Embeds each segment into order-m composite states and counts transitions
+    within each segment only, so pairs spanning a segment boundary are
+    excluded; segments no longer than ``order`` contribute no transitions.
+    All segments must share one base alphabet.  The counts give the MLE
+    transition matrix, ``stationary`` (one of ``DIRECT_METHODS``) estimates
+    the stationary distribution, and the plug-in entropy rate is evaluated.
+
+    With ``stationary="eigen"`` (or "limit") a reducible estimated matrix
+    raises ReducibleMatrixError; under ``paper_zero_mode`` the estimate is
+    instead reported as 0.0 with a warning, matching how such failures show up
+    as zero estimates in simulation studies.
     """
+    if stationary not in DIRECT_METHODS:
+        raise ValueError(f"unknown stationary method {stationary!r}")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if not segments:
         raise ValueError("at least one segment required")
     alphabet = segments[0].alphabet
     if any(seg.alphabet is not alphabet for seg in segments[1:]):
         raise ValueError("segments must share a single alphabet")
     if isinstance(alphabet, CompositeAlphabet):
-        raise ValueError("estimate_direct_pooled expects base-alphabet sequences")
+        raise ValueError("direct estimates expect base-alphabet sequences")
     usable = [seg for seg in segments if seg.length > order]
     if not usable:
         raise InsufficientDataError(f"insufficient length for order {order}")
     counts = count_transitions(*(embed_order(seg, order) for seg in usable))
     n_obs = sum(seg.length for seg in segments)
-    return _estimate_from_counts(
-        counts,
-        stationary=stationary,
+    warn = []
+    if n_obs <= alphabet.kappa**order:
+        warn.append(
+            f"sequence length {n_obs} <= kappa^m = {alphabet.kappa**order}; "
+            f"order-{order} direct estimates are unreliable"
+        )
+    if stationary == "empirical":
+        return _estimate_empirical(counts, order, n_obs, warn)
+    method = f"direct_{stationary}"
+    P = mle_transition_matrix(counts)
+    irreducible = is_irreducible(P)
+    try:
+        if stationary == "eigen":
+            pi = stationary_eigen(P)
+        else:
+            pi, note = _cesaro_limit(P, DEFAULT_CESARO_STEPS)
+            if note:
+                warn.append(note)
+    except ReducibleMatrixError as exc:
+        if paper_zero_mode:
+            return EntropyEstimate(
+                value=0.0,
+                method=method,
+                n_obs=n_obs,
+                order=order,
+                irreducible=False,
+                warnings=tuple(warn + [f"{exc}; estimate forced to 0"]),
+            )
+        raise
+    return entropy_rate(
+        P,
+        pi,
+        method=method,
         order=order,
         n_obs=n_obs,
-        base_kappa=alphabet.kappa,
-        paper_zero_mode=paper_zero_mode,
-        limit_steps=limit_steps,
+        irreducible=irreducible,
+        extra_warnings=tuple(warn),
     )

@@ -8,13 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .direct import EntropyEstimate, estimate_direct
+from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct
 from .markov import Sequence
 from .swlz import swlz_entropy
 
-__all__ = ["DIRECT_METHODS", "EstimatorSpec", "run_estimator"]
-
-DIRECT_METHODS = ("empirical", "eigen", "limit")
+__all__ = ["EstimatorSpec", "run_estimator"]
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,9 @@ def simulate_chain(
     *,
     init: int | ProbabilityVector | np.ndarray | None = None,
     rng: np.random.Generator | int | None = None,
-    alphabet: Alphabet | None = None,
 ) -> Sequence:
-    """Draw a length-n realization from a transition matrix.
+    """Draw a length-n realization from a transition matrix, over the
+    alphabet ``Alphabet.of_size(P.size)``.
 
     ``init`` selects x_0: a fixed state index, an explicit distribution, or
     None for the exact stationary distribution (so the realized process is
@@ -86,11 +86,6 @@ def simulate_chain(
         raise ValueError("cannot simulate from a matrix with undefined rows")
     rng = np.random.default_rng(rng)
     kappa = P.size
-    if alphabet is None:
-        alphabet = Alphabet.of_size(kappa)
-    elif alphabet.kappa != kappa:
-        raise ValueError("alphabet size does not match matrix")
-
     if init is None:
         init = stationary_eigen(P)
     if isinstance(init, (int, np.integer)):
@@ -111,7 +106,7 @@ def simulate_chain(
     for t in range(1, n):
         state = bisect_right(rows[state], us[t])
         out[t] = state
-    return Sequence(out, alphabet)
+    return Sequence(out, Alphabet.of_size(kappa))
 
 
 BENCHMARK_NAMES = ("low", "medium", "medium-builtin", "high")
@@ -345,7 +340,6 @@ class ExperimentPlan:
     replicates: int
     estimators: tuple[EstimatorSpec, ...]
     seed: int
-    generator_name: str = "matrix"
 
     def __post_init__(self) -> None:
         if not self.lengths:

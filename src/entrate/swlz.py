@@ -196,11 +196,11 @@ def swlz_parse(seq: Sequence) -> Parsing:
     return Parsing(tuple(phrases), start + matches[start] == n)
 
 
-def format_parsing(seq: Sequence, parsing: Parsing, separator: str = " | ") -> str:
+def format_parsing(seq: Sequence, parsing: Parsing) -> str:
     """Render phrases with their symbol labels, Table-style: "1 | 3 | 131"."""
     labels = [seq.alphabet.label(int(s)) for s in seq.states]
     joiner = "" if all(len(lab) == 1 for lab in labels) else " "
-    return separator.join(
+    return " | ".join(
         joiner.join(labels[start : start + length]) for start, length in parsing.phrases
     )
 

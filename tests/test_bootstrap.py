@@ -130,25 +130,23 @@ class TestBootstrapSe:
     def test_estimator_tag_and_point_estimate(self):
         rng = np.random.default_rng(19)
         seq = int_seq(rng.integers(0, 3, 300), kappa=3)
-        result = bootstrap_se(
-            seq, EstimatorSpec("swlz"), BootstrapConfig(p=0.3, replicates=10, seed=5)
-        )
-        assert result.estimator_tag == "swlz"
+        spec = EstimatorSpec("swlz")
+        result = bootstrap_se(seq, spec, BootstrapConfig(p=0.3, replicates=10, seed=5))
+        assert result.point.method == spec.tag == "swlz"
         assert result.point.value > 0
 
-    def test_failure_policies(self):
+    def test_zero_failure_policy(self):
         # Rare symbol: some resamples never leave state 0, making the eigen
         # method fail on those replicates.
         seq = int_seq([0] * 60 + [1] + [0] * 60 + [1, 0], kappa=2)
         spec = EstimatorSpec("eigen", 1)
         config = BootstrapConfig(p=0.9, replicates=40, seed=21)
-        zero = bootstrap_se(seq, spec, config, failure_policy="zero")
-        drop = bootstrap_se(seq, spec, config, failure_policy="drop")
+        zero = bootstrap_se(seq, spec, config)
         assert zero.n_failures > 0
-        assert zero.n_failures == drop.n_failures
         assert len(zero.estimates) == 40
-        assert len(drop.estimates) == 40 - drop.n_failures
         assert (zero.estimates == 0.0).sum() >= zero.n_failures
+        note = f"{zero.n_failures} bootstrap replicate(s) failed (zero policy)"
+        assert note in zero.warnings
 
     def test_paper_zero_mode_replicates_are_zeros_not_failures(self):
         seq = int_seq([0] * 60 + [1] + [0] * 60 + [1, 0], kappa=2)

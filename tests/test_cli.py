@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -337,6 +338,36 @@ class TestSimulateCommand:
         assert code == 1
         assert "generator" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--benchmark", "low", "--length", "10", "--init", "99"],
+            ["--benchmark", "low", "--length", "0"],
+            ["--benchmark", "low", "--length", "10", "--kappa", "1"],
+            ["--second-order", "0.5,0.5,0.5,2", "--length", "10"],
+            ["--benchmark", "medium", "--length", "10", "--kappa", "4"],
+        ],
+        ids=["init", "length", "kappa", "second-order", "medium-kappa"],
+    )
+    def test_out_of_range_flag_is_input_error(self, capsys, flags):
+        code, _, err = run(capsys, "simulate", *flags)
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "input"
+
+    @pytest.mark.parametrize("text", ["[[0.5, 0.5],", "0.5 x\n0.5 0.5\n"], ids=["json", "rows"])
+    def test_malformed_matrix_file_is_input_error(self, capsys, tmp_path, text):
+        path = write(tmp_path, "m.txt", text)
+        code, _, err = run(capsys, "simulate", "--matrix", path, "--length", "5")
+        assert code == 1
+        assert json.loads(err)["error"]["message"].startswith(path)
+
+    def test_reducible_matrix_is_numeric_error(self, capsys, tmp_path):
+        # No stationary distribution to start from: a numeric failure.
+        path = write(tmp_path, "m.txt", "1 0\n0 1\n")
+        code, _, err = run(capsys, "simulate", "--matrix", path, "--length", "5")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "numeric"
+
 
 class TestExperimentCommand:
     @staticmethod
@@ -446,6 +477,52 @@ class TestTtestCommand:
         b = write(tmp_path, "b.txt", "1 2\n")
         code, _, _ = run(capsys, "ttest", a, b)
         assert code == 1
+
+
+class TestCsvMirror:
+    """Each command's CSV report holds its JSON rows: same keys, same values."""
+
+    BASE_KEYS = ("schema_version", "tool_version", "command", "seed")
+
+    @staticmethod
+    def cell(value):
+        if value is None:
+            return ""
+        return "; ".join(value) if isinstance(value, list) else str(value)
+
+    @pytest.mark.parametrize(
+        "argv, rows_key",
+        [
+            (["estimate", "{seq}", "--order", "3", "--method", "empirical",
+              "--method", "eigen", "--method", "swlz", "--paper-zero-mode"], "estimates"),
+            (["bootstrap", "{seq}", "--method", "empirical", "--method", "swlz",
+              "--replicates", "5", "--seed", "3"], "estimates"),
+            (["parse", "{seq}"], "phrases"),
+            (["experiment", "{plan}"], "cells"),
+            (["ttest", "{a}", "{b}"], None),
+        ],
+        ids=["estimate", "bootstrap", "parse", "experiment", "ttest"],
+    )
+    def test_csv_mirrors_json(self, capsys, tmp_path, argv, rows_key):
+        paths = {
+            "seq": write(tmp_path, "seq.txt", " ".join(TABLE_STRING)),
+            "plan": write(tmp_path, "plan.json", json.dumps(TestExperimentCommand.plan_dict())),
+            "a": write(tmp_path, "a.txt", "1.5483 1.5107 1.5727 1.6571\n"),
+            "b": write(tmp_path, "b.txt", "1.6956 1.6285 1.6797\n"),
+        }
+        out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+        argv = [arg.format(**paths) for arg in argv]
+        code, _, _ = run(capsys, *argv, "--json", str(out_json), "--csv", str(out_csv))
+        assert code == 0
+        report = json.loads(out_json.read_text())
+        if rows_key is None:
+            rows = [{k: v for k, v in report.items() if k not in self.BASE_KEYS}]
+        else:
+            rows = report[rows_key]
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            header, *body = list(csv.reader(fh))
+        assert all(list(row) == header for row in rows)
+        assert body == [[self.cell(v) for v in row.values()] for row in rows]
 
 
 class TestEndToEnd:

@@ -102,7 +102,8 @@ class TestStationaryLimit:
     def test_agrees_with_eigen(self):
         rng = np.random.default_rng(23)
         P = random_stochastic(rng, 4)
-        pi_limit = stationary_limit(P, steps=10_000)
+        with pytest.warns(UserWarning, match="Cesaro average not converged"):
+            pi_limit = stationary_limit(P, steps=10_000)
         pi_eigen = stationary_eigen(P)
         assert np.max(np.abs(pi_limit.probs - pi_eigen.probs)) < 1e-2
 
@@ -253,7 +254,7 @@ class TestEstimateDirect:
     def test_limit_method(self):
         P = TransitionMatrix.from_probs([[0.1, 0.9], [0.9, 0.1]])
         seq = simulate_chain(P, 5000, rng=47)
-        est_limit = estimate_direct(seq, stationary="limit", limit_steps=20_000)
+        est_limit = estimate_direct(seq, stationary="limit")
         est_eigen = estimate_direct(seq, stationary="eigen")
         assert est_limit.method == "direct_limit"
         assert est_limit.value == pytest.approx(est_eigen.value, abs=1e-3)
@@ -341,3 +342,8 @@ class TestEstimateDirectPooled:
         b = Sequence(np.array([0, 1]), Alphabet.of_size(3))
         with pytest.raises(ValueError, match="share"):
             estimate_direct_pooled([a, b])
+
+    def test_unknown_stationary_method_rejected(self):
+        seq = int_seq([0, 1, 1, 0, 1, 0, 0, 1], kappa=2)
+        with pytest.raises(ValueError, match="unknown stationary method 'bogus'"):
+            estimate_direct_pooled([seq], 1, "bogus")
