@@ -306,10 +306,12 @@ def estimate_direct_pooled(
     transition matrix, ``stationary`` (one of ``DIRECT_METHODS``) estimates
     the stationary distribution, and the plug-in entropy rate is evaluated.
 
-    With ``stationary="eigen"`` (or "limit") a reducible estimated matrix
-    raises ReducibleMatrixError; under ``paper_zero_mode`` the estimate is
-    instead reported as 0.0 with a warning, matching how such failures show up
-    as zero estimates in simulation studies.
+    Eigen and limit need the dense MLE matrix, so they raise ValueError above
+    DENSE_STATE_LIMIT composite states.  With ``stationary="eigen"`` (or
+    "limit") a reducible estimated matrix raises ReducibleMatrixError; under
+    ``paper_zero_mode`` the estimate is instead reported as 0.0 with a
+    warning, matching how such failures show up as zero estimates in
+    simulation studies.
     """
     if stationary not in DIRECT_METHODS:
         raise ValueError(f"unknown stationary method {stationary!r}")

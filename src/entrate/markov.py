@@ -5,6 +5,10 @@ to reduce an mth-order chain to a first-order chain), observed sequences as
 integer state indices, transition counting, maximum-likelihood transition
 matrices, and irreducibility checking.
 
+Transition counts are kept as sorted codes i*K + j of the distinct observed
+transitions, so their memory follows the data, never K**2; only the MLE matrix
+and the counts' ``dense`` view are K x K, up to DENSE_STATE_LIMIT states.
+
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -12,6 +16,7 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence as TypingSequence
 
 import numpy as np
@@ -33,8 +38,8 @@ __all__ = [
     "is_irreducible",
 ]
 
-# Above this many states, transition counts are kept as a map-of-maps instead
-# of a dense table.
+# The largest number of states for which a dense K x K view is built: the
+# counts' ``dense`` table and the MLE matrix that eigen and limit solve on.
 DENSE_STATE_LIMIT = 4096
 
 _SUM_TOL = 1e-12
@@ -56,6 +61,14 @@ class InsufficientDataError(EstimationError):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _check_dense_limit(kappa: int) -> None:
+    if kappa > DENSE_STATE_LIMIT:
+        raise ValueError(
+            f"a dense {kappa} x {kappa} table exceeds the limit of "
+            f"{DENSE_STATE_LIMIT} states; the empirical and swlz methods have no such limit"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,45 +215,41 @@ class Sequence:
 
 @dataclass(frozen=True, eq=False)
 class TransitionCounts:
-    """Table n_ij of observed one-step transition counts.
+    """Observed one-step transition counts n_ij, in coordinate form.
 
-    Dense ndarray storage up to DENSE_STATE_LIMIT states; a map-of-maps
-    ``{i: {j: n_ij}}`` above that.  ``nonzero()`` is the one bulk read of
-    either storage, so code outside this module need not know which it is.
+    ``codes`` holds the observed transitions i -> j as strictly increasing
+    int64 codes ``i * kappa + j`` and ``n`` their positive counts, so storage
+    grows with the distinct transitions observed, not with kappa**2.
+    ``nonzero()`` is the one bulk read; ``dense`` builds the kappa x kappa
+    table on first read, up to DENSE_STATE_LIMIT states.
     """
 
     kappa: int
-    dense: np.ndarray | None
-    sparse: dict[int, dict[int, int]] | None
+    codes: np.ndarray
+    n: np.ndarray
     alphabet: Alphabet | CompositeAlphabet | None = None
     row_totals_arr: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if (self.dense is None) == (self.sparse is None):
-            raise ValueError("exactly one of dense/sparse storage required")
-        if self.dense is not None:
-            dense = np.ascontiguousarray(self.dense, dtype=np.int64)
-            if dense.shape != (self.kappa, self.kappa):
-                raise ValueError("counts table must be kappa x kappa")
-            if dense.min() < 0:
-                raise ValueError("counts must be nonnegative")
-            object.__setattr__(self, "dense", _freeze(dense))
-            totals = dense.sum(axis=1)
-        else:
-            totals = np.zeros(self.kappa, dtype=np.int64)
-            for i, row in self.sparse.items():
-                if not 0 <= i < self.kappa:
-                    raise ValueError(f"counts row {i} out of range for {self.kappa} states")
-                if row and not (min(row) >= 0 and max(row) < self.kappa):
-                    raise ValueError(f"counts column out of range for {self.kappa} states")
-                if row and min(row.values()) < 0:
-                    raise ValueError("counts must be nonnegative")
-                totals[i] = sum(row.values())
+        kappa = self.kappa
+        # Checked before any kappa-length array exists.
+        if kappa * kappa > np.iinfo(np.int64).max + 1:
+            raise ValueError(f"transition codes over {kappa} states overflow int64")
+        codes = np.asarray(self.codes, dtype=np.int64)
+        n = np.asarray(self.n, dtype=np.int64)
+        if codes.ndim != 1 or codes.shape != n.shape:
+            raise ValueError("codes and counts must be 1-d arrays of one length")
+        if codes.size and (codes[0] < 0 or codes[-1] >= kappa * kappa):
+            raise ValueError(f"transition code out of range for {kappa} states")
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError("transition codes must be strictly increasing")
+        if np.any(n <= 0):
+            raise ValueError("transition counts must be positive")
+        totals = np.zeros(kappa, dtype=np.int64)
+        np.add.at(totals, codes // kappa, n)
+        object.__setattr__(self, "codes", _freeze(codes))
+        object.__setattr__(self, "n", _freeze(n))
         object.__setattr__(self, "row_totals_arr", _freeze(totals))
-
-    @property
-    def is_dense(self) -> bool:
-        return self.dense is not None
 
     @property
     def grand_total(self) -> int:
@@ -248,32 +257,24 @@ class TransitionCounts:
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Int64 arrays ``(src, dst, n)`` of the nonzero entries, row-major."""
-        if self.dense is not None:
-            # A flat scan of a boolean mask: np.nonzero on the 2-d int64 table
-            # is about three times slower.
-            flat = np.flatnonzero(self.dense.ravel() != 0)
-            return (*np.divmod(flat, self.kappa), self.dense.ravel()[flat])
-        rows = self.sparse.items()
-        size = sum(len(row) for _, row in rows)
-        src = np.fromiter((i for i, row in rows for _ in row), np.int64, size)
-        dst = np.fromiter((j for _, row in rows for j in row), np.int64, size)
-        n = np.fromiter((c for _, row in rows for c in row.values()), np.int64, size)
-        order = np.lexsort((dst, src))
-        order = order[n[order] != 0]
-        return src[order], dst[order], n[order]
+        return (*np.divmod(self.codes, self.kappa), self.n)
 
     def get(self, i: int, j: int) -> int:
-        if self.dense is not None:
-            return int(self.dense[i, j])
-        return self.sparse.get(i, {}).get(j, 0)
+        if not (0 <= i < self.kappa and 0 <= j < self.kappa):
+            raise IndexError(f"transition ({i}, {j}) out of range for {self.kappa} states")
+        code = i * self.kappa + j
+        pos = int(np.searchsorted(self.codes, code))
+        if pos < self.codes.size and self.codes[pos] == code:
+            return int(self.n[pos])
+        return 0
 
-    def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        raise ValueError(
-            f"counts over {self.kappa} states are stored sparsely; "
-            f"dense operations support at most {DENSE_STATE_LIMIT} states"
-        )
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """Read-only kappa x kappa table of the counts, built on first read."""
+        _check_dense_limit(self.kappa)
+        table = np.zeros(self.kappa * self.kappa, dtype=np.int64)
+        table[self.codes] = self.n
+        return _freeze(table).reshape(self.kappa, self.kappa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,22 +359,14 @@ def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
     alphabet = seq.alphabet
     if any(s.alphabet != alphabet for s in more):
         raise ValueError("segments must share a single alphabet")
-    src = np.concatenate([s.states[:-1] for s in segments])
-    dst = np.concatenate([s.states[1:] for s in segments])
-    if src.size < 1:
+    kappa = alphabet.kappa
+    codes = np.concatenate([s.states[:-1] * kappa + s.states[1:] for s in segments])
+    if codes.size < 1:
         raise InsufficientDataError(
             "no transitions observed: sequence has fewer than 2 symbols"
         )
-    kappa = alphabet.kappa
-    if kappa <= DENSE_STATE_LIMIT:
-        flat = np.bincount(src * kappa + dst, minlength=kappa * kappa)
-        dense = flat.reshape(kappa, kappa).astype(np.int64, copy=False)
-        return TransitionCounts(kappa=kappa, dense=dense, sparse=None, alphabet=alphabet)
-    rows: dict[int, dict[int, int]] = {}
-    for i, j in zip(src.tolist(), dst.tolist()):
-        row = rows.setdefault(i, {})
-        row[j] = row.get(j, 0) + 1
-    return TransitionCounts(kappa=kappa, dense=None, sparse=rows, alphabet=alphabet)
+    codes, n = np.unique(codes, return_counts=True)
+    return TransitionCounts(kappa=kappa, codes=codes, n=n, alphabet=alphabet)
 
 
 def embed_order(seq: Sequence, m: int) -> Sequence:
@@ -407,12 +400,12 @@ def mle_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     """
     if counts.grand_total < 1:
         raise ValueError("cannot estimate transition matrix from all-zero counts")
-    dense = counts.to_dense()
+    _check_dense_limit(counts.kappa)
+    src, dst, n = counts.nonzero()
     totals = counts.row_totals_arr
-    defined = totals > 0
-    probs = np.zeros_like(dense, dtype=np.float64)
-    probs[defined] = dense[defined] / totals[defined, None]
-    return TransitionMatrix(probs, defined)
+    probs = np.zeros((counts.kappa, counts.kappa))
+    probs[src, dst] = n / totals[src]
+    return TransitionMatrix(probs, totals > 0)
 
 
 def _reaches_all(src: np.ndarray, dst: np.ndarray, kappa: int) -> bool:

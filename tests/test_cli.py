@@ -149,6 +149,20 @@ class TestEstimateCommand:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "numeric"
 
+    def test_dense_limit_is_numeric_error(self, capsys, tmp_path):
+        # 65 symbols at order 2: 4225 states, above the 4096-state dense limit
+        # that eigen (and limit) need; the empirical estimate has no such limit.
+        symbols = np.random.default_rng(3).integers(0, 65, 2000)
+        path = write(tmp_path, "s.txt", " ".join(f"s{x}" for x in symbols))
+        code, _, err = run(capsys, "estimate", path, "--method", "eigen", "--order", "2")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "numeric"
+        assert "4225 x 4225" in error["message"]
+        assert "4096 states" in error["message"]
+        code, out, _ = run(capsys, "estimate", path, "--method", "empirical", "--order", "2")
+        assert code == 0 and "direct_empirical" in out
+
     def test_paper_zero_mode_rescues(self, capsys, tmp_path):
         path = write(tmp_path, "s.txt", " ".join(["0"] * 50 + ["1"]))
         out_json = tmp_path / "r.json"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ class TestShannonEntropy:
 
 class TestStationaryEmpirical:
     def test_row_totals(self):
-        counts = TransitionCounts(kappa=2, dense=np.array([[2, 1], [1, 0]]), sparse=None)
+        counts = TransitionCounts(kappa=2, codes=[0, 1, 2], n=[2, 1, 1])
         pi = stationary_empirical(counts)
         assert pi.probs.tolist() == [0.75, 0.25]
 
@@ -296,12 +297,19 @@ class TestEstimateDirect:
 
     def test_sparse_all_visited_is_irreducible(self):
         # 65 symbols at m = 2: 4225 composite states, above the dense limit,
-        # every one visited; 64 symbols take the dense path.
+        # every one visited; 64 symbols give 4096, just inside it.  Either way
+        # the estimate's memory follows the 200k transitions, not K**2.
         for kappa in (65, 64):
             seq = int_seq(np.random.default_rng(0).integers(0, kappa, 200_000), kappa)
-            est = estimate_direct(seq, order=2, stationary="empirical")
+            tracemalloc.start()
+            try:
+                est = estimate_direct(seq, order=2, stationary="empirical")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             assert est.irreducible is True
             assert not any("never-visited" in w for w in est.warnings)
+            assert peak < 16 * 2**20, f"{kappa} symbols: traced peak {peak / 2**20:.1f} MB"
 
     @settings(deadline=None)
     @given(st.data())

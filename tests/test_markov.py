@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 
@@ -30,12 +31,23 @@ def count_tables(draw):
     return draw(arrays(np.int64, (kappa, kappa), elements=st.sampled_from([0, 0, 0, 1, 5])))
 
 
-def both_storages(table: np.ndarray) -> tuple[TransitionCounts, TransitionCounts]:
-    """The table as dense and as map-of-maps counts; the map keeps the zero
-    entries of every row with a count, which ``nonzero()`` must skip."""
-    kappa = table.shape[0]
-    rows = {i: dict(enumerate(row.tolist())) for i, row in enumerate(table) if row.any()}
-    return TransitionCounts(kappa, table, None), TransitionCounts(kappa, None, rows)
+def from_table(table: np.ndarray) -> TransitionCounts:
+    """Counts holding the nonzero cells of a square table."""
+    codes = np.flatnonzero(table.ravel())
+    return TransitionCounts(table.shape[0], codes, table.ravel()[codes])
+
+
+def bincount_oracle(segments: list[Sequence], kappa: int) -> list[tuple[int, int, int]]:
+    """Nonzero (i, j, n_ij) of ``np.bincount(src * kappa + dst)`` over the
+    within-segment pairs, row-major.  Counted one K-length row at a time, so
+    65 symbols at m = 2 need no K**2 table."""
+    src = np.concatenate([seg.states[:-1] for seg in segments])
+    dst = np.concatenate([seg.states[1:] for seg in segments])
+    out = []
+    for i in np.unique(src).tolist():
+        row = np.bincount(dst[src == i], minlength=kappa)
+        out += [(i, j, int(row[j])) for j in np.flatnonzero(row).tolist()]
+    return out
 
 
 def entries(counts: TransitionCounts) -> list[tuple[int, int, int]]:
@@ -174,6 +186,8 @@ class TestCountTransitions:
         assert counts.get(0, 1) == 2
         assert counts.get(1, 0) == 2
         assert counts.get(0, 0) == 0
+        with pytest.raises(IndexError):
+            counts.get(0, 2)  # code 2 is the observed (1, 0)
 
     def test_hand_tally(self):
         # "13131213232331313332" over alphabet (1, 2, 3); pairs tallied by hand.
@@ -199,13 +213,32 @@ class TestCountTransitions:
         seq = int_seq(rng.integers(0, 70, 500), 70)
         emb = embed_order(seq, 2)  # 4900 composite states
         counts = count_transitions(emb)
-        assert not counts.is_dense
         assert counts.grand_total == 498
         assert counts.nonzero()[2].sum() == 498
-        with pytest.raises(ValueError, match="sparse"):
-            counts.to_dense()
+        with pytest.raises(ValueError, match="4900 x 4900 .* 4096 states"):
+            counts.dense
+        with pytest.raises(ValueError, match="4900 x 4900 .* 4096 states"):
+            mle_transition_matrix(counts)
 
     def test_dense_table_built_without_a_copy(self):
+        rng = np.random.default_rng(8)
+        emb = embed_order(int_seq(rng.integers(0, 8, 10_000), 8), 4)  # 4096 states
+        counts = count_transitions(emb)
+        tracemalloc.start()
+        try:
+            table = counts.dense
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (4096, 4096) and counts.dense is table
+        assert not table.flags.writeable
+        assert np.array_equal(table.ravel()[counts.codes], counts.n)
+        assert table.sum() == counts.grand_total
+        assert peak < 1.5 * table.nbytes, f"peak {peak / table.nbytes:.2f}x table"
+
+    def test_counting_memory_scales_with_observed_transitions(self):
+        # At most 9,999 of the 16.7 M cells can be nonzero; a dense table
+        # would take 134 MB.
         rng = np.random.default_rng(8)
         emb = embed_order(int_seq(rng.integers(0, 8, 10_000), 8), 4)  # 4096 states
         tracemalloc.start()
@@ -214,28 +247,41 @@ class TestCountTransitions:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts.is_dense and counts.kappa == 4096
-        assert peak < 1.5 * counts.dense.nbytes, f"peak {peak / counts.dense.nbytes:.2f}x table"
+        assert counts.kappa == 4096 and counts.grand_total == emb.length - 1
+        assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
     @settings(deadline=None)
-    @given(count_tables())
-    def test_nonzero_agrees_across_storages_and_with_get(self, table):
-        dense, sparse = both_storages(table)
-        kappa = table.shape[0]
-        expected = [
-            (i, j, int(table[i, j])) for i in range(kappa) for j in range(kappa) if table[i, j]
+    @given(st.data())
+    def test_counts_match_bincount_oracle(self, data):
+        # 65 symbols at m = 2 gives 4225 states, above the dense limit.
+        kappa = data.draw(st.sampled_from([1, 2, 3, 65]))
+        m = data.draw(st.integers(1, 2))
+        symbols = st.lists(st.integers(0, kappa - 1), min_size=0, max_size=40)
+        alphabet = Alphabet.of_size(kappa)
+        segments = [
+            embed_order(Sequence(np.array(s), alphabet), m)
+            for s in data.draw(st.lists(symbols, min_size=1, max_size=4))
+            if len(s) > m
         ]
-        for counts in (dense, sparse):
-            assert all(a.dtype == np.int64 for a in counts.nonzero())
-            assert entries(counts) == expected
-            assert [counts.get(i, j) for i in range(kappa) for j in range(kappa)] == (
-                table.ravel().tolist()
-            )
+        if not segments:
+            return
+        counts = count_transitions(*segments)
+        states = kappa**m
+        expected = bincount_oracle(segments, states)
+        assert counts.kappa == states
+        assert all(a.dtype == np.int64 for a in counts.nonzero())
+        assert entries(counts) == expected
+        assert counts.grand_total == sum(seg.length - 1 for seg in segments)
+        cells = {(i, j): n for i, j, n in expected}
+        for i, j in cells:
+            assert counts.get(i, j) == cells[i, j]
+            # The next cell in the row: zero unless observed itself.
+            assert counts.get(i, (j + 1) % states) == cells.get((i, (j + 1) % states), 0)
 
     @settings(deadline=None)
     @given(st.data())
     def test_pooled_counts_are_the_sum_of_segment_counts(self, data):
-        # 65 symbols at m = 2 is above the dense limit: both storages pool.
+        # 65 symbols at m = 2 gives 4225 states, above the dense limit.
         kappa = data.draw(st.sampled_from([1, 2, 3, 65]))
         m = data.draw(st.integers(1, 2))
         symbols = st.lists(st.integers(0, kappa - 1), min_size=m + 1, max_size=30)
@@ -248,7 +294,6 @@ class TestCountTransitions:
         expected = Counter()
         for seg in segments:
             expected.update({(i, j): n for i, j, n in entries(count_transitions(seg))})
-        assert pooled.is_dense == (kappa**m <= 4096)
         assert entries(pooled) == [(i, j, n) for (i, j), n in sorted(expected.items())]
         assert pooled.grand_total == sum(seg.length - 1 for seg in segments)
 
@@ -268,11 +313,7 @@ class TestMleTransitionMatrix:
         assert P.all_rows_defined
 
     def test_rows(self):
-        from entrate.markov import TransitionCounts
-
-        counts = TransitionCounts(
-            kappa=2, dense=np.array([[2, 2], [4, 0]]), sparse=None
-        )
+        counts = from_table(np.array([[2, 2], [4, 0]]))
         P = mle_transition_matrix(counts)
         assert np.allclose(P.probs, [[0.5, 0.5], [1.0, 0.0]])
 
@@ -283,9 +324,7 @@ class TestMleTransitionMatrix:
         assert np.all(P.probs[1] == 0.0)
 
     def test_all_zero_errors(self):
-        from entrate.markov import TransitionCounts
-
-        counts = TransitionCounts(kappa=2, dense=np.zeros((2, 2), dtype=int), sparse=None)
+        counts = TransitionCounts(kappa=2, codes=[], n=[])
         with pytest.raises(ValueError):
             mle_transition_matrix(counts)
 
@@ -330,29 +369,46 @@ class TestIrreducibility:
         probs[defined] = table[defined] / totals[defined, None]
         expected = strongly_connected_oracle(table)
         assert is_irreducible(TransitionMatrix(probs, defined)) == expected
-        for counts in both_storages(table):
-            assert is_irreducible(counts) == expected
+        assert is_irreducible(from_table(table)) == expected
 
 
 class TestValidation:
+    # Each case lists (code, count) entries over 2 states, codes in [0, 4).
     @pytest.mark.parametrize(
         "rows",
         [
-            {0: {5: -1}, 1: {0: 3}},
-            {0: {5: 1}},
-            {0: {-1: 1}},
-            {2: {0: 1}},
-            {-1: {0: 1}},
-            {0: {1: -1, 0: 3}},
+            [(1, 3), (2, -1)],
+            [(4, 1)],
+            [(-1, 1)],
+            [(2, 1), (1, 1)],
+            [(1, 1), (1, 2)],
+            [(0, 3), (1, 0)],
         ],
     )
     def test_sparse_counts_checked(self, rows):
-        with pytest.raises(ValueError, match="out of range|nonnegative"):
-            TransitionCounts(2, None, rows)
+        codes, n = zip(*rows)
+        with pytest.raises(ValueError, match="out of range|strictly increasing|positive"):
+            TransitionCounts(2, codes, n)
 
     def test_sparse_counts_with_empty_row(self):
-        counts = TransitionCounts(2, None, {0: {}, 1: {0: 3}})
+        counts = TransitionCounts(2, [2], [3])
         assert counts.row_totals_arr.tolist() == [0, 3]
+        assert entries(counts) == [(1, 0, 3)]
+
+    @pytest.mark.parametrize(
+        "codes, n", [([0, 1], [1]), ([[0, 1]], [[1, 1]]), (0, 1)]
+    )
+    def test_counts_shape_checked(self, codes, n):
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            TransitionCounts(2, codes, n)
+
+    def test_transition_codes_must_fit_int64(self):
+        # 65,536 symbols at m = 2: K = 2**32, whose codes reach K**2 - 1 = 2**64 - 1.
+        with pytest.raises(ValueError, match="overflow int64"):
+            TransitionCounts(kappa=2**32, codes=[], n=[])
+        # The guard fires before the K-length row totals exist.
+        with pytest.raises(ValueError, match="overflow int64"):
+            TransitionCounts(kappa=math.isqrt(2**63 - 1) + 1, codes=[], n=[])
 
     def test_defined_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
