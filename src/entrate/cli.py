@@ -341,16 +341,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- experiment
 
 
-def _plan_field(plan: dict[str, Any], key: str, kind: type, required: bool = True) -> Any:
+def _plan_field(
+    plan: dict[str, Any], key: str, kind: type, required: bool = True, prefix: str = ""
+) -> Any:
+    """``plan[key]`` as a ``kind`` (a bool is no number), named ``prefix + key``."""
     if key not in plan:
         if required:
-            raise PlanError(f"plan field '{key}': missing")
+            raise PlanError(f"plan field '{prefix}{key}': missing")
         return None
     value = plan[key]
     if kind is float and isinstance(value, int):
         value = float(value)
-    if not isinstance(value, kind):
-        raise PlanError(f"plan field '{key}': expected {kind.__name__}")
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise PlanError(f"plan field '{prefix}{key}': expected {kind.__name__}")
     return value
 
 
@@ -374,9 +377,15 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
             raise PlanError(
                 f"plan field 'generator.benchmark': unknown name {name!r}"
             )
-        generator = benchmark_matrix(
-            name, kappa=int(gen.get("kappa", 8)), diag=float(gen.get("diag", 0.95))
-        )
+        shape = {
+            key: _plan_field(gen, key, kind, prefix="generator.")
+            for key, kind in (("kappa", int), ("diag", float))
+            if key in gen
+        }
+        try:
+            generator = benchmark_matrix(name, **shape)
+        except ValueError as exc:
+            raise PlanError(f"plan field 'generator': {exc}") from exc
     elif "matrix" in gen:
         try:
             generator = TransitionMatrix.from_probs(np.asarray(gen["matrix"], dtype=float))
@@ -412,13 +421,14 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     if not all(isinstance(v, int) for v in lengths):
         raise PlanError("plan field 'lengths': expected integers")
     # The plan's top-level flag applies to every estimator it lists.
-    zero_mode = bool(plan_dict.get("paper_zero_mode", False))
+    zero_mode = _plan_field(plan_dict, "paper_zero_mode", bool, required=False) is True
     estimators = []
     for k, item in enumerate(_plan_field(plan_dict, "estimators", list)):
         if not isinstance(item, dict) or "method" not in item:
             raise PlanError(f"plan field 'estimators[{k}]': expected object with 'method'")
+        order = _plan_field(item, "order", int, required=False, prefix=f"estimators[{k}].")
         try:
-            estimators.append(EstimatorSpec(item["method"], item.get("order"), zero_mode))
+            estimators.append(EstimatorSpec(item["method"], order, zero_mode))
         except ValueError as exc:
             raise PlanError(f"plan field 'estimators[{k}]': {exc}") from exc
     try:

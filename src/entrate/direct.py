@@ -7,6 +7,8 @@ The entropy rate of a stationary first-order chain is
 so a direct estimate plugs in the MLE transition matrix and one of three
 stationary-distribution estimates: observed state frequencies, the left unit
 eigenvector of the estimated matrix, or a Cesaro average of matrix powers.
+All three share one plug-in sum over the positive entries of the matrix, or
+of the counts for an estimate; they differ only in the weights pi_i.
 Chains of order m are handled by first embedding into the first-order chain on
 overlapping m-tuples; the resulting rate is already per base symbol because
 each composite transition advances the base chain by one symbol.
@@ -76,16 +78,16 @@ class EntropyEstimate:
     warnings: tuple[str, ...] = ()
 
 
-def _xlog2x_sum(p: np.ndarray) -> float:
-    """-sum p log2 p over the positive entries (0 log 0 = 0)."""
-    p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum()) if p.size else 0.0
+def _plugin_rate(weights: np.ndarray | float, p: np.ndarray) -> float:
+    """-sum w * p * log2 p over entries with positive probability p, each
+    weighted by the stationary weight w of its source state."""
+    return max(0.0, float(-(weights * p * np.log2(p)).sum()))
 
 
 def shannon_entropy(dist: ProbabilityVector | np.ndarray) -> float:
     """Shannon entropy -sum_i p_i log2 p_i in bits, with 0 log2 0 = 0."""
     probs = dist.probs if isinstance(dist, ProbabilityVector) else ProbabilityVector(np.asarray(dist)).probs
-    return max(0.0, _xlog2x_sum(probs))
+    return _plugin_rate(1.0, probs[probs > 0.0])
 
 
 def stationary_empirical(counts: TransitionCounts) -> ProbabilityVector:
@@ -170,6 +172,8 @@ def stationary_limit(
     arrays, instead of N vector-matrix steps.  Warns when the average still
     drifts by 1e-6 or more between N//2 and N steps (checked when N//2 >= 2).
     """
+    if not is_irreducible(P):
+        raise ReducibleMatrixError("reducible transition matrix")
     pi, note = _cesaro_limit(P, steps)
     if note:
         _warnings.warn(note, stacklevel=2)
@@ -178,11 +182,10 @@ def stationary_limit(
 
 def _cesaro_limit(P: TransitionMatrix, steps: int) -> tuple[ProbabilityVector, str]:
     """``stationary_limit``'s distribution and its non-convergence note, which
-    carries the measured N//2-to-N drift ("" when the average converged)."""
+    carries the measured N//2-to-N drift ("" when the average converged);
+    P is known to be irreducible."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not is_irreducible(P):
-        raise ReducibleMatrixError("reducible transition matrix")
     probs = P.probs
     power = probs
     acc = probs[0].copy()
@@ -212,17 +215,9 @@ def _cesaro_limit(P: TransitionMatrix, steps: int) -> tuple[ProbabilityVector, s
     return ProbabilityVector(avg / avg.sum()), note
 
 
-def entropy_rate(
-    P: TransitionMatrix,
-    pi: ProbabilityVector | np.ndarray,
-    *,
-    method: str = "direct_exact",
-    order: int | None = None,
-    n_obs: int = 0,
-    irreducible: bool | None = None,
-    extra_warnings: tuple[str, ...] = (),
-) -> EntropyEstimate:
-    """Weighted average of row conditional entropies: -sum pi_i P_ij log2 P_ij.
+def entropy_rate(P: TransitionMatrix, pi: ProbabilityVector | np.ndarray) -> EntropyEstimate:
+    """Plug-in rate -sum_ij pi_i P_ij log2 P_ij of a known matrix, as a
+    "direct_exact" estimate, summed over P's positive entries.
 
     Rows with zero stationary weight contribute nothing, whether or not they
     are defined; an undefined row with positive weight is an error.
@@ -231,22 +226,15 @@ def entropy_rate(
         pi = ProbabilityVector(np.asarray(pi))
     if pi.size != P.size:
         raise ValueError("dimension mismatch between P and pi")
-    weights = pi.probs
-    if np.any((weights > 0.0) & ~P.defined_rows):
+    if np.any((pi.probs > 0.0) & ~P.defined_rows):
         raise ValueError("undefined transition row has positive stationary weight")
-    warn = list(extra_warnings) + _never_visited_warning(int((~P.defined_rows).sum()))
-    value = 0.0
-    for i in np.nonzero(weights > 0.0)[0]:
-        value += weights[i] * _xlog2x_sum(P.probs[i])
-    if irreducible is None:
-        irreducible = is_irreducible(P)
+    src, dst = np.nonzero(P.probs > 0.0)
     return EntropyEstimate(
-        value=max(0.0, value),
-        method=method,
-        n_obs=n_obs,
-        order=order,
-        irreducible=irreducible,
-        warnings=tuple(warn),
+        value=_plugin_rate(pi.probs[src], P.probs[src, dst]),
+        method="direct_exact",
+        n_obs=0,
+        irreducible=is_irreducible(P),
+        warnings=tuple(_never_visited_warning(int((~P.defined_rows).sum()))),
     )
 
 
@@ -254,28 +242,6 @@ def _never_visited_warning(n_unvisited: int) -> list[str]:
     if n_unvisited:
         return [f"{n_unvisited} never-visited state(s) carry zero stationary weight"]
     return []
-
-
-def _estimate_empirical(
-    counts: TransitionCounts, order: int, n_obs: int, warn: list[str]
-) -> EntropyEstimate:
-    """Plug-in rate with observed frequencies as the stationary weights:
-    -sum_ij (n_ij / n_++) log2(n_ij / n_i+), summed over the observed entries.
-
-    Equals ``entropy_rate(mle_transition_matrix(c), stationary_empirical(c))``
-    without building either.
-    """
-    src, dst, n = counts.nonzero()
-    value = -float((n * np.log2(n / counts.row_totals_arr[src])).sum()) / counts.grand_total
-    n_unvisited = int((counts.row_totals_arr == 0).sum())
-    return EntropyEstimate(
-        value=max(0.0, value),
-        method="direct_empirical",
-        n_obs=n_obs,
-        order=order,
-        irreducible=is_irreducible(counts),
-        warnings=tuple(warn + _never_visited_warning(n_unvisited)),
-    )
 
 
 def estimate_direct(
@@ -302,16 +268,18 @@ def estimate_direct_pooled(
     Embeds each segment into order-m composite states and counts transitions
     within each segment only, so pairs spanning a segment boundary are
     excluded; segments no longer than ``order`` contribute no transitions.
-    All segments must share one base alphabet.  The counts give the MLE
-    transition matrix, ``stationary`` (one of ``DIRECT_METHODS``) estimates
-    the stationary distribution, and the plug-in entropy rate is evaluated.
+    All segments must share one base alphabet.  ``stationary`` (one of
+    ``DIRECT_METHODS``) picks the stationary weights pi_i, and every method
+    evaluates one plug-in sum -sum pi_i p_ij log2 p_ij over the counts'
+    nonzero entries, with p_ij = n_ij / n_i+.  Empirical weights are
+    n_i+ / n_++ and need no K-length array; eigen and limit solve for pi on
+    the dense MLE matrix, so they raise ValueError above DENSE_STATE_LIMIT
+    composite states.  Irreducibility is read once, from the counts.
 
-    Eigen and limit need the dense MLE matrix, so they raise ValueError above
-    DENSE_STATE_LIMIT composite states.  With ``stationary="eigen"`` (or
-    "limit") a reducible estimated matrix raises ReducibleMatrixError; under
-    ``paper_zero_mode`` the estimate is instead reported as 0.0 with a
-    warning, matching how such failures show up as zero estimates in
-    simulation studies.
+    With ``stationary="eigen"`` (or "limit") a reducible estimated matrix
+    raises ReducibleMatrixError; under ``paper_zero_mode`` the estimate is
+    instead reported as 0.0 with a warning, matching how such failures show
+    up as zero estimates in simulation studies.
     """
     if stationary not in DIRECT_METHODS:
         raise ValueError(f"unknown stationary method {stationary!r}")
@@ -335,35 +303,35 @@ def estimate_direct_pooled(
             f"sequence length {n_obs} <= kappa^m = {alphabet.kappa**order}; "
             f"order-{order} direct estimates are unreliable"
         )
-    if stationary == "empirical":
-        return _estimate_empirical(counts, order, n_obs, warn)
+    visited, _, row_totals = counts.row_runs
+    irreducible = is_irreducible(counts)
     method = f"direct_{stationary}"
-    P = mle_transition_matrix(counts)
-    irreducible = is_irreducible(P)
-    try:
-        if stationary == "eigen":
-            pi = stationary_eigen(P)
-        else:
-            pi, note = _cesaro_limit(P, DEFAULT_CESARO_STEPS)
-            if note:
-                warn.append(note)
-    except ReducibleMatrixError as exc:
-        if paper_zero_mode:
+    if stationary == "empirical":
+        weights = row_totals / counts.grand_total
+    else:
+        P = mle_transition_matrix(counts)
+        try:
+            if stationary == "eigen":
+                pi = stationary_eigen(P)
+            elif not irreducible:
+                raise ReducibleMatrixError("reducible transition matrix")
+            else:
+                pi, note = _cesaro_limit(P, DEFAULT_CESARO_STEPS)
+                if note:
+                    warn.append(note)
+        except ReducibleMatrixError as exc:
+            if not paper_zero_mode:
+                raise
+            warn.append(f"{exc}; estimate forced to 0")
             return EntropyEstimate(
-                value=0.0,
-                method=method,
-                n_obs=n_obs,
-                order=order,
-                irreducible=False,
-                warnings=tuple(warn + [f"{exc}; estimate forced to 0"]),
+                0.0, method, n_obs, order, irreducible=False, warnings=tuple(warn)
             )
-        raise
-    return entropy_rate(
-        P,
-        pi,
+        weights = pi.probs[counts.nonzero()[0]]
+    return EntropyEstimate(
+        value=_plugin_rate(weights, counts.n / row_totals),
         method=method,
-        order=order,
         n_obs=n_obs,
+        order=order,
         irreducible=irreducible,
-        extra_warnings=tuple(warn),
+        warnings=tuple(warn + _never_visited_warning(counts.kappa - visited.size)),
     )

@@ -6,8 +6,9 @@ integer state indices, transition counting, maximum-likelihood transition
 matrices, and irreducibility checking.
 
 Transition counts are kept as sorted codes i*K + j of the distinct observed
-transitions, so their memory follows the data, never K**2; only the MLE matrix
-and the counts' ``dense`` view are K x K, up to DENSE_STATE_LIMIT states.
+transitions and their row totals per observed source, so their memory follows
+the data, never K; only the MLE matrix and the counts' ``row_totals_arr`` and
+``dense`` views are K-length or K x K (up to DENSE_STATE_LIMIT states).
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -15,7 +16,7 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence as TypingSequence
 
@@ -219,16 +220,16 @@ class TransitionCounts:
 
     ``codes`` holds the observed transitions i -> j as strictly increasing
     int64 codes ``i * kappa + j`` and ``n`` their positive counts, so storage
-    grows with the distinct transitions observed, not with kappa**2.
-    ``nonzero()`` is the one bulk read; ``dense`` builds the kappa x kappa
-    table on first read, up to DENSE_STATE_LIMIT states.
+    grows with the distinct transitions observed, not with kappa.
+    ``nonzero()`` and ``row_runs`` are the bulk reads; the kappa-length
+    ``row_totals_arr`` and the kappa x kappa ``dense`` table (up to
+    DENSE_STATE_LIMIT states) are views built on first read.
     """
 
     kappa: int
     codes: np.ndarray
     n: np.ndarray
     alphabet: Alphabet | CompositeAlphabet | None = None
-    row_totals_arr: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         kappa = self.kappa
@@ -245,15 +246,33 @@ class TransitionCounts:
             raise ValueError("transition codes must be strictly increasing")
         if np.any(n <= 0):
             raise ValueError("transition counts must be positive")
-        totals = np.zeros(kappa, dtype=np.int64)
-        np.add.at(totals, codes // kappa, n)
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "n", _freeze(n))
-        object.__setattr__(self, "row_totals_arr", _freeze(totals))
 
     @property
     def grand_total(self) -> int:
-        return int(self.row_totals_arr.sum())
+        return int(self.n.sum())
+
+    @cached_property
+    def row_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(states, totals, entry_totals)`` from one run-length reduce over
+        the sorted codes: the visited source states (increasing), their row
+        totals n_i+, and n_i+ again for each entry of ``nonzero()``."""
+        src = self.codes // self.kappa
+        new_row = np.empty(src.size, dtype=bool)
+        new_row[:1] = True
+        np.not_equal(src[1:], src[:-1], out=new_row[1:])
+        starts = np.flatnonzero(new_row)
+        totals = np.add.reduceat(self.n, starts)
+        return _freeze(src[starts]), _freeze(totals), _freeze(totals[np.cumsum(new_row) - 1])
+
+    @cached_property
+    def row_totals_arr(self) -> np.ndarray:
+        """Read-only kappa-length row totals n_i+, built on first read."""
+        states, totals, _ = self.row_runs
+        arr = np.zeros(self.kappa, dtype=np.int64)
+        arr[states] = totals
+        return _freeze(arr)
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Int64 arrays ``(src, dst, n)`` of the nonzero entries, row-major."""
@@ -432,7 +451,7 @@ def is_irreducible(chain: TransitionMatrix | TransitionCounts) -> bool:
     a never-visited state, is never irreducible.
     """
     if isinstance(chain, TransitionCounts):
-        if not chain.row_totals_arr.all():
+        if chain.row_runs[0].size < chain.kappa:
             return False
         src, dst, _ = chain.nonzero()
         kappa = chain.kappa

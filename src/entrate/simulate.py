@@ -251,7 +251,7 @@ def second_order_entropy(params: SecondOrderParams) -> float:
     """
     P = second_order_matrix(params)
     pi = second_order_stationary(params)
-    return entropy_rate(P, pi, method="direct_exact").value
+    return entropy_rate(P, pi).value
 
 
 def first_order_projection(params: SecondOrderParams) -> TransitionMatrix:
@@ -327,7 +327,7 @@ def entropy_surface(
             except ReducibleMatrixError:
                 continue
             P = second_order_matrix(params)
-            out[i, j] = entropy_rate(P, pi, method="direct_exact").value
+            out[i, j] = entropy_rate(P, pi).value
     return out
 
 

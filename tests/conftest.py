@@ -107,6 +107,20 @@ def cesaro_loop_oracle(P, steps: int) -> tuple[np.ndarray, float | None]:
     return avg / avg.sum(), drift
 
 
+def entropy_rate_loop_oracle(P, pi) -> float:
+    """Per-row plug-in rate sum_i pi_i * (-sum_j P_ij log2 P_ij) of the
+    row-stochastic array ``P``, one row at a time over the rows with positive
+    weight, as the package evaluated it before the rate became one weighted
+    sum over the positive entries."""
+    probs = np.asarray(P, dtype=np.float64)
+    weights = np.asarray(pi, dtype=np.float64)
+    value = 0.0
+    for i in np.nonzero(weights > 0.0)[0]:
+        row = probs[i][probs[i] > 0.0]
+        value += weights[i] * float(-(row * np.log2(row)).sum())
+    return max(0.0, value)
+
+
 def random_stochastic(rng: np.random.Generator, k: int, floor: float = 1e-3) -> TransitionMatrix:
     """Random row-stochastic matrix; a positive floor keeps it irreducible."""
     raw = rng.gamma(1.0, 1.0, size=(k, k)) + floor

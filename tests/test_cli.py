@@ -2,11 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entrate.cli import main
+from entrate.cli import _load_plan, main
 
 TABLE_STRING = "13131213232331313332"
 TABLE_PARSING = "1 | 3 | 131 | 2 | 132 | 323 | 31313 | 332"
@@ -457,6 +458,41 @@ class TestExperimentCommand:
         out = tmp_path / "r.json"
         code, _, _ = run(capsys, "experiment", plan_path, "--json", str(out))
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"generator": {"benchmark": "low", "kappa": 1}}, "generator"),
+            ({"generator": {"benchmark": "low", "diag": 2.0}}, "generator"),
+            ({"generator": {"benchmark": "low", "kappa": "x"}}, "generator.kappa"),
+            ({"generator": {"benchmark": "low", "kappa": None}}, "generator.kappa"),
+            ({"estimators": [{"method": "empirical", "order": "2"}]}, "estimators[0].order"),
+            ({"estimators": [{"method": "empirical", "order": True}]}, "estimators[0].order"),
+            ({"paper_zero_mode": "no"}, "paper_zero_mode"),
+        ],
+        ids=[
+            "kappa-range", "diag-range", "kappa-str", "kappa-null", "order-str", "order-bool",
+            "zero-mode-str",
+        ],
+    )
+    def test_bad_plan_field_is_input_error(self, capsys, tmp_path, edit, field):
+        plan = self.plan_dict() | edit
+        plan_path = write(tmp_path, "plan.json", json.dumps(plan))
+        code, _, err = run(capsys, "experiment", plan_path)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert error["message"].startswith(f"plan field '{field}'")
+        assert not (tmp_path / "plan.report.json").exists()
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "plans").glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_shipped_plan_loads(self, path):
+        plan, plan_dict = _load_plan(str(path))
+        assert plan_dict == json.loads(path.read_text(encoding="utf-8"))
+        assert len(plan.estimators) == len(plan_dict["estimators"])
+        assert plan.lengths == tuple(plan_dict["lengths"])
 
     def test_csv_mirror(self, capsys, tmp_path):
         plan_path = write(tmp_path, "plan.json", json.dumps(self.plan_dict()))

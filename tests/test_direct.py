@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import cesaro_loop_oracle, int_seq, random_stochastic
+from conftest import cesaro_loop_oracle, entropy_rate_loop_oracle, int_seq, random_stochastic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from entrate import (
     entropy_rate,
     estimate_direct,
     estimate_direct_pooled,
+    is_irreducible,
     mle_transition_matrix,
     shannon_entropy,
     stationary_eigen,
@@ -204,6 +205,26 @@ class TestEntropyRate:
         with pytest.raises(ValueError, match="dimension"):
             entropy_rate(PQ_CHAIN, np.array([0.5, 0.25, 0.25]))
 
+    @settings(deadline=None)
+    @given(st.integers(1, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_row_loop_oracle(self, k, density, seed):
+        # Sparse rows, some undefined; undefined and some defined rows get
+        # zero weight.
+        rng = np.random.default_rng(seed)
+        raw = np.where(rng.random((k, k)) < density, rng.gamma(1.0, 1.0, (k, k)), 0.0)
+        raw[np.arange(k), rng.integers(0, k, k)] += 1e-3
+        defined = rng.random(k) < 0.7
+        defined[rng.integers(0, k)] = True
+        probs = np.where(defined[:, None], raw / raw.sum(axis=1, keepdims=True), 0.0)
+        weights = np.where(defined & (rng.random(k) < 0.8), rng.random(k), 0.0)
+        weights[np.flatnonzero(defined)[0]] += 1e-3
+        weights /= weights.sum()
+        est = entropy_rate(TransitionMatrix(probs, defined), weights)
+        assert est.value == pytest.approx(entropy_rate_loop_oracle(probs, weights), abs=1e-12)
+        assert est.method == "direct_exact" and est.n_obs == 0 and est.order is None
+        assert est.irreducible == is_irreducible(TransitionMatrix(probs, defined))
+        assert bool(est.warnings) == (not defined.all())
+
 
 class TestEstimateDirect:
     def test_deterministic_alternation(self):
@@ -251,6 +272,52 @@ class TestEstimateDirect:
         assert est.value == 0.0
         assert est.irreducible is False
         assert any("forced to 0" in w for w in est.warnings)
+
+    @pytest.mark.parametrize(
+        "states",
+        [[0] * 50 + [1], [0, 0, 0, 1, 1, 1]],
+        ids=["never-visited-row", "not-strongly-connected"],
+    )
+    def test_reducible_limit_raises_by_default(self, states):
+        with pytest.raises(ReducibleMatrixError, match="^reducible transition matrix$"):
+            estimate_direct(int_seq(states, kappa=2), order=1, stationary="limit")
+
+    @pytest.mark.parametrize(
+        "states",
+        [[0] * 50 + [1], [0, 0, 0, 1, 1, 1]],
+        ids=["never-visited-row", "not-strongly-connected"],
+    )
+    def test_reducible_limit_paper_zero_mode(self, states):
+        seq = int_seq(states, kappa=2)
+        est = estimate_direct(seq, order=1, stationary="limit", paper_zero_mode=True)
+        assert est.value == 0.0
+        assert est.method == "direct_limit"
+        assert est.irreducible is False
+        assert est.warnings == ("reducible transition matrix; estimate forced to 0",)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_eigen_and_limit_match_row_loop_oracle(self, data):
+        # pi from the MLE matrix through the public solvers, the rate by the
+        # per-row loop; reducible counts must fail the same way.
+        kappa = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 2))
+        states = data.draw(st.lists(st.integers(0, kappa - 1), min_size=m + 1, max_size=60))
+        stationary = data.draw(st.sampled_from(["eigen", "limit"]))
+        seq = int_seq(states, kappa)
+        P = mle_transition_matrix(count_transitions(embed_order(seq, m)))
+        solve = stationary_eigen if stationary == "eigen" else stationary_limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                pi = solve(P)
+            except ReducibleMatrixError:
+                with pytest.raises(ReducibleMatrixError):
+                    estimate_direct(seq, order=m, stationary=stationary)
+                return
+        est = estimate_direct(seq, order=m, stationary=stationary)
+        assert est.value == pytest.approx(entropy_rate_loop_oracle(P.probs, pi.probs), abs=1e-12)
+        assert est.irreducible == is_irreducible(P)
 
     def test_limit_method(self):
         P = TransitionMatrix.from_probs([[0.1, 0.9], [0.9, 0.1]])
@@ -310,6 +377,21 @@ class TestEstimateDirect:
             assert est.irreducible is True
             assert not any("never-visited" in w for w in est.warnings)
             assert peak < 16 * 2**20, f"{kappa} symbols: traced peak {peak / 2**20:.1f} MB"
+
+    def test_memory_follows_observed_transitions(self):
+        # 5,000 distinct tokens at m = 2: 25 M composite states, of which the
+        # 4,998 observed transitions visit 4,998; a K-length int64 array
+        # would take 200 MB.
+        seq = int_seq(np.random.default_rng(1).permutation(5000), 5000)
+        tracemalloc.start()
+        try:
+            est = estimate_direct(seq, order=2, stationary="empirical")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.value == 0.0 and est.irreducible is False
+        assert f"{5000**2 - 4998} never-visited state(s) carry zero stationary weight" in est.warnings
+        assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
     @settings(deadline=None)
     @given(st.data())

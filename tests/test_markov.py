@@ -272,6 +272,13 @@ class TestCountTransitions:
         assert all(a.dtype == np.int64 for a in counts.nonzero())
         assert entries(counts) == expected
         assert counts.grand_total == sum(seg.length - 1 for seg in segments)
+        totals = Counter()
+        for i, _, n in expected:
+            totals[i] += n
+        visited, row_totals, entry_totals = counts.row_runs
+        assert visited.tolist() == sorted(totals)
+        assert row_totals.tolist() == [totals[i] for i in sorted(totals)]
+        assert entry_totals.tolist() == [totals[i] for i, _, _ in expected]
         cells = {(i, j): n for i, j, n in expected}
         for i, j in cells:
             assert counts.get(i, j) == cells[i, j]
@@ -371,6 +378,19 @@ class TestIrreducibility:
         assert is_irreducible(TransitionMatrix(probs, defined)) == expected
         assert is_irreducible(from_table(table)) == expected
 
+    def test_counts_with_unvisited_sources_need_no_state_length_array(self):
+        # Two observed sources among 10 M states: reducible, decided from the
+        # runs of the codes without an 80 MB row-total or visited array.
+        tracemalloc.start()
+        try:
+            counts = TransitionCounts(kappa=10**7, codes=[1, 10**7 + 3], n=[2, 5])
+            irreducible = is_irreducible(counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert irreducible is False
+        assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
 
 class TestValidation:
     # Each case lists (code, count) entries over 2 states, codes in [0, 4).
@@ -392,8 +412,17 @@ class TestValidation:
 
     def test_sparse_counts_with_empty_row(self):
         counts = TransitionCounts(2, [2], [3])
+        assert [a.tolist() for a in counts.row_runs] == [[1], [3], [3]]
         assert counts.row_totals_arr.tolist() == [0, 3]
+        assert counts.row_totals_arr is counts.row_totals_arr
+        assert not counts.row_totals_arr.flags.writeable
         assert entries(counts) == [(1, 0, 3)]
+
+    def test_no_transitions_have_empty_runs(self):
+        counts = TransitionCounts(3, [], [])
+        assert [a.size for a in counts.row_runs] == [0, 0, 0]
+        assert counts.grand_total == 0
+        assert counts.row_totals_arr.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize(
         "codes, n", [([0, 1], [1]), ([[0, 1]], [[1, 1]]), (0, 1)]
