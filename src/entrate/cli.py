@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -120,7 +121,13 @@ def _add_report_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _read_alphabet(path: str | None) -> tuple[str, ...] | None:
-    return None if path is None else tuple(read_tokens(path))
+    if path is None:
+        return None
+    symbols = tuple(read_tokens(path))
+    repeated = sorted(t for t, n in Counter(symbols).items() if n > 1)
+    if repeated:
+        raise SequenceFileError(f"{path}: alphabet repeats token(s): {', '.join(repeated)}")
+    return symbols
 
 
 def _load_sequence(args: argparse.Namespace) -> tuple[Sequence, list[int], dict[str, Any]]:
@@ -163,14 +170,25 @@ def _split_segments(seq: Sequence, starts: list[int]) -> list[Sequence]:
     ]
 
 
-def _replicate_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 replicates, got {value}")
-    return value
+def _checked(cast, ok, rule: str):
+    """An argparse type: ``cast`` the text, then require ``ok(value)``, which
+    ``rule`` states."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {cast.__name__}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    return parse
+
+
+_replicate_count = _checked(int, lambda v: v >= 2, "need at least 2 replicates")
+_order = _checked(int, lambda v: v >= 1, "order must be >= 1")
+_block_p = _checked(float, lambda v: 0.0 < v <= 1.0, "p must lie in (0, 1]")
 
 
 def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
@@ -538,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=(*DIRECT_METHODS, "swlz"),
             help="estimator; repeatable (default: empirical)",
         )
-        est.add_argument("--order", type=int, default=1, help="assumed chain order m")
+        est.add_argument("--order", type=_order, default=1, help="assumed chain order m")
         est.add_argument(
             "--paper-zero-mode",
             action="store_true",
@@ -558,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="attach bootstrap SE with B >= 2 replicates",
         )
         est.add_argument(
-            "--p", type=float, help="bootstrap block parameter override (needs --replicates)"
+            "--p", type=_block_p, help="bootstrap block parameter override (needs --replicates)"
         )
         est.add_argument(
             "--seed", type=int, help="bootstrap RNG seed (default 0; needs --replicates)"

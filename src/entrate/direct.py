@@ -7,6 +7,9 @@ The entropy rate of a stationary first-order chain is
 so a direct estimate plugs in the MLE transition matrix and one of three
 stationary-distribution estimates: observed state frequencies, the left unit
 eigenvector of the estimated matrix, or a Cesaro average of matrix powers.
+The eigenvector comes from one bordered LU solve of pi (P - I) = 0,
+sum(pi) = 1, not from an eigendecomposition, and an exact graph check on P's
+support decides whether it is unique.
 All three share one plug-in sum over the positive entries of the matrix, or
 of the counts for an estimate; they differ only in the weights pi_i.
 Chains of order m are handled by first embedding into the first-order chain on
@@ -29,6 +32,7 @@ from .markov import (
     Sequence,
     TransitionCounts,
     TransitionMatrix,
+    _reaches_all,
     count_transitions,
     embed_order,
     is_irreducible,
@@ -50,9 +54,7 @@ __all__ = [
 # Stationary-distribution estimates the direct estimators can plug in.
 DIRECT_METHODS = ("empirical", "eigen", "limit")
 
-# |eigenvalue - 1| below this counts as a unit eigenvalue when checking
-# uniqueness of the stationary distribution.
-_UNIT_EIG_TOL = 1e-8
+# max|pi P - pi| above this rejects a solved stationary distribution.
 _RESIDUAL_TOL = 1e-10
 
 DEFAULT_CESARO_STEPS = 100_000
@@ -101,56 +103,40 @@ def stationary_empirical(counts: TransitionCounts) -> ProbabilityVector:
     return ProbabilityVector(counts.row_totals_arr / counts.grand_total)
 
 
-def _bordered_solve(P: np.ndarray) -> np.ndarray | None:
-    """Solve pi (P - I) = 0 with a sum-to-one row replacing one equation."""
-    k = P.shape[0]
-    A = P.T - np.eye(k)
-    A[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    return sol
-
-
 def stationary_eigen(P: TransitionMatrix) -> ProbabilityVector:
-    """Left unit eigenvector of P, normalized to a distribution.
+    """Stationary distribution of P: the solution of pi (P - I) = 0 with
+    sum(pi) = 1, from one LU solve with the sum-to-one row replacing the last
+    equation.
 
-    Requires every row of P to be defined and the unit eigenvalue to be
-    simple; otherwise the stationary distribution is not identified and a
-    ReducibleMatrixError is raised.  The returned vector satisfies
-    ``max|pi P - pi| < 1e-10``.
+    pi is unique iff P has exactly one closed class, which holds iff every
+    state reaches argmax(pi) along P's positive entries; that exact graph
+    check, not a floating-point eigenvalue count, decides uniqueness.  A
+    never-visited row, a singular system or a failed check raises
+    ReducibleMatrixError.  The returned vector satisfies
+    ``max|pi P - pi| < 1e-10``; on transient states it is zero up to rounding.
     """
     if not P.all_rows_defined:
         n_undef = int((~P.defined_rows).sum())
         raise ReducibleMatrixError(
             f"reducible transition matrix: {n_undef} row(s) never visited"
         )
-    eigvals, eigvecs = np.linalg.eig(P.probs.T)
-    unit = np.abs(eigvals - 1.0) < _UNIT_EIG_TOL
-    n_unit = int(unit.sum())
-    if n_unit != 1:
+    k = P.size
+    A = P.probs.T.copy()
+    A[np.diag_indices(k)] -= 1.0
+    A[-1, :] = 1.0
+    b = np.zeros(k)
+    b[-1] = 1.0
+    src, dst = np.nonzero(P.probs > 0.0)
+    try:
+        pi = np.linalg.solve(A, b)
+        unique = np.all(np.isfinite(pi)) and _reaches_all(dst, src, k, int(np.argmax(pi)))
+    except np.linalg.LinAlgError:
+        unique = False
+    if not unique:
         raise ReducibleMatrixError(
-            f"reducible transition matrix: unit eigenvalue multiplicity {n_unit}"
+            "reducible transition matrix: stationary distribution not unique"
         )
-    vec = np.real(eigvecs[:, np.nonzero(unit)[0][0]])
-    total = vec.sum()
-    if total == 0.0:
-        raise ReducibleMatrixError("reducible transition matrix: degenerate eigenvector")
-    pi = vec / total
-
-    def residual(v: np.ndarray) -> float:
-        return float(np.max(np.abs(v @ P.probs - v)))
-
-    if residual(pi) > _RESIDUAL_TOL or pi.min() < 0.0:
-        refined = _bordered_solve(P.probs)
-        if refined is not None and residual(refined) < residual(pi):
-            pi = refined
-    if residual(pi) > _RESIDUAL_TOL:
+    if float(np.max(np.abs(pi @ P.probs - pi))) > _RESIDUAL_TOL:
         raise ReducibleMatrixError(
             "reducible transition matrix: stationary fixed point not attained"
         )

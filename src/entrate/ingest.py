@@ -12,7 +12,7 @@ exclude those transitions instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -128,12 +128,12 @@ def ingest_tokens(
                     f"{label}: tokens outside declared alphabet: {', '.join(offenders)}"
                 )
         token_lists.append(collapse_repeats(tokens) if collapse else tokens)
+    merged = list(chain.from_iterable(token_lists))
     if declared_alphabet is not None:
         alphabet = Alphabet(declared_alphabet)
     else:
-        alphabet = Alphabet.from_tokens([t for toks in token_lists for t in toks])
+        alphabet = Alphabet.from_tokens(merged)
     starts = list(np.cumsum([0] + [len(t) for t in token_lists[:-1]]).astype(int))
-    merged = [t for toks in token_lists for t in toks]
     if len(merged) < 2:
         raise SequenceFileError("fewer than 2 symbols in total")
     return Sequence.from_tokens(merged, alphabet), starts

@@ -100,17 +100,14 @@ class Alphabet:
         return cls(tuple(sorted(set(tokens))))
 
     def index(self, symbol: str) -> int:
-        return self._lookup()[symbol]
+        return self._lookup[symbol]
 
     def label(self, state: int) -> str:
         return self.symbols[state]
 
+    @cached_property
     def _lookup(self) -> dict[str, int]:
-        cached = self.__dict__.get("_lookup_cache")
-        if cached is None:
-            cached = {s: i for i, s in enumerate(self.symbols)}
-            object.__setattr__(self, "_lookup_cache", cached)
-        return cached
+        return {s: i for i, s in enumerate(self.symbols)}
 
 
 @dataclass(frozen=True)
@@ -201,8 +198,8 @@ class Sequence:
     ) -> "Sequence":
         if alphabet is None:
             alphabet = Alphabet.from_tokens(tokens)
-        idx = [alphabet.index(t) for t in tokens]
-        return cls(np.asarray(idx, dtype=np.int64), alphabet)
+        states = np.fromiter(map(alphabet._lookup.__getitem__, tokens), np.int64, len(tokens))
+        return cls(states, alphabet)
 
     def tokens(self) -> list[str]:
         return [self.alphabet.label(int(s)) for s in self.states]
@@ -427,13 +424,13 @@ def mle_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     return TransitionMatrix(probs, totals > 0)
 
 
-def _reaches_all(src: np.ndarray, dst: np.ndarray, kappa: int) -> bool:
-    """True iff every state is reachable from state 0 along edges src -> dst."""
+def _reaches_all(src: np.ndarray, dst: np.ndarray, kappa: int, start: int = 0) -> bool:
+    """True iff every state is reachable from ``start`` along edges src -> dst."""
     targets = dst[np.argsort(src, kind="stable")].tolist()
     bounds = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=kappa)))).tolist()
     seen = [False] * kappa
-    seen[0] = True
-    stack = [0]
+    seen[start] = True
+    stack = [start]
     while stack:
         node = stack.pop()
         for nb in targets[bounds[node] : bounds[node + 1]]:

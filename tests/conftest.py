@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from entrate import Alphabet, Sequence, TransitionMatrix
+from entrate import Alphabet, ReducibleMatrixError, Sequence, TransitionMatrix
 
 
 def int_seq(values, kappa: int | None = None) -> Sequence:
@@ -119,6 +119,51 @@ def entropy_rate_loop_oracle(P, pi) -> float:
         row = probs[i][probs[i] > 0.0]
         value += weights[i] * float(-(row * np.log2(row)).sum())
     return max(0.0, value)
+
+
+def stationary_eig_oracle(P: TransitionMatrix) -> np.ndarray:
+    """The package's former ``stationary_eigen``: the left unit eigenvector of
+    P from a dense ``np.linalg.eig``, refined by a bordered solve when its
+    residual or sign is off.
+
+    Raises ReducibleMatrixError for a never-visited row, for a count of
+    eigenvalues within 1e-8 of 1 other than one, for a zero-sum eigenvector,
+    and when neither vector attains max|pi P - pi| <= 1e-10.
+    """
+    if not P.all_rows_defined:
+        raise ReducibleMatrixError("reducible transition matrix: row(s) never visited")
+    probs = P.probs
+    eigvals, eigvecs = np.linalg.eig(probs.T)
+    unit = np.abs(eigvals - 1.0) < 1e-8
+    n_unit = int(unit.sum())
+    if n_unit != 1:
+        raise ReducibleMatrixError(
+            f"reducible transition matrix: unit eigenvalue multiplicity {n_unit}"
+        )
+    vec = np.real(eigvecs[:, np.nonzero(unit)[0][0]])
+    if vec.sum() == 0.0:
+        raise ReducibleMatrixError("reducible transition matrix: degenerate eigenvector")
+    pi = vec / vec.sum()
+
+    def residual(v: np.ndarray) -> float:
+        return float(np.max(np.abs(v @ probs - v)))
+
+    if residual(pi) > 1e-10 or pi.min() < 0.0:
+        k = probs.shape[0]
+        A = probs.T - np.eye(k)
+        A[-1, :] = 1.0
+        try:
+            refined = np.linalg.solve(A, np.eye(k)[-1])
+        except np.linalg.LinAlgError:
+            refined = np.full(k, np.nan)
+        if np.all(np.isfinite(refined)) and residual(refined) < residual(pi):
+            pi = refined
+    if residual(pi) > 1e-10:
+        raise ReducibleMatrixError(
+            "reducible transition matrix: stationary fixed point not attained"
+        )
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
 
 
 def random_stochastic(rng: np.random.Generator, k: int, floor: float = 1e-3) -> TransitionMatrix:

@@ -229,6 +229,36 @@ class TestEstimateCommand:
         assert error["type"] == "input"
         assert "--replicates" in error["message"]
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_order_below_one_is_input_error(self, capsys, tmp_path, order):
+        path = write(tmp_path, "s.txt", "a b a b a a b\n")
+        code, out, err = run(capsys, "estimate", path, "--order", order)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "--order" in error["message"] and ">= 1" in error["message"]
+
+    @pytest.mark.parametrize("p", ["1.5", "0", "nan"])
+    def test_p_outside_unit_interval_is_input_error(self, capsys, tmp_path, p):
+        path = write(tmp_path, "s.txt", "a b a b a a b\n")
+        code, out, err = run(capsys, "bootstrap", path, "--replicates", "3", "--p", p)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "--p" in error["message"] and "(0, 1]" in error["message"]
+
+    def test_repeated_alphabet_token_is_input_error(self, capsys, tmp_path):
+        path = write(tmp_path, "s.txt", "a b a b a a b\n")
+        alphabet = write(tmp_path, "alphabet.txt", "a b c\nb\n")
+        code, out, err = run(capsys, "estimate", path, "--alphabet", alphabet)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert alphabet in error["message"] and "repeats token(s): b" in error["message"]
+
     def test_p_without_replicates_is_input_error(self, capsys, tmp_path):
         path = write(tmp_path, "s.txt", "a b a b a a b\n")
         code, out, err = run(capsys, "estimate", path, "--p", "0.5")

@@ -3,7 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import cesaro_loop_oracle, entropy_rate_loop_oracle, int_seq, random_stochastic
+from conftest import (
+    cesaro_loop_oracle,
+    entropy_rate_loop_oracle,
+    int_seq,
+    random_stochastic,
+    stationary_eig_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +100,70 @@ class TestStationaryEigen:
         P = TransitionMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([True, False]))
         with pytest.raises(ReducibleMatrixError, match="never visited"):
             stationary_eigen(P)
+
+    def test_transient_state_feeding_two_closed_classes_rejected(self):
+        P = TransitionMatrix.from_probs([[0.2, 0.5, 0.3], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(ReducibleMatrixError, match="reducible transition matrix"):
+            stationary_eigen(P)
+
+    def test_transient_state_feeding_one_closed_class_has_zero_weight(self):
+        P = TransitionMatrix.from_probs([[0.5, 0.5, 0], [0, 0.3, 0.7], [0, 0.6, 0.4]])
+        pi = stationary_eigen(P)
+        assert pi.probs[0] == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(pi.probs[1:], [6 / 13, 7 / 13], atol=1e-15)
+
+    def test_nearly_decomposable_chain_solved(self):
+        # Irreducible through a 1e-10 cross link: the former eigenvalue count
+        # saw a unit eigenvalue of multiplicity 2 and refused it; the solve
+        # returns pi to the accuracy the conditioning allows (~2e-8 here).
+        eps = 1e-10
+        P = TransitionMatrix.from_probs([[1 - eps, eps], [eps, 1 - eps]])
+        with pytest.raises(ReducibleMatrixError, match="multiplicity 2"):
+            stationary_eig_oracle(P)
+        assert np.allclose(stationary_eigen(P).probs, [0.5, 0.5], rtol=0, atol=1e-6)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        assert np.allclose(stationary_eigen(PQ_CHAIN).probs, [0.75 / 1.15, 0.4 / 1.15])
+        seq = simulate_chain(PQ_CHAIN, 2_000, rng=3, init=0)
+        assert estimate_direct(seq, order=2, stationary="eigen").value > 0.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 16),
+        st.sampled_from(["dense", "sparse", "cycle", "classes"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eig_oracle(self, k, shape, seed):
+        # Rows from integer weights 0-9, so positive entries are >= 1/144.
+        # "cycle" is a periodic k-cycle; "classes" keeps label-0 states
+        # transient and closes every other label on itself, so it yields
+        # transient states feeding one or several closed classes.
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(0, 10, size=(k, k))
+        if shape == "sparse":
+            weights *= rng.random((k, k)) < 0.3
+        elif shape == "cycle":
+            cycle = rng.permutation(k)
+            weights = np.zeros((k, k), dtype=np.int64)
+            weights[cycle, np.roll(cycle, 1)] = rng.integers(1, 10, size=k)
+        elif shape == "classes":
+            labels = rng.integers(0, 4, size=k)
+            weights *= (labels[:, None] == labels[None, :]) | (labels[:, None] == 0)
+        empty = weights.sum(axis=1) == 0
+        weights[empty, np.flatnonzero(empty)] = 1
+        P = TransitionMatrix.from_probs(weights / weights.sum(axis=1, keepdims=True))
+        try:
+            expected = stationary_eig_oracle(P)
+        except ReducibleMatrixError:
+            with pytest.raises(ReducibleMatrixError, match="reducible transition matrix"):
+                stationary_eigen(P)
+            return
+        assert np.max(np.abs(stationary_eigen(P).probs - expected)) <= 1e-12
 
 
 class TestStationaryLimit:
