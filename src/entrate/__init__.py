@@ -24,7 +24,7 @@ from .direct import (
     stationary_limit,
 )
 from .estimators import EstimatorSpec, run_estimator
-from .ingest import SequenceFile, SequenceFileError, ingest, ingest_many
+from .ingest import SequenceFile, SequenceFileError, ingest_many
 from .markov import (
     Alphabet,
     CompositeAlphabet,
@@ -63,7 +63,6 @@ from .swlz import (
     NovelLengths,
     Parsing,
     format_parsing,
-    novel_length,
     novel_lengths,
     swlz_entropy,
     swlz_estimate,

@@ -218,8 +218,6 @@ def _estimate_record(
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     replicates = args.replicates
-    if args.command == "bootstrap" and replicates is None:
-        raise SequenceFileError("the bootstrap command requires --replicates")
     if args.p is not None and replicates is None:
         raise SequenceFileError("--p sets the bootstrap block parameter; it needs --replicates")
     if args.seed is not None and replicates is None:

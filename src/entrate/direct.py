@@ -32,6 +32,7 @@ from .markov import (
     Sequence,
     TransitionCounts,
     TransitionMatrix,
+    _check_dense_limit,
     _reaches_all,
     count_transitions,
     embed_order,
@@ -116,10 +117,7 @@ def stationary_eigen(P: TransitionMatrix) -> ProbabilityVector:
     ``max|pi P - pi| < 1e-10``; on transient states it is zero up to rounding.
     """
     if not P.all_rows_defined:
-        n_undef = int((~P.defined_rows).sum())
-        raise ReducibleMatrixError(
-            f"reducible transition matrix: {n_undef} row(s) never visited"
-        )
+        raise _never_visited_error(int((~P.defined_rows).sum()))
     k = P.size
     A = P.probs.T.copy()
     A[np.diag_indices(k)] -= 1.0
@@ -142,6 +140,12 @@ def stationary_eigen(P: TransitionMatrix) -> ProbabilityVector:
         )
     pi = np.clip(pi, 0.0, None)
     return ProbabilityVector(pi / pi.sum())
+
+
+def _never_visited_error(n_unvisited: int) -> ReducibleMatrixError:
+    return ReducibleMatrixError(
+        f"reducible transition matrix: {n_unvisited} row(s) never visited"
+    )
 
 
 def stationary_limit(
@@ -259,13 +263,17 @@ def estimate_direct_pooled(
     evaluates one plug-in sum -sum pi_i p_ij log2 p_ij over the counts'
     nonzero entries, with p_ij = n_ij / n_i+.  Empirical weights are
     n_i+ / n_++ and need no K-length array; eigen and limit solve for pi on
-    the dense MLE matrix, so they raise ValueError above DENSE_STATE_LIMIT
-    composite states.  Irreducibility is read once, from the counts.
+    the dense MLE matrix.  Irreducibility is read once, from the counts.
 
-    With ``stationary="eigen"`` (or "limit") a reducible estimated matrix
-    raises ReducibleMatrixError; under ``paper_zero_mode`` the estimate is
-    instead reported as 0.0 with a warning, matching how such failures show
-    up as zero estimates in simulation studies.
+    Eigen and limit fail in this order, and only the last step builds a
+    K x K array: above DENSE_STATE_LIMIT composite states they raise
+    ValueError; then, read from the counts, limit raises
+    ReducibleMatrixError when the observed transitions are not strongly
+    connected and eigen when a state was never visited; last comes the solve
+    on the MLE matrix, where eigen may still raise ReducibleMatrixError.  Under
+    ``paper_zero_mode`` a ReducibleMatrixError instead reports the estimate
+    as 0.0 with a warning, matching how such failures show up as zero
+    estimates in simulation studies.
     """
     if stationary not in DIRECT_METHODS:
         raise ValueError(f"unknown stationary method {stationary!r}")
@@ -295,12 +303,15 @@ def estimate_direct_pooled(
     if stationary == "empirical":
         weights = row_totals / counts.grand_total
     else:
-        P = mle_transition_matrix(counts)
         try:
+            _check_dense_limit(counts.kappa)
+            if stationary == "limit" and not irreducible:
+                raise ReducibleMatrixError("reducible transition matrix")
+            if stationary == "eigen" and visited.size < counts.kappa:
+                raise _never_visited_error(counts.kappa - visited.size)
+            P = mle_transition_matrix(counts)
             if stationary == "eigen":
                 pi = stationary_eigen(P)
-            elif not irreducible:
-                raise ReducibleMatrixError("reducible transition matrix")
             else:
                 pi, note = _cesaro_limit(P, DEFAULT_CESARO_STEPS)
                 if note:

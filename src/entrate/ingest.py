@@ -25,7 +25,6 @@ __all__ = [
     "collapse_repeats",
     "tokens_from_text",
     "read_tokens",
-    "ingest",
     "ingest_many",
     "ingest_tokens",
 ]
@@ -81,11 +80,6 @@ def read_tokens(path: str, fmt: str = "tokens") -> list[str]:
     if not tokens:
         raise SequenceFileError(f"empty file: {path}")
     return tokens
-
-
-def ingest(sf: SequenceFile) -> Sequence:
-    """Read one file into a Sequence: the one-file case of ``ingest_many``."""
-    return ingest_many([sf])[0]
 
 
 def ingest_many(files: list[SequenceFile]) -> tuple[Sequence, list[int]]:

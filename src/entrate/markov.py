@@ -99,9 +99,6 @@ class Alphabet:
         """Alphabet of the sorted distinct tokens."""
         return cls(tuple(sorted(set(tokens))))
 
-    def index(self, symbol: str) -> int:
-        return self._lookup[symbol]
-
     def label(self, state: int) -> str:
         return self.symbols[state]
 
@@ -136,18 +133,6 @@ class CompositeAlphabet:
     def kappa(self) -> int:
         return self.base.kappa ** self.order
 
-    def encode(self, window: TypingSequence[int]) -> int:
-        """Composite index of a window of base states, oldest first."""
-        if len(window) != self.order:
-            raise ValueError(f"window must have length {self.order}")
-        k = self.base.kappa
-        idx = 0
-        for pos, state in enumerate(window):
-            if not 0 <= state < k:
-                raise ValueError(f"base state {state} out of range")
-            idx += state * k**pos
-        return idx
-
     def decode(self, index: int) -> tuple[int, ...]:
         """Window of base states (oldest first) for a composite index."""
         if not 0 <= index < self.kappa:
@@ -161,13 +146,6 @@ class CompositeAlphabet:
 
     def label(self, state: int) -> str:
         return "|".join(self.base.label(s) for s in self.decode(state))
-
-    def legal_successor(self, i: int, j: int) -> bool:
-        """True when tuple j can follow tuple i in one step of the base chain.
-
-        Requires the last m-1 base symbols of i to equal the first m-1 of j.
-        """
-        return self.decode(i)[1:] == self.decode(j)[:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,15 +252,6 @@ class TransitionCounts:
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Int64 arrays ``(src, dst, n)`` of the nonzero entries, row-major."""
         return (*np.divmod(self.codes, self.kappa), self.n)
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.kappa and 0 <= j < self.kappa):
-            raise IndexError(f"transition ({i}, {j}) out of range for {self.kappa} states")
-        code = i * self.kappa + j
-        pos = int(np.searchsorted(self.codes, code))
-        if pos < self.codes.size and self.codes[pos] == code:
-            return int(self.n[pos])
-        return 0
 
     @cached_property
     def dense(self) -> np.ndarray:

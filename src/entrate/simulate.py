@@ -136,6 +136,8 @@ def benchmark_matrix(kind: str, kappa: int = 8, diag: float = 0.95) -> Transitio
         np.fill_diagonal(P, diag)
         return TransitionMatrix.from_probs(P)
     if kind == "high":
+        if kappa < 1:
+            raise ValueError("need kappa >= 1")
         return TransitionMatrix.from_probs(np.full((kappa, kappa), 1.0 / kappa))
     if kind in ("medium", "medium-builtin"):
         if kappa != 8:

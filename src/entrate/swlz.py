@@ -30,7 +30,6 @@ from .markov import InsufficientDataError, Sequence
 __all__ = [
     "NovelLengths",
     "Parsing",
-    "novel_length",
     "novel_lengths",
     "swlz_parse",
     "swlz_entropy",
@@ -149,23 +148,6 @@ def _novelty(matches: np.ndarray, n: int) -> NovelLengths:
     lengths[0] = 0
     capped[0] = False
     return NovelLengths(lengths, capped)
-
-
-def novel_length(seq: Sequence, i: int) -> tuple[int, bool]:
-    """Length of the shortest substring starting at i absent from x_0..x_{i-1}.
-
-    Returns ``(length, capped)``: when even the whole remaining suffix occurs
-    in the history the result is (remaining + 1, True), since novelty would
-    require at least one more symbol.  Position 0 has an empty history and is
-    an error.
-    """
-    n = seq.length
-    if i < 1:
-        raise ValueError("position 0 has an empty history")
-    if i >= n:
-        raise ValueError(f"position {i} out of range for length-{n} sequence")
-    matched = int(_match_lengths(seq.states)[i])
-    return matched + 1, i + matched == n
 
 
 def novel_lengths(seq: Sequence) -> NovelLengths:

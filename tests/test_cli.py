@@ -391,8 +391,9 @@ class TestSimulateCommand:
             ["--benchmark", "low", "--length", "10", "--kappa", "1"],
             ["--second-order", "0.5,0.5,0.5,2", "--length", "10"],
             ["--benchmark", "medium", "--length", "10", "--kappa", "4"],
+            ["--benchmark", "high", "--length", "10", "--kappa", "0"],
         ],
-        ids=["init", "length", "kappa", "second-order", "medium-kappa"],
+        ids=["init", "length", "kappa", "second-order", "medium-kappa", "high-kappa"],
     )
     def test_out_of_range_flag_is_input_error(self, capsys, flags):
         code, _, err = run(capsys, "simulate", *flags)
@@ -494,6 +495,7 @@ class TestExperimentCommand:
         [
             ({"generator": {"benchmark": "low", "kappa": 1}}, "generator"),
             ({"generator": {"benchmark": "low", "diag": 2.0}}, "generator"),
+            ({"generator": {"benchmark": "high", "kappa": 0}}, "generator"),
             ({"generator": {"benchmark": "low", "kappa": "x"}}, "generator.kappa"),
             ({"generator": {"benchmark": "low", "kappa": None}}, "generator.kappa"),
             ({"estimators": [{"method": "empirical", "order": "2"}]}, "estimators[0].order"),
@@ -501,8 +503,8 @@ class TestExperimentCommand:
             ({"paper_zero_mode": "no"}, "paper_zero_mode"),
         ],
         ids=[
-            "kappa-range", "diag-range", "kappa-str", "kappa-null", "order-str", "order-bool",
-            "zero-mode-str",
+            "kappa-range", "diag-range", "high-kappa-range", "kappa-str", "kappa-null",
+            "order-str", "order-bool", "zero-mode-str",
         ],
     )
     def test_bad_plan_field_is_input_error(self, capsys, tmp_path, edit, field):

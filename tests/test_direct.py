@@ -463,6 +463,25 @@ class TestEstimateDirect:
         assert f"{5000**2 - 4998} never-visited state(s) carry zero stationary weight" in est.warnings
         assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
+    def test_order_four_rejections_read_the_counts(self):
+        # 10k `medium` symbols at m = 4 visit 1,197 of 4,096 states, so eigen
+        # and limit must fail; they do so from the counts, before the 128 MB
+        # MLE matrix exists.
+        seq = simulate_chain(benchmark_matrix("medium"), 10_000, rng=5)
+        for stationary, message in [
+            ("eigen", "reducible transition matrix: 2899 row(s) never visited"),
+            ("limit", "reducible transition matrix"),
+        ]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ReducibleMatrixError) as info:
+                    estimate_direct(seq, order=4, stationary=stationary)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == message
+            assert peak < 4 * 2**20, f"{stationary}: traced peak {peak / 2**20:.2f} MB"
+
     @settings(deadline=None)
     @given(st.data())
     def test_empirical_equals_plug_in_through_matrix(self, data):

@@ -4,7 +4,6 @@ from entrate.ingest import (
     SequenceFile,
     SequenceFileError,
     collapse_repeats,
-    ingest,
     ingest_many,
     ingest_tokens,
     tokens_from_text,
@@ -20,23 +19,23 @@ def write(tmp_path, name, text):
 class TestReadAndCollapse:
     def test_whitespace_tokens_and_comments(self, tmp_path):
         path = write(tmp_path, "a.txt", "# header\nnurse nurse groom\n\nnurse\n")
-        seq = ingest(SequenceFile(path))
+        seq = ingest_many([SequenceFile(path)])[0]
         assert seq.tokens() == ["nurse", "nurse", "groom", "nurse"]
         assert seq.alphabet.symbols == ("groom", "nurse")
 
     def test_lines_format(self, tmp_path):
         path = write(tmp_path, "a.txt", "eat food\nsleep\neat food\n")
-        seq = ingest(SequenceFile(path, format="lines"))
+        seq = ingest_many([SequenceFile(path, format="lines")])[0]
         assert seq.tokens() == ["eat food", "sleep", "eat food"]
 
     def test_collapse_rule(self, tmp_path):
         path = write(tmp_path, "a.txt", "nurse nurse groom nurse\n")
-        seq = ingest(SequenceFile(path, collapse_repeats=True))
+        seq = ingest_many([SequenceFile(path, collapse_repeats=True)])[0]
         assert seq.tokens() == ["nurse", "groom", "nurse"]
 
     def test_without_collapse(self, tmp_path):
         path = write(tmp_path, "a.txt", "nurse nurse groom nurse\n")
-        assert ingest(SequenceFile(path)).length == 4
+        assert ingest_many([SequenceFile(path)])[0].length == 4
 
     def test_collapse_idempotent(self):
         tokens = ["a", "a", "b", "b", "b", "a", "c", "c"]
@@ -49,34 +48,34 @@ class TestReadAndCollapse:
         actions = ["lick", "carry", "nurse", "build", "off", "eat", "groom"]
         rng = np.random.default_rng(1)
         tokens = " ".join(rng.choice(actions, 50))
-        seq = ingest(SequenceFile(write(tmp_path, "b.txt", tokens)))
+        seq = ingest_many([SequenceFile(write(tmp_path, "b.txt", tokens))])[0]
         assert seq.alphabet.kappa == 7
         assert np.log2(seq.alphabet.kappa) == pytest.approx(2.807, abs=1e-3)
 
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "a.txt", "# only a comment\n\n")
         with pytest.raises(SequenceFileError, match="empty"):
-            ingest(SequenceFile(path))
+            ingest_many([SequenceFile(path)])
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SequenceFileError, match="cannot read"):
-            ingest(SequenceFile(str(tmp_path / "nope.txt")))
+            ingest_many([SequenceFile(str(tmp_path / "nope.txt"))])
 
     def test_off_alphabet_tokens_listed(self, tmp_path):
         path = write(tmp_path, "a.txt", "a b z y a\n")
         with pytest.raises(SequenceFileError, match="y, z"):
-            ingest(SequenceFile(path, declared_alphabet=("a", "b")))
+            ingest_many([SequenceFile(path, declared_alphabet=("a", "b"))])
 
     def test_declared_alphabet_order_kept(self, tmp_path):
         path = write(tmp_path, "a.txt", "b a b\n")
-        seq = ingest(SequenceFile(path, declared_alphabet=("b", "a")))
+        seq = ingest_many([SequenceFile(path, declared_alphabet=("b", "a"))])[0]
         assert seq.alphabet.symbols == ("b", "a")
         assert seq.states.tolist() == [0, 1, 0]
 
     def test_collapse_to_single_symbol_rejected(self, tmp_path):
         path = write(tmp_path, "a.txt", "a a a a\n")
         with pytest.raises(SequenceFileError, match="fewer than 2"):
-            ingest(SequenceFile(path, collapse_repeats=True))
+            ingest_many([SequenceFile(path, collapse_repeats=True)])
 
 
 class TestIngestMany:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from entrate import (
     format_parsing,
-    novel_length,
     novel_lengths,
     swlz_entropy,
     swlz_parse,
@@ -20,37 +19,35 @@ TABLE_STRING = "13131213232331313332"
 class TestNovelLength:
     def test_worked_example_position_two(self):
         # history "13": "1" and "13" occur, "131" does not.
-        seq = token_seq(TABLE_STRING)
-        assert novel_length(seq, 2) == (3, False)
+        nl = novel_lengths(token_seq(TABLE_STRING))
+        assert (nl.lengths[2], nl.capped[2]) == (3, False)
 
     def test_novel_single_symbol(self):
-        assert novel_length(token_seq("AB"), 1) == (1, False)
+        nl = novel_lengths(token_seq("AB"))
+        assert (nl.lengths[1], nl.capped[1]) == (1, False)
 
     def test_constant_sequence(self):
-        seq = token_seq("AAAA")
-        # One 'A' of history: "AA" is already novel.
-        assert novel_length(seq, 1) == (2, False)
-        # From the midpoint on, the whole suffix repeats the history.
-        assert novel_length(seq, 2) == (3, True)
-        assert novel_length(seq, 3) == (2, True)
+        nl = novel_lengths(token_seq("AAAA"))
+        # One 'A' of history: "AA" is already novel.  From the midpoint on,
+        # the whole suffix repeats the history.
+        assert nl.lengths[1:].tolist() == [2, 3, 2]
+        assert nl.capped[1:].tolist() == [False, True, True]
 
-    def test_position_zero_rejected(self):
-        with pytest.raises(ValueError, match="empty history"):
-            novel_length(token_seq("AB"), 0)
-
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            novel_length(token_seq("AB"), 2)
+    def test_one_entry_per_position(self):
+        # Position 0 has an empty history, so its entry is unused.
+        nl = novel_lengths(token_seq("AB"))
+        assert nl.lengths.size == nl.capped.size == 2 and nl.n_positions == 1
+        assert (nl.lengths[0], nl.capped[0]) == (0, False)
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(71)
         for _ in range(60):
             kappa = int(rng.integers(2, 5))
-            n = int(rng.integers(2, 60))
+            n = int(rng.integers(2, 80))
             states = rng.integers(0, kappa, n)
-            seq = int_seq(states, kappa)
+            nl = novel_lengths(int_seq(states, kappa))
             for i in range(1, n):
-                assert novel_length(seq, i) == naive_novel_length(states, i)
+                assert (nl.lengths[i], nl.capped[i]) == naive_novel_length(states, i)
 
     def test_length_bounds(self):
         rng = np.random.default_rng(73)
@@ -75,17 +72,6 @@ class TestNovelLength:
 
 
 class TestBatchAgreement:
-    def test_batch_equals_single_position(self):
-        rng = np.random.default_rng(83)
-        for _ in range(10):
-            n = int(rng.integers(3, 80))
-            seq = int_seq(rng.integers(0, 3, n), 3)
-            nl = novel_lengths(seq)
-            for i in range(1, n):
-                length, capped = novel_length(seq, i)
-                assert nl.lengths[i] == length
-                assert nl.capped[i] == capped
-
     def test_determinism(self):
         seq = token_seq(TABLE_STRING)
         a, b = novel_lengths(seq), novel_lengths(seq)
