@@ -106,6 +106,14 @@ class TestCompositeAlphabet:
         assert comp.decode(1) == (1, 0)
         assert comp.decode(2) == (0, 1)
 
+    def test_legal_successor_overlap(self):
+        # Window j can follow window i only when they overlap in m - 1 symbols.
+        comp = CompositeAlphabet(Alphabet.of_size(2), 2)
+        ab, bb, aa = comp.decode(2), comp.decode(3), comp.decode(0)
+        assert (ab, bb, aa) == ((0, 1), (1, 1), (0, 0))
+        assert ab[1:] == bb[:-1]
+        assert ab[1:] != aa[:-1]
+
 
 class TestEmbedOrder:
     def test_m1_identity(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate import (
+    InsufficientDataError,
     format_parsing,
     novel_lengths,
     swlz_entropy,
@@ -33,17 +34,27 @@ class TestNovelLength:
         assert nl.lengths[1:].tolist() == [2, 3, 2]
         assert nl.capped[1:].tolist() == [False, True, True]
 
-    def test_one_entry_per_position(self):
-        # Position 0 has an empty history, so its entry is unused.
+    def test_position_zero_rejected(self):
+        # Position 0 has an empty history: its entry is unused and not
+        # counted, and a sequence with no other position is rejected.
         nl = novel_lengths(token_seq("AB"))
-        assert nl.lengths.size == nl.capped.size == 2 and nl.n_positions == 1
         assert (nl.lengths[0], nl.capped[0]) == (0, False)
+        assert nl.n_positions == 1
+        with pytest.raises(InsufficientDataError, match="at least 2 symbols"):
+            novel_lengths(token_seq("A"))
+
+    def test_position_out_of_range(self):
+        # One entry per position 0..n-1, none past the end.
+        nl = novel_lengths(token_seq("AB"))
+        assert nl.lengths.size == nl.capped.size == 2
+        with pytest.raises(IndexError):
+            nl.lengths[2]
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(71)
         for _ in range(60):
             kappa = int(rng.integers(2, 5))
-            n = int(rng.integers(2, 80))
+            n = int(rng.integers(2, 60))
             states = rng.integers(0, kappa, n)
             nl = novel_lengths(int_seq(states, kappa))
             for i in range(1, n):
@@ -72,6 +83,18 @@ class TestNovelLength:
 
 
 class TestBatchAgreement:
+    def test_batch_equals_single_position(self):
+        # The one-pass array agrees with a per-position brute-force scan.
+        rng = np.random.default_rng(83)
+        for _ in range(10):
+            n = int(rng.integers(3, 80))
+            states = rng.integers(0, 3, n)
+            nl = novel_lengths(int_seq(states, 3))
+            for i in range(1, n):
+                length, capped = naive_novel_length(states, i)
+                assert nl.lengths[i] == length
+                assert nl.capped[i] == capped
+
     def test_determinism(self):
         seq = token_seq(TABLE_STRING)
         a, b = novel_lengths(seq), novel_lengths(seq)
