@@ -310,7 +310,7 @@ def _parse_matrix_file(path: str) -> TransitionMatrix:
                 for line in text.splitlines()
                 if line.strip() and not line.strip().startswith("#")
             ]
-        return TransitionMatrix.from_probs(np.asarray(rows, dtype=np.float64))
+        return TransitionMatrix(rows)
     except ValueError as exc:
         raise SequenceFileError(f"{path}: {exc}") from exc
 
@@ -366,7 +366,7 @@ def _plan_field(
             raise PlanError(f"plan field '{prefix}{key}': missing")
         return None
     value = plan[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise PlanError(f"plan field '{prefix}{key}': expected {kind.__name__}")
@@ -404,28 +404,27 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
             raise PlanError(f"plan field 'generator': {exc}") from exc
     elif "matrix" in gen:
         try:
-            generator = TransitionMatrix.from_probs(np.asarray(gen["matrix"], dtype=float))
+            generator = TransitionMatrix(gen["matrix"])
         except ValueError as exc:
             raise PlanError(f"plan field 'generator.matrix': {exc}") from exc
     elif "second_order" in gen:
         so = gen["second_order"]
         if not isinstance(so, dict):
             raise PlanError("plan field 'generator.second_order': expected object")
+        if {"a", "b", "c", "d"} <= so.keys():
+            keys = ("a", "b", "c", "d")
+        elif {"p", "q", "phi", "gamma"} <= so.keys():
+            keys = ("p", "q", "phi", "gamma")
+        else:
+            raise PlanError("plan field 'generator.second_order': need a,b,c,d or p,q,phi,gamma")
+        values = {
+            key: _plan_field(so, key, float, prefix="generator.second_order.") for key in keys
+        }
         try:
-            if {"a", "b", "c", "d"} <= so.keys():
-                generator = SecondOrderParams(
-                    float(so["a"]), float(so["b"]), float(so["c"]), float(so["d"])
-                )
-            elif {"p", "q", "phi", "gamma"} <= so.keys():
-                generator = reparam_to_abcd(
-                    ReparamPoint(
-                        float(so["p"]), float(so["q"]), float(so["phi"]), float(so["gamma"])
-                    )
-                )
+            if "a" in values:
+                generator = SecondOrderParams(**values)
             else:
-                raise PlanError(
-                    "plan field 'generator.second_order': need a,b,c,d or p,q,phi,gamma"
-                )
+                generator = reparam_to_abcd(ReparamPoint(**values))
         except ValueError as exc:
             raise PlanError(f"plan field 'generator.second_order': {exc}") from exc
     else:

@@ -112,12 +112,11 @@ def stationary_eigen(P: TransitionMatrix) -> ProbabilityVector:
     pi is unique iff P has exactly one closed class, which holds iff every
     state reaches argmax(pi) along P's positive entries; that exact graph
     check, not a floating-point eigenvalue count, decides uniqueness.  A
-    never-visited row, a singular system or a failed check raises
-    ReducibleMatrixError.  The returned vector satisfies
+    singular system or a failed check raises ReducibleMatrixError; counts
+    with a never-visited state have already failed in
+    ``mle_transition_matrix``.  The returned vector satisfies
     ``max|pi P - pi| < 1e-10``; on transient states it is zero up to rounding.
     """
-    if not P.all_rows_defined:
-        raise _never_visited_error(int((~P.defined_rows).sum()))
     k = P.size
     A = P.probs.T.copy()
     A[np.diag_indices(k)] -= 1.0
@@ -140,12 +139,6 @@ def stationary_eigen(P: TransitionMatrix) -> ProbabilityVector:
         )
     pi = np.clip(pi, 0.0, None)
     return ProbabilityVector(pi / pi.sum())
-
-
-def _never_visited_error(n_unvisited: int) -> ReducibleMatrixError:
-    return ReducibleMatrixError(
-        f"reducible transition matrix: {n_unvisited} row(s) never visited"
-    )
 
 
 def stationary_limit(
@@ -207,31 +200,20 @@ def _cesaro_limit(P: TransitionMatrix, steps: int) -> tuple[ProbabilityVector, s
 
 def entropy_rate(P: TransitionMatrix, pi: ProbabilityVector | np.ndarray) -> EntropyEstimate:
     """Plug-in rate -sum_ij pi_i P_ij log2 P_ij of a known matrix, as a
-    "direct_exact" estimate, summed over P's positive entries.
-
-    Rows with zero stationary weight contribute nothing, whether or not they
-    are defined; an undefined row with positive weight is an error.
+    "direct_exact" estimate, summed over P's positive entries; rows with zero
+    stationary weight contribute nothing.
     """
     if not isinstance(pi, ProbabilityVector):
         pi = ProbabilityVector(np.asarray(pi))
     if pi.size != P.size:
         raise ValueError("dimension mismatch between P and pi")
-    if np.any((pi.probs > 0.0) & ~P.defined_rows):
-        raise ValueError("undefined transition row has positive stationary weight")
     src, dst = np.nonzero(P.probs > 0.0)
     return EntropyEstimate(
         value=_plugin_rate(pi.probs[src], P.probs[src, dst]),
         method="direct_exact",
         n_obs=0,
         irreducible=is_irreducible(P),
-        warnings=tuple(_never_visited_warning(int((~P.defined_rows).sum()))),
     )
-
-
-def _never_visited_warning(n_unvisited: int) -> list[str]:
-    if n_unvisited:
-        return [f"{n_unvisited} never-visited state(s) carry zero stationary weight"]
-    return []
 
 
 def estimate_direct(
@@ -269,11 +251,12 @@ def estimate_direct_pooled(
     K x K array: above DENSE_STATE_LIMIT composite states they raise
     ValueError; then, read from the counts, limit raises
     ReducibleMatrixError when the observed transitions are not strongly
-    connected and eigen when a state was never visited; last comes the solve
-    on the MLE matrix, where eigen may still raise ReducibleMatrixError.  Under
-    ``paper_zero_mode`` a ReducibleMatrixError instead reports the estimate
-    as 0.0 with a warning, matching how such failures show up as zero
-    estimates in simulation studies.
+    connected, and ``mle_transition_matrix`` raises it for eigen when a state
+    was never visited; last comes the solve on the MLE matrix, where eigen may
+    still raise ReducibleMatrixError.  Under ``paper_zero_mode`` a
+    ReducibleMatrixError instead reports the estimate as 0.0 with a warning,
+    matching how such failures show up as zero estimates in simulation
+    studies.
     """
     if stationary not in DIRECT_METHODS:
         raise ValueError(f"unknown stationary method {stationary!r}")
@@ -302,13 +285,16 @@ def estimate_direct_pooled(
     method = f"direct_{stationary}"
     if stationary == "empirical":
         weights = row_totals / counts.grand_total
+        if visited.size < counts.kappa:
+            warn.append(
+                f"{counts.kappa - visited.size} never-visited state(s) carry zero "
+                "stationary weight"
+            )
     else:
         try:
             _check_dense_limit(counts.kappa)
             if stationary == "limit" and not irreducible:
                 raise ReducibleMatrixError("reducible transition matrix")
-            if stationary == "eigen" and visited.size < counts.kappa:
-                raise _never_visited_error(counts.kappa - visited.size)
             P = mle_transition_matrix(counts)
             if stationary == "eigen":
                 pi = stationary_eigen(P)
@@ -330,5 +316,5 @@ def estimate_direct_pooled(
         n_obs=n_obs,
         order=order,
         irreducible=irreducible,
-        warnings=tuple(warn + _never_visited_warning(counts.kappa - visited.size)),
+        warnings=tuple(warn),
     )

@@ -9,6 +9,9 @@ Transition counts are kept as sorted codes i*K + j of the distinct observed
 transitions and their row totals per observed source, so their memory follows
 the data, never K; only the MLE matrix and the counts' ``row_totals_arr`` and
 ``dense`` views are K-length or K x K (up to DENSE_STATE_LIMIT states).
+A transition matrix is always row-stochastic: ``mle_transition_matrix`` is
+the one place that refuses counts with a never-visited state, whose row it
+could not estimate.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -176,7 +179,12 @@ class Sequence:
     ) -> "Sequence":
         if alphabet is None:
             alphabet = Alphabet.from_tokens(tokens)
-        states = np.fromiter(map(alphabet._lookup.__getitem__, tokens), np.int64, len(tokens))
+        lookup = alphabet._lookup
+        try:
+            states = np.fromiter(map(lookup.__getitem__, tokens), np.int64, len(tokens))
+        except KeyError:
+            offenders = sorted(map(str, set(tokens) - lookup.keys()))
+            raise ValueError(f"tokens outside the alphabet: {', '.join(offenders)}") from None
         return cls(states, alphabet)
 
     def tokens(self) -> list[str]:
@@ -264,47 +272,30 @@ class TransitionCounts:
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-stochastic matrix of estimated or exact transition probabilities.
+    """Row-stochastic matrix of estimated or exact transition probabilities:
+    square, every entry in [0, 1] and every row summing to 1 within 1e-12.
 
-    Rows never observed as a transition source carry no probability estimate:
-    they are all-zero and flagged False in ``defined_rows`` rather than being
-    silently imputed.
+    There is no partial form: ``mle_transition_matrix`` refuses counts with a
+    never-visited state instead of leaving its row empty.
     """
 
     probs: np.ndarray
-    defined_rows: np.ndarray
 
     def __post_init__(self) -> None:
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError("transition matrix must be square")
-        defined = np.ascontiguousarray(self.defined_rows, dtype=bool)
-        if defined.shape != (probs.shape[0],):
-            raise ValueError("defined_rows must have one flag per row")
-        if probs.min() < -_SUM_TOL or probs.max() > 1 + _SUM_TOL:
+        # Written so that a NaN entry fails the checks.
+        if not (probs.min() >= -_SUM_TOL and probs.max() <= 1 + _SUM_TOL):
             raise ValueError("transition probabilities must lie in [0, 1]")
         probs = np.clip(probs, 0.0, 1.0)
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums[defined] - 1.0) > _SUM_TOL):
-            raise ValueError("defined rows must sum to 1 within 1e-12")
-        if np.any(sums[~defined] != 0.0):
-            raise ValueError("undefined rows must be all-zero")
+        if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= _SUM_TOL):
+            raise ValueError("rows must sum to 1 within 1e-12")
         object.__setattr__(self, "probs", _freeze(probs))
-        object.__setattr__(self, "defined_rows", _freeze(defined))
-
-    @classmethod
-    def from_probs(cls, probs: np.ndarray) -> "TransitionMatrix":
-        """A fully defined matrix from explicit row distributions."""
-        probs = np.asarray(probs, dtype=np.float64)
-        return cls(probs, np.ones(probs.shape[0], dtype=bool))
 
     @property
     def size(self) -> int:
         return int(self.probs.shape[0])
-
-    @property
-    def all_rows_defined(self) -> bool:
-        return bool(self.defined_rows.all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,10 +308,11 @@ class ProbabilityVector:
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probability vector must be a nonempty 1-d array")
-        if probs.min() < -_SUM_TOL:
+        # Written so that a NaN entry fails the checks.
+        if not probs.min() >= -_SUM_TOL:
             raise ValueError("probabilities must be nonnegative")
         total = probs.sum()
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         probs = np.clip(probs, 0.0, None) / probs.clip(0.0, None).sum()
         object.__setattr__(self, "probs", _freeze(probs))
@@ -381,16 +373,22 @@ def embed_order(seq: Sequence, m: int) -> Sequence:
 def mle_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
     """Row-normalized counts: the maximum likelihood estimator of P.
 
-    Rows with zero total are flagged undefined rather than filled.
+    A never-visited state has no row to estimate, so counts with one raise
+    ReducibleMatrixError, read from ``row_runs`` after the dense-limit check
+    and before any K-length or K x K array exists.
     """
     if counts.grand_total < 1:
         raise ValueError("cannot estimate transition matrix from all-zero counts")
     _check_dense_limit(counts.kappa)
+    visited, _, entry_totals = counts.row_runs
+    if visited.size < counts.kappa:
+        raise ReducibleMatrixError(
+            f"reducible transition matrix: {counts.kappa - visited.size} row(s) never visited"
+        )
     src, dst, n = counts.nonzero()
-    totals = counts.row_totals_arr
     probs = np.zeros((counts.kappa, counts.kappa))
-    probs[src, dst] = n / totals[src]
-    return TransitionMatrix(probs, totals > 0)
+    probs[src, dst] = n / entry_totals
+    return TransitionMatrix(probs)
 
 
 def _reaches_all(src: np.ndarray, dst: np.ndarray, kappa: int, start: int = 0) -> bool:
@@ -413,8 +411,8 @@ def is_irreducible(chain: TransitionMatrix | TransitionCounts) -> bool:
     """True iff the directed graph of positive transitions is strongly connected.
 
     For counts the graph is that of the observed transitions, which is the
-    graph of their MLE matrix.  A matrix with an undefined row, or counts with
-    a never-visited state, is never irreducible.
+    graph of their MLE matrix; counts with a never-visited state, which have
+    no MLE matrix, are never irreducible.
     """
     if isinstance(chain, TransitionCounts):
         if chain.row_runs[0].size < chain.kappa:
@@ -422,8 +420,6 @@ def is_irreducible(chain: TransitionMatrix | TransitionCounts) -> bool:
         src, dst, _ = chain.nonzero()
         kappa = chain.kappa
     else:
-        if not chain.all_rows_defined:
-            return False
         src, dst = np.nonzero(chain.probs > 0.0)
         kappa = chain.size
     return _reaches_all(src, dst, kappa) and _reaches_all(dst, src, kappa)

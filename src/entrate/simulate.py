@@ -82,8 +82,6 @@ def simulate_chain(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not P.all_rows_defined:
-        raise ValueError("cannot simulate from a matrix with undefined rows")
     rng = np.random.default_rng(rng)
     kappa = P.size
     if init is None:
@@ -134,11 +132,11 @@ def benchmark_matrix(kind: str, kappa: int = 8, diag: float = 0.95) -> Transitio
             raise ValueError("need kappa >= 2")
         P = np.full((kappa, kappa), (1.0 - diag) / (kappa - 1))
         np.fill_diagonal(P, diag)
-        return TransitionMatrix.from_probs(P)
+        return TransitionMatrix(P)
     if kind == "high":
         if kappa < 1:
             raise ValueError("need kappa >= 1")
-        return TransitionMatrix.from_probs(np.full((kappa, kappa), 1.0 / kappa))
+        return TransitionMatrix(np.full((kappa, kappa), 1.0 / kappa))
     if kind in ("medium", "medium-builtin"):
         if kappa != 8:
             raise ValueError("the built-in medium benchmark is 8-state")
@@ -146,7 +144,7 @@ def benchmark_matrix(kind: str, kappa: int = 8, diag: float = 0.95) -> Transitio
         for i, mass in enumerate(_MEDIUM_MASSES):
             P[i, :] = (1.0 - mass) / 7.0
             P[i, (i + 1) % 8] = mass
-        return TransitionMatrix.from_probs(P)
+        return TransitionMatrix(P)
     raise ValueError(f"unknown benchmark {kind!r}; expected one of {BENCHMARK_NAMES}")
 
 
@@ -215,7 +213,7 @@ def second_order_matrix(params: SecondOrderParams) -> TransitionMatrix:
             [0.0, 0.0, d, 1 - d],
         ]
     )
-    return TransitionMatrix.from_probs(P)
+    return TransitionMatrix(P)
 
 
 def reparam_to_abcd(point: ReparamPoint) -> SecondOrderParams:
@@ -271,7 +269,7 @@ def first_order_projection(params: SecondOrderParams) -> TransitionMatrix:
             [d / (d + (1 - b)), (1 - b) / (d + (1 - b))],
         ]
     )
-    return TransitionMatrix.from_probs(P)
+    return TransitionMatrix(P)
 
 
 def simulate_second_order(

@@ -76,8 +76,8 @@ def strongly_connected_oracle(support) -> bool:
 
     Warshall's transitive closure of the boolean adjacency matrix: the chain
     is irreducible iff every state reaches every state, itself included, in
-    one or more steps.  A state without outgoing edges (an undefined row)
-    reaches nothing, so it makes the chain reducible.
+    one or more steps.  A state without outgoing edges (a never-visited state
+    of a count table) reaches nothing, so it makes the chain reducible.
     """
     reach = np.asarray(support) != 0
     for via in range(reach.shape[0]):
@@ -126,12 +126,10 @@ def stationary_eig_oracle(P: TransitionMatrix) -> np.ndarray:
     P from a dense ``np.linalg.eig``, refined by a bordered solve when its
     residual or sign is off.
 
-    Raises ReducibleMatrixError for a never-visited row, for a count of
-    eigenvalues within 1e-8 of 1 other than one, for a zero-sum eigenvector,
-    and when neither vector attains max|pi P - pi| <= 1e-10.
+    Raises ReducibleMatrixError for a count of eigenvalues within 1e-8 of 1
+    other than one, for a zero-sum eigenvector, and when neither vector
+    attains max|pi P - pi| <= 1e-10.
     """
-    if not P.all_rows_defined:
-        raise ReducibleMatrixError("reducible transition matrix: row(s) never visited")
     probs = P.probs
     eigvals, eigvecs = np.linalg.eig(probs.T)
     unit = np.abs(eigvals - 1.0) < 1e-8
@@ -169,4 +167,4 @@ def stationary_eig_oracle(P: TransitionMatrix) -> np.ndarray:
 def random_stochastic(rng: np.random.Generator, k: int, floor: float = 1e-3) -> TransitionMatrix:
     """Random row-stochastic matrix; a positive floor keeps it irreducible."""
     raw = rng.gamma(1.0, 1.0, size=(k, k)) + floor
-    return TransitionMatrix.from_probs(raw / raw.sum(axis=1, keepdims=True))
+    return TransitionMatrix(raw / raw.sum(axis=1, keepdims=True))

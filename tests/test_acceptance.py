@@ -288,7 +288,7 @@ def test_criterion_09_oracle_suites():
         warnings.filterwarnings("ignore", message="Cesaro")
         mats = [random_stochastic(rng_c, 4) for _ in range(5)]
         mats.append(
-            TransitionMatrix.from_probs(
+            TransitionMatrix(
                 [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
             )
         )
@@ -315,7 +315,7 @@ def test_criterion_10_degenerate_inputs():
     det_ok = (
         _estimate(constant).value == 0.0 and _estimate(alternating).value == 0.0
     )
-    uniform = TransitionMatrix.from_probs(np.full((8, 8), 0.125))
+    uniform = TransitionMatrix(np.full((8, 8), 0.125))
     analytic = entropy_rate(uniform, np.full(8, 0.125)).value
     uniform_ok = abs(analytic - 3.0) < 1e-12
     reducible = Sequence(np.array([0] * 50 + [1]), Alphabet.of_size(2))

@@ -400,12 +400,18 @@ class TestSimulateCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "input"
 
-    @pytest.mark.parametrize("text", ["[[0.5, 0.5],", "0.5 x\n0.5 0.5\n"], ids=["json", "rows"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[[0.5, 0.5],", "0.5 x\n0.5 0.5\n", "nan 1\n0.5 0.5\n"],
+        ids=["json", "rows", "nan"],
+    )
     def test_malformed_matrix_file_is_input_error(self, capsys, tmp_path, text):
         path = write(tmp_path, "m.txt", text)
-        code, _, err = run(capsys, "simulate", "--matrix", path, "--length", "5")
-        assert code == 1
-        assert json.loads(err)["error"]["message"].startswith(path)
+        code, out, err = run(capsys, "simulate", "--matrix", path, "--length", "5", "--init", "0")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert error["message"].startswith(path)
 
     def test_reducible_matrix_is_numeric_error(self, capsys, tmp_path):
         # No stationary distribution to start from: a numeric failure.
@@ -498,13 +504,28 @@ class TestExperimentCommand:
             ({"generator": {"benchmark": "high", "kappa": 0}}, "generator"),
             ({"generator": {"benchmark": "low", "kappa": "x"}}, "generator.kappa"),
             ({"generator": {"benchmark": "low", "kappa": None}}, "generator.kappa"),
+            ({"generator": {"benchmark": "low", "diag": True}}, "generator.diag"),
             ({"estimators": [{"method": "empirical", "order": "2"}]}, "estimators[0].order"),
             ({"estimators": [{"method": "empirical", "order": True}]}, "estimators[0].order"),
             ({"paper_zero_mode": "no"}, "paper_zero_mode"),
+            ({"generator": {"matrix": [[None, 1], [0.5, 0.5]]}}, "generator.matrix"),
+            (
+                {"generator": {"second_order": {"a": None, "b": 0.5, "c": 0.5, "d": 0.5}}},
+                "generator.second_order.a",
+            ),
+            (
+                {"generator": {"second_order": {"a": True, "b": 0.5, "c": 0.5, "d": 0.5}}},
+                "generator.second_order.a",
+            ),
+            (
+                {"generator": {"second_order": {"p": 0.4, "q": 0.75, "phi": "0.1", "gamma": 0}}},
+                "generator.second_order.phi",
+            ),
         ],
         ids=[
             "kappa-range", "diag-range", "high-kappa-range", "kappa-str", "kappa-null",
-            "order-str", "order-bool", "zero-mode-str",
+            "diag-bool", "order-str", "order-bool", "zero-mode-str", "matrix-null", "second-order-null",
+            "second-order-bool", "reparam-str",
         ],
     )
     def test_bad_plan_field_is_input_error(self, capsys, tmp_path, edit, field):

@@ -9,6 +9,7 @@ from conftest import (
     int_seq,
     random_stochastic,
     stationary_eig_oracle,
+    strongly_connected_oracle,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from entrate import (
 from entrate.markov import Alphabet, TransitionCounts
 from entrate.simulate import benchmark_matrix, simulate_chain
 
-PQ_CHAIN = TransitionMatrix.from_probs([[0.6, 0.4], [0.75, 0.25]])
+PQ_CHAIN = TransitionMatrix([[0.6, 0.4], [0.75, 0.25]])
 LOW_TRUE_RATE = -(0.95 * np.log2(0.95) + 0.05 * np.log2(0.05 / 7))
 
 
@@ -48,6 +49,10 @@ class TestShannonEntropy:
         # -0.4 log2 0.4 - 0.6 log2 0.6
         assert shannon_entropy(np.array([0.4, 0.6])) == pytest.approx(0.9710, abs=1e-4)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            shannon_entropy([np.nan, 1.0])
+
 
 class TestStationaryEmpirical:
     def test_row_totals(self):
@@ -60,7 +65,7 @@ class TestStationaryEmpirical:
         assert pi.probs.tolist() == [1.0, 0.0]
 
     def test_symmetric_two_cycle_simulation(self):
-        P = TransitionMatrix.from_probs([[0.1, 0.9], [0.9, 0.1]])
+        P = TransitionMatrix([[0.1, 0.9], [0.9, 0.1]])
         seq = simulate_chain(P, 20_000, rng=3)
         pi = stationary_empirical(count_transitions(seq))
         assert np.allclose(pi.probs, [0.5, 0.5], atol=0.02)
@@ -68,7 +73,7 @@ class TestStationaryEmpirical:
 
 class TestStationaryEigen:
     def test_two_cycle(self):
-        pi = stationary_eigen(TransitionMatrix.from_probs([[0, 1], [1, 0]]))
+        pi = stationary_eigen(TransitionMatrix([[0, 1], [1, 0]]))
         assert np.allclose(pi.probs, [0.5, 0.5])
 
     def test_pq_chain_closed_form(self):
@@ -77,9 +82,7 @@ class TestStationaryEigen:
         assert np.allclose(pi.probs, [0.75 / 1.15, 0.4 / 1.15], atol=1e-3)
 
     def test_doubly_stochastic_uniform(self):
-        P = TransitionMatrix.from_probs(
-            [[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]]
-        )
+        P = TransitionMatrix([[0.2, 0.3, 0.5], [0.5, 0.2, 0.3], [0.3, 0.5, 0.2]])
         assert np.allclose(stationary_eigen(P).probs, 1 / 3)
 
     def test_fixed_point_residual(self):
@@ -90,24 +93,19 @@ class TestStationaryEigen:
             assert np.max(np.abs(pi.probs @ P.probs - pi.probs)) < 1e-10
 
     def test_block_diagonal_reducible(self):
-        P = TransitionMatrix.from_probs(
+        P = TransitionMatrix(
             [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]]
         )
         with pytest.raises(ReducibleMatrixError, match="reducible transition matrix"):
             stationary_eigen(P)
 
-    def test_undefined_rows_rejected(self):
-        P = TransitionMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([True, False]))
-        with pytest.raises(ReducibleMatrixError, match="never visited"):
-            stationary_eigen(P)
-
     def test_transient_state_feeding_two_closed_classes_rejected(self):
-        P = TransitionMatrix.from_probs([[0.2, 0.5, 0.3], [0, 1, 0], [0, 0, 1]])
+        P = TransitionMatrix([[0.2, 0.5, 0.3], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(ReducibleMatrixError, match="reducible transition matrix"):
             stationary_eigen(P)
 
     def test_transient_state_feeding_one_closed_class_has_zero_weight(self):
-        P = TransitionMatrix.from_probs([[0.5, 0.5, 0], [0, 0.3, 0.7], [0, 0.6, 0.4]])
+        P = TransitionMatrix([[0.5, 0.5, 0], [0, 0.3, 0.7], [0, 0.6, 0.4]])
         pi = stationary_eigen(P)
         assert pi.probs[0] == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(pi.probs[1:], [6 / 13, 7 / 13], atol=1e-15)
@@ -117,7 +115,7 @@ class TestStationaryEigen:
         # saw a unit eigenvalue of multiplicity 2 and refused it; the solve
         # returns pi to the accuracy the conditioning allows (~2e-8 here).
         eps = 1e-10
-        P = TransitionMatrix.from_probs([[1 - eps, eps], [eps, 1 - eps]])
+        P = TransitionMatrix([[1 - eps, eps], [eps, 1 - eps]])
         with pytest.raises(ReducibleMatrixError, match="multiplicity 2"):
             stationary_eig_oracle(P)
         assert np.allclose(stationary_eigen(P).probs, [0.5, 0.5], rtol=0, atol=1e-6)
@@ -156,7 +154,7 @@ class TestStationaryEigen:
             weights *= (labels[:, None] == labels[None, :]) | (labels[:, None] == 0)
         empty = weights.sum(axis=1) == 0
         weights[empty, np.flatnonzero(empty)] = 1
-        P = TransitionMatrix.from_probs(weights / weights.sum(axis=1, keepdims=True))
+        P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
         try:
             expected = stationary_eig_oracle(P)
         except ReducibleMatrixError:
@@ -168,7 +166,7 @@ class TestStationaryEigen:
 
 class TestStationaryLimit:
     def test_two_cycle_exact_at_two_steps(self):
-        pi = stationary_limit(TransitionMatrix.from_probs([[0, 1], [1, 0]]), steps=2)
+        pi = stationary_limit(TransitionMatrix([[0, 1], [1, 0]]), steps=2)
         assert pi.probs.tolist() == [0.5, 0.5]
 
     def test_agrees_with_eigen(self):
@@ -180,7 +178,7 @@ class TestStationaryLimit:
         assert np.max(np.abs(pi_limit.probs - pi_eigen.probs)) < 1e-2
 
     def test_reducible_rejected(self):
-        P = TransitionMatrix.from_probs([[1, 0], [0.5, 0.5]])
+        P = TransitionMatrix([[1, 0], [0.5, 0.5]])
         with pytest.raises(ReducibleMatrixError):
             stationary_limit(P, steps=10)
 
@@ -203,7 +201,7 @@ class TestStationaryLimit:
         ref, drift = cesaro_loop_oracle(probs, steps)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pi = stationary_limit(TransitionMatrix.from_probs(probs), steps=steps)
+            pi = stationary_limit(TransitionMatrix(probs), steps=steps)
         assert np.max(np.abs(pi.probs - ref)) <= 1e-12
         fired = any("not converged" in str(w.message) for w in caught)
         if drift is None or abs(drift - 1e-6) > 1e-12:
@@ -221,14 +219,12 @@ class TestStationaryLimit:
 
 class TestEntropyRate:
     def test_deterministic_transitions(self):
-        est = entropy_rate(
-            TransitionMatrix.from_probs([[0, 1], [1, 0]]), np.array([0.5, 0.5])
-        )
+        est = entropy_rate(TransitionMatrix([[0, 1], [1, 0]]), np.array([0.5, 0.5]))
         assert est.value == 0.0
         assert est.irreducible is True
 
     def test_uniform_eight(self):
-        P = TransitionMatrix.from_probs(np.full((8, 8), 0.125))
+        P = TransitionMatrix(np.full((8, 8), 0.125))
         est = entropy_rate(P, np.full(8, 0.125))
         assert est.value == pytest.approx(3.0)
 
@@ -241,7 +237,7 @@ class TestEntropyRate:
         P = random_stochastic(rng, 5)
         pi = stationary_eigen(P)
         perm = rng.permutation(5)
-        P2 = TransitionMatrix.from_probs(P.probs[perm][:, perm])
+        P2 = TransitionMatrix(P.probs[perm][:, perm])
         pi2 = ProbabilityVector(pi.probs[perm])
         assert entropy_rate(P, pi).value == pytest.approx(
             entropy_rate(P2, pi2).value, abs=1e-12
@@ -255,22 +251,6 @@ class TestEntropyRate:
             value = entropy_rate(P, stationary_eigen(P)).value
             assert 0.0 <= value <= np.log2(k) + 1e-12
 
-    def test_zero_weight_undefined_row(self):
-        P = TransitionMatrix(
-            np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-            np.array([True, True, False]),
-        )
-        est = entropy_rate(P, np.array([0.5, 0.5, 0.0]))
-        assert est.value == pytest.approx(0.5)
-        assert any("never-visited" in w for w in est.warnings)
-
-    def test_positive_weight_on_undefined_row_rejected(self):
-        P = TransitionMatrix(
-            np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([True, False])
-        )
-        with pytest.raises(ValueError, match="positive stationary weight"):
-            entropy_rate(P, np.array([0.5, 0.5]))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             entropy_rate(PQ_CHAIN, np.array([0.5, 0.25, 0.25]))
@@ -278,22 +258,20 @@ class TestEntropyRate:
     @settings(deadline=None)
     @given(st.integers(1, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
     def test_matches_row_loop_oracle(self, k, density, seed):
-        # Sparse rows, some undefined; undefined and some defined rows get
-        # zero weight.
+        # Sparse full rows; some rows get zero weight.
         rng = np.random.default_rng(seed)
         raw = np.where(rng.random((k, k)) < density, rng.gamma(1.0, 1.0, (k, k)), 0.0)
         raw[np.arange(k), rng.integers(0, k, k)] += 1e-3
-        defined = rng.random(k) < 0.7
-        defined[rng.integers(0, k)] = True
-        probs = np.where(defined[:, None], raw / raw.sum(axis=1, keepdims=True), 0.0)
-        weights = np.where(defined & (rng.random(k) < 0.8), rng.random(k), 0.0)
-        weights[np.flatnonzero(defined)[0]] += 1e-3
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        weights = np.where(rng.random(k) < 0.8, rng.random(k), 0.0)
+        weights[rng.integers(0, k)] += 1e-3
         weights /= weights.sum()
-        est = entropy_rate(TransitionMatrix(probs, defined), weights)
+        P = TransitionMatrix(probs)
+        est = entropy_rate(P, weights)
         assert est.value == pytest.approx(entropy_rate_loop_oracle(probs, weights), abs=1e-12)
         assert est.method == "direct_exact" and est.n_obs == 0 and est.order is None
-        assert est.irreducible == is_irreducible(TransitionMatrix(probs, defined))
-        assert bool(est.warnings) == (not defined.all())
+        assert est.irreducible == is_irreducible(P)
+        assert est.warnings == ()
 
 
 class TestEstimateDirect:
@@ -375,11 +353,11 @@ class TestEstimateDirect:
         states = data.draw(st.lists(st.integers(0, kappa - 1), min_size=m + 1, max_size=60))
         stationary = data.draw(st.sampled_from(["eigen", "limit"]))
         seq = int_seq(states, kappa)
-        P = mle_transition_matrix(count_transitions(embed_order(seq, m)))
         solve = stationary_eigen if stationary == "eigen" else stationary_limit
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
+                P = mle_transition_matrix(count_transitions(embed_order(seq, m)))
                 pi = solve(P)
             except ReducibleMatrixError:
                 with pytest.raises(ReducibleMatrixError):
@@ -390,7 +368,7 @@ class TestEstimateDirect:
         assert est.irreducible == is_irreducible(P)
 
     def test_limit_method(self):
-        P = TransitionMatrix.from_probs([[0.1, 0.9], [0.9, 0.1]])
+        P = TransitionMatrix([[0.1, 0.9], [0.9, 0.1]])
         seq = simulate_chain(P, 5000, rng=47)
         est_limit = estimate_direct(seq, stationary="limit")
         est_eigen = estimate_direct(seq, stationary="eigen")
@@ -489,13 +467,18 @@ class TestEstimateDirect:
         m = data.draw(st.integers(1, 3))
         states = data.draw(st.lists(st.integers(0, kappa - 1), min_size=m + 1, max_size=80))
         seq = int_seq(states, kappa)
-        counts = count_transitions(embed_order(seq, m))
-        ref = entropy_rate(mle_transition_matrix(counts), stationary_empirical(counts))
+        # Never-visited states stay: their empty rows carry zero weight.
+        table = count_transitions(embed_order(seq, m)).dense
+        totals = table.sum(axis=1)
+        probs = table / np.maximum(totals, 1)[:, None]
         est = estimate_direct(seq, order=m, stationary="empirical")
-        assert est.value == pytest.approx(ref.value, abs=1e-12)
-        assert est.irreducible == ref.irreducible
-        never = [w for w in est.warnings if "never-visited" in w]
-        assert never == list(ref.warnings)
+        assert est.value == pytest.approx(
+            entropy_rate_loop_oracle(probs, totals / totals.sum()), abs=1e-12
+        )
+        assert est.irreducible == strongly_connected_oracle(table)
+        n_never = int((totals == 0).sum())
+        note = f"{n_never} never-visited state(s) carry zero stationary weight"
+        assert [w for w in est.warnings if "never-visited" in w] == ([note] if n_never else [])
 
 
 class TestEstimateDirectPooled:

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from entrate import (
     Alphabet,
     CompositeAlphabet,
+    ReducibleMatrixError,
     Sequence,
     TransitionMatrix,
     count_transitions,
@@ -25,8 +26,8 @@ from entrate.simulate import simulate_chain
 
 @st.composite
 def count_tables(draw):
-    """Square count tables over 1-8 states, mostly zeros, so that undefined
-    rows and reducible supports are common."""
+    """Square count tables over 1-8 states, mostly zeros, so that
+    never-visited states and reducible supports are common."""
     kappa = draw(st.integers(1, 8))
     return draw(arrays(np.int64, (kappa, kappa), elements=st.sampled_from([0, 0, 0, 1, 5])))
 
@@ -90,6 +91,10 @@ class TestSequence:
         assert seq.prefix(2).states.tolist() == [0, 1]
         with pytest.raises(ValueError):
             seq.prefix(0)
+
+    def test_from_tokens_names_tokens_outside_alphabet(self):
+        with pytest.raises(ValueError, match="^tokens outside the alphabet: p, q$"):
+            Sequence.from_tokens(["a", "q", "p", "q"], Alphabet(("a",)))
 
 
 class TestCompositeAlphabet:
@@ -320,7 +325,6 @@ class TestMleTransitionMatrix:
         counts = count_transitions(int_seq([0, 0, 1, 0, 0, 1, 1, 1, 0], kappa=2))
         P = mle_transition_matrix(counts)
         assert P.probs[0].sum() == pytest.approx(1.0)
-        assert P.all_rows_defined
 
     def test_rows(self):
         counts = from_table(np.array([[2, 2], [4, 0]]))
@@ -329,9 +333,10 @@ class TestMleTransitionMatrix:
 
     def test_undefined_row_flagged(self):
         counts = count_transitions(int_seq([0, 0, 1], kappa=2))
-        P = mle_transition_matrix(counts)
-        assert P.defined_rows.tolist() == [True, False]
-        assert np.all(P.probs[1] == 0.0)
+        with pytest.raises(
+            ReducibleMatrixError, match=r"^reducible transition matrix: 1 row\(s\) never visited$"
+        ):
+            mle_transition_matrix(counts)
 
     def test_all_zero_errors(self):
         counts = TransitionCounts(kappa=2, codes=[], n=[])
@@ -348,19 +353,15 @@ class TestMleTransitionMatrix:
 
 class TestIrreducibility:
     def test_two_cycle(self):
-        assert is_irreducible(TransitionMatrix.from_probs([[0, 1], [1, 0]]))
+        assert is_irreducible(TransitionMatrix([[0, 1], [1, 0]]))
 
     def test_absorbing_state(self):
-        assert not is_irreducible(TransitionMatrix.from_probs([[1, 0], [0.5, 0.5]]))
-
-    def test_undefined_rows(self):
-        P = TransitionMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([True, False]))
-        assert not is_irreducible(P)
+        assert not is_irreducible(TransitionMatrix([[1, 0], [0.5, 0.5]]))
 
     def test_pair_chain_with_structural_zeros(self):
         # 4-state chain on pairs: strongly connected despite half the entries
         # being structurally zero.
-        P = TransitionMatrix.from_probs(
+        P = TransitionMatrix(
             [
                 [0.9, 0.1, 0.0, 0.0],
                 [0.0, 0.0, 0.9333333333333333, 0.0666666666666667],
@@ -373,13 +374,14 @@ class TestIrreducibility:
     @settings(deadline=None)
     @given(count_tables())
     def test_matches_transitive_closure_oracle(self, table):
-        totals = table.sum(axis=1)
-        defined = totals > 0
-        probs = np.zeros(table.shape)
-        probs[defined] = table[defined] / totals[defined, None]
-        expected = strongly_connected_oracle(table)
-        assert is_irreducible(TransitionMatrix(probs, defined)) == expected
-        assert is_irreducible(from_table(table)) == expected
+        # The counts keep their never-visited states; the matrix fills each
+        # empty row with one step to the next state, since its rows are full.
+        assert is_irreducible(from_table(table)) == strongly_connected_oracle(table)
+        full = table.copy()
+        empty = np.flatnonzero(table.sum(axis=1) == 0)
+        full[empty, (empty + 1) % table.shape[0]] = 1
+        P = TransitionMatrix(full / full.sum(axis=1, keepdims=True))
+        assert is_irreducible(P) == strongly_connected_oracle(full)
 
     def test_counts_with_unvisited_sources_need_no_state_length_array(self):
         # Two observed sources among 10 M states: reducible, decided from the
@@ -442,10 +444,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="overflow int64"):
             TransitionCounts(kappa=math.isqrt(2**63 - 1) + 1, codes=[], n=[])
 
-    def test_defined_rows_must_sum_to_one(self):
+    def test_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            TransitionMatrix.from_probs([[0.5, 0.4], [0.5, 0.5]])
+            TransitionMatrix([[0.5, 0.4], [0.5, 0.5]])
+
+    def test_all_zero_row_rejected(self):
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            TransitionMatrix([[1.0, 0.0], [0.0, 0.0]])
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
-            TransitionMatrix.from_probs([[1.1, -0.1], [0.5, 0.5]])
+            TransitionMatrix([[1.1, -0.1], [0.5, 0.5]])

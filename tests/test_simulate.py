@@ -33,22 +33,22 @@ CASE_II = ReparamPoint(p=0.4, q=0.75, phi=0.3, gamma=0.95 / 0.75 - 1.0)
 
 class TestSimulateChain:
     def test_deterministic_cycle(self):
-        P = TransitionMatrix.from_probs([[0, 1], [1, 0]])
+        P = TransitionMatrix([[0, 1], [1, 0]])
         seq = simulate_chain(P, 4, init=0, rng=1)
         assert seq.states.tolist() == [0, 1, 0, 1]
 
     def test_identity_constant(self):
-        P = TransitionMatrix.from_probs(np.eye(3))
+        P = TransitionMatrix(np.eye(3))
         seq = simulate_chain(P, 5, init=2, rng=1)
         assert seq.states.tolist() == [2] * 5
 
     def test_identity_stationary_init_rejected(self):
-        P = TransitionMatrix.from_probs(np.eye(2))
+        P = TransitionMatrix(np.eye(2))
         with pytest.raises(ReducibleMatrixError):
             simulate_chain(P, 5, rng=1)
 
     def test_stationary_frequencies(self):
-        P = TransitionMatrix.from_probs([[0.6, 0.4], [0.75, 0.25]])
+        P = TransitionMatrix([[0.6, 0.4], [0.75, 0.25]])
         seq = simulate_chain(P, 100_000, rng=7)
         freq = np.bincount(seq.states, minlength=2) / seq.length
         assert np.allclose(freq, [0.75 / 1.15, 0.4 / 1.15], atol=0.01)
@@ -271,7 +271,7 @@ class TestRunExperiment:
     @staticmethod
     def _plan(**kwargs):
         defaults = dict(
-            generator=TransitionMatrix.from_probs([[0.2, 0.8], [0.7, 0.3]]),
+            generator=TransitionMatrix([[0.2, 0.8], [0.7, 0.3]]),
             lengths=(20, 50),
             replicates=3,
             estimators=(EstimatorSpec("empirical", 1), EstimatorSpec("swlz")),
