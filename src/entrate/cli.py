@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -23,14 +24,7 @@ from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_se
 from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled
 from .estimators import EstimatorSpec, run_estimator
-from .ingest import (
-    SequenceFile,
-    SequenceFileError,
-    ingest_many,
-    ingest_tokens,
-    read_tokens,
-    tokens_from_text,
-)
+from .ingest import SequenceFileError, ingest_many, read_tokens, tokens_from_text
 from .markov import EstimationError, Sequence, TransitionMatrix
 from .simulate import (
     BENCHMARK_NAMES,
@@ -103,9 +97,12 @@ def _round(x: float | None, digits: int = 10) -> float | None:
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("files", nargs="*", metavar="FILE", help="sequence file(s)")
-    sub.add_argument("--text", help="inline sequence instead of files")
+    sub.add_argument("--text", help="inline sequence; not combinable with FILE(s)")
     sub.add_argument(
-        "--format", choices=("tokens", "lines"), default="tokens", help="file layout"
+        "--format",
+        choices=("tokens", "lines"),
+        default="tokens",
+        help="layout of FILE(s): whitespace-separated tokens, or one token per line",
     )
     sub.add_argument(
         "--collapse-repeats",
@@ -131,43 +128,30 @@ def _read_alphabet(path: str | None) -> tuple[str, ...] | None:
 
 
 def _load_sequence(args: argparse.Namespace) -> tuple[Sequence, list[int], dict[str, Any]]:
+    if args.text is not None and args.files:
+        raise SequenceFileError("pass FILE(s) or --text, not both")
     declared = _read_alphabet(args.alphabet)
     if args.text is not None:
-        text = ("--text", tokens_from_text(args.text), args.collapse_repeats)
-        seq, starts = ingest_tokens([text], declared)
-        source = {"text": True, "files": []}
+        sources = [("--text", tokens_from_text(args.text))]
     elif args.files:
-        files = [
-            SequenceFile(
-                path=p,
-                format=args.format,
-                declared_alphabet=declared,
-                collapse_repeats=args.collapse_repeats,
-            )
-            for p in args.files
-        ]
-        seq, starts = ingest_many(files)
-        source = {"text": False, "files": list(args.files)}
+        sources = [(p, read_tokens(p, args.format)) for p in args.files]
     else:
         raise SequenceFileError("no input: pass FILE(s) or --text")
-    source.update(
-        {
-            "n_obs": seq.length,
-            "kappa": seq.alphabet.kappa,
-            "alphabet": list(seq.alphabet.symbols),
-            "collapse_repeats": bool(args.collapse_repeats),
-        }
-    )
+    seq, starts = ingest_many(sources, declared, args.collapse_repeats)
+    source = {
+        "text": args.text is not None,
+        "files": list(args.files),
+        "n_obs": seq.length,
+        "kappa": seq.alphabet.kappa,
+        "alphabet": list(seq.alphabet.symbols),
+        "collapse_repeats": bool(args.collapse_repeats),
+    }
     return seq, starts, source
 
 
 def _split_segments(seq: Sequence, starts: list[int]) -> list[Sequence]:
     bounds = starts + [seq.length]
-    return [
-        Sequence(seq.states[a:b], seq.alphabet)
-        for a, b in zip(bounds, bounds[1:])
-        if b > a
-    ]
+    return [Sequence(seq.states[a:b], seq.alphabet) for a, b in zip(bounds, bounds[1:])]
 
 
 def _checked(cast, ok, rule: str):
@@ -296,6 +280,19 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- simulate
 
 
+def _transition_matrix(rows: Any) -> TransitionMatrix:
+    """A ``TransitionMatrix`` from a list of rows of numbers, such as parsed
+    JSON; raises ``ValueError`` for any other entry (a bool or a numeric
+    string is no number)."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix must be a list of rows")
+    for row in rows:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"matrix entry {v!r} is not a number")
+    return TransitionMatrix(rows)
+
+
 def _parse_matrix_file(path: str) -> TransitionMatrix:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -310,7 +307,7 @@ def _parse_matrix_file(path: str) -> TransitionMatrix:
                 for line in text.splitlines()
                 if line.strip() and not line.strip().startswith("#")
             ]
-        return TransitionMatrix(rows)
+        return _transition_matrix(rows)
     except ValueError as exc:
         raise SequenceFileError(f"{path}: {exc}") from exc
 
@@ -324,6 +321,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if sum(chosen) != 1:
         raise SequenceFileError(
             "choose exactly one generator: --benchmark, --matrix, or --second-order"
+        )
+    if args.second_order is not None and args.init is not None:
+        raise SequenceFileError(
+            "--init applies to --benchmark and --matrix; --second-order starts stationary"
         )
     if args.second_order is not None:
         try:
@@ -404,7 +405,7 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
             raise PlanError(f"plan field 'generator': {exc}") from exc
     elif "matrix" in gen:
         try:
-            generator = TransitionMatrix(gen["matrix"])
+            generator = _transition_matrix(gen["matrix"])
         except ValueError as exc:
             raise PlanError(f"plan field 'generator.matrix': {exc}") from exc
     elif "second_order" in gen:
@@ -509,9 +510,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _read_numbers(path: str) -> list[float]:
     tokens = read_tokens(path)
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
         raise SequenceFileError(f"{path}: non-numeric value: {exc}") from exc
+    bad = [t for t, v in zip(tokens, values) if not math.isfinite(v)]
+    if bad:
+        raise SequenceFileError(f"{path}: non-finite value(s): {', '.join(bad)}")
+    return values
 
 
 def _cmd_ttest(args: argparse.Namespace) -> int:
@@ -591,7 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--kappa", type=int, default=8)
     sim.add_argument("--diag", type=float, default=0.95)
     sim.add_argument("--length", type=int, required=True)
-    sim.add_argument("--init", type=int, help="fixed initial state (default: stationary)")
+    sim.add_argument(
+        "--init",
+        type=int,
+        help="fixed initial state for --benchmark or --matrix (default: stationary)",
+    )
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", metavar="FILE", help="write tokens here instead of stdout")
 

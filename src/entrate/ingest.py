@@ -1,17 +1,18 @@
-"""Sequence file ingestion.
+"""Sequence ingestion: token files or inline text, one path for both.
 
-Files are UTF-8 token streams: tokens separated by whitespace (or one per
-line), with ``#``-prefixed comment lines ignored.  Consecutive repeats of the
-same symbol can be collapsed to a single occurrence so that the chain models
-transitions between distinct actions only.  Multiple files are collapsed
-individually and then concatenated; the transition across each file boundary
-is included by default, with the boundary positions reported so callers can
-exclude those transitions instead.
+A source is a label (a file path, or ``--text``) with its tokens.  Files are
+UTF-8 token streams: tokens separated by whitespace (or one per line), with
+``#``-prefixed comment lines ignored.  Inline text is split by
+``tokens_from_text``.  Consecutive repeats of the same symbol can be collapsed
+to a single occurrence so that the chain models transitions between distinct
+actions only.  Several sources are collapsed individually and then
+concatenated; the transition across each source boundary is included by
+default, with the boundary positions reported so callers can exclude those
+transitions instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, groupby
 from pathlib import Path
 
@@ -21,31 +22,15 @@ from .markov import Alphabet, Sequence
 
 __all__ = [
     "SequenceFileError",
-    "SequenceFile",
     "collapse_repeats",
     "tokens_from_text",
     "read_tokens",
     "ingest_many",
-    "ingest_tokens",
 ]
 
 
 class SequenceFileError(ValueError):
     """A sequence file is missing, empty, malformed, or off-alphabet."""
-
-
-@dataclass(frozen=True)
-class SequenceFile:
-    """One input file plus its parsing options."""
-
-    path: str
-    format: str = "tokens"
-    declared_alphabet: tuple[str, ...] | None = None
-    collapse_repeats: bool = False
-
-    def __post_init__(self) -> None:
-        if self.format not in ("tokens", "lines"):
-            raise SequenceFileError(f"unknown format {self.format!r}")
 
 
 def collapse_repeats(tokens: list[str]) -> list[str]:
@@ -63,9 +48,16 @@ def tokens_from_text(text: str) -> list[str]:
 
 
 def read_tokens(path: str, fmt: str = "tokens") -> list[str]:
-    p = Path(path)
+    """The tokens of the file at ``path``, skipping blank and ``#`` lines.
+
+    ``fmt`` is ``"tokens"`` (whitespace-separated tokens) or ``"lines"`` (each
+    stripped line is one token).  Raises ``SequenceFileError`` for an unknown
+    format, an unreadable file, or a file with no tokens.
+    """
+    if fmt not in ("tokens", "lines"):
+        raise SequenceFileError(f"unknown format {fmt!r}")
     try:
-        raw = p.read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
     tokens: list[str] = []
@@ -82,37 +74,26 @@ def read_tokens(path: str, fmt: str = "tokens") -> list[str]:
     return tokens
 
 
-def ingest_many(files: list[SequenceFile]) -> tuple[Sequence, list[int]]:
-    """Concatenate several files into one Sequence over a shared alphabet.
-
-    Each file is collapsed individually (per its own flag) before
-    concatenation, so a repeat spanning a boundary is preserved.  Returns the
-    sequence plus the start index of each constituent file within it; callers
-    that want to exclude cross-boundary transitions can split there.
-    """
-    if not files:
-        raise SequenceFileError("no input files")
-    declared = files[0].declared_alphabet
-    if any(sf.declared_alphabet != declared for sf in files):
-        raise SequenceFileError("all files must declare the same alphabet")
-    return ingest_tokens(
-        [(sf.path, read_tokens(sf.path, sf.format), sf.collapse_repeats) for sf in files],
-        declared,
-    )
-
-
-def ingest_tokens(
-    sources: list[tuple[str, list[str], bool]],
+def ingest_many(
+    sources: list[tuple[str, list[str]]],
     declared_alphabet: tuple[str, ...] | None = None,
+    collapse: bool = False,
 ) -> tuple[Sequence, list[int]]:
-    """``ingest_many`` for token lists already in memory, such as inline text.
+    """Concatenate token sources into one Sequence over a shared alphabet.
 
-    Each source is (label for error messages, tokens, collapse repeats).  The
-    alphabet is the declared one when present (every token must belong to
-    it), otherwise the sorted distinct tokens of all sources.
+    Each source is (label for error messages, tokens): a file's tokens from
+    ``read_tokens`` or inline text's from ``tokens_from_text``.  The alphabet
+    is the declared one when present (every token must belong to it),
+    otherwise the sorted distinct tokens of all sources.  With ``collapse``,
+    each source is collapsed individually before concatenation, so a repeat
+    spanning a boundary is preserved.  Returns the sequence plus the start
+    index of each source within it; callers that want to exclude
+    cross-boundary transitions can split there.
     """
+    if not sources:
+        raise SequenceFileError("no input sources")
     token_lists = []
-    for label, tokens, collapse in sources:
+    for label, tokens in sources:
         if not tokens:
             raise SequenceFileError(f"empty input: {label}")
         if declared_alphabet is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from statistics import fmean, variance
 
 __all__ = ["GroupComparison", "ttest_pooled"]
@@ -31,6 +31,8 @@ def ttest_pooled(a: list[float], b: list[float]) -> GroupComparison:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("each group needs at least 2 values")
+    if not all(isfinite(v) for v in a + b):
+        raise ValueError("values must be finite")
     df = na + nb - 2
     sp2 = ((na - 1) * variance(a) + (nb - 1) * variance(b)) / df
     if sp2 <= 0.0:

@@ -144,6 +144,15 @@ class TestEstimateCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "input"
 
+    @pytest.mark.parametrize("command", ["estimate", "parse"])
+    def test_files_with_text_is_input_error(self, capsys, tmp_path, command):
+        path = write(tmp_path, "s.txt", "a b a b\n")
+        code, out, err = run(capsys, command, path, "--text", "AAAB")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "not both" in error["message"]
+
     def test_reducible_eigen_is_numeric_error(self, capsys, tmp_path):
         path = write(tmp_path, "s.txt", " ".join(["0"] * 50 + ["1"]))
         code, _, err = run(capsys, "estimate", path, "--method", "eigen")
@@ -402,8 +411,14 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "text",
-        ["[[0.5, 0.5],", "0.5 x\n0.5 0.5\n", "nan 1\n0.5 0.5\n"],
-        ids=["json", "rows", "nan"],
+        [
+            "[[0.5, 0.5],",
+            "0.5 x\n0.5 0.5\n",
+            "nan 1\n0.5 0.5\n",
+            '[[{"a": 1}, 1], [0.5, 0.5]]',
+            '[["0.5", "0.5"], [0.5, 0.5]]',
+        ],
+        ids=["json", "rows", "nan", "object", "string"],
     )
     def test_malformed_matrix_file_is_input_error(self, capsys, tmp_path, text):
         path = write(tmp_path, "m.txt", text)
@@ -412,6 +427,16 @@ class TestSimulateCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "input"
         assert error["message"].startswith(path)
+
+    def test_init_with_second_order_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--second-order", "0.2,0.3,0.4,0.5",
+            "--length", "8", "--init", "0", "--seed", "3",
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "--init" in error["message"]
 
     def test_reducible_matrix_is_numeric_error(self, capsys, tmp_path):
         # No stationary distribution to start from: a numeric failure.
@@ -509,6 +534,9 @@ class TestExperimentCommand:
             ({"estimators": [{"method": "empirical", "order": True}]}, "estimators[0].order"),
             ({"paper_zero_mode": "no"}, "paper_zero_mode"),
             ({"generator": {"matrix": [[None, 1], [0.5, 0.5]]}}, "generator.matrix"),
+            ({"generator": {"matrix": [[{}, 1], [0.5, 0.5]]}}, "generator.matrix"),
+            ({"generator": {"matrix": [["0.5", 0.5], [0.5, 0.5]]}}, "generator.matrix"),
+            ({"generator": {"matrix": [[True, 0], [0.5, 0.5]]}}, "generator.matrix"),
             (
                 {"generator": {"second_order": {"a": None, "b": 0.5, "c": 0.5, "d": 0.5}}},
                 "generator.second_order.a",
@@ -524,7 +552,8 @@ class TestExperimentCommand:
         ],
         ids=[
             "kappa-range", "diag-range", "high-kappa-range", "kappa-str", "kappa-null",
-            "diag-bool", "order-str", "order-bool", "zero-mode-str", "matrix-null", "second-order-null",
+            "diag-bool", "order-str", "order-bool", "zero-mode-str", "matrix-null", "matrix-object", "matrix-str",
+            "matrix-bool", "second-order-null",
             "second-order-bool", "reparam-str",
         ],
     )
@@ -580,6 +609,18 @@ class TestTtestCommand:
         b = write(tmp_path, "b.txt", "1 2\n")
         code, _, _ = run(capsys, "ttest", a, b)
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_is_input_error(self, capsys, tmp_path, value):
+        a = write(tmp_path, "a.txt", "1 2 3\n")
+        b = write(tmp_path, "b.txt", f"1 {value} 2\n")
+        out_json = tmp_path / "t.json"
+        code, out, err = run(capsys, "ttest", a, b, "--json", str(out_json))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert error["message"].startswith(b) and value in error["message"]
+        assert not out_json.exists()
 
 
 class TestCsvMirror:

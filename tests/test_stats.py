@@ -41,6 +41,11 @@ class TestTtestPooled:
         with pytest.raises(ValueError, match="degenerate"):
             ttest_pooled([1.0, 1.0, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ttest_pooled([1.0, 2.0, value], [1.0, 2.0])
+
     def test_small_groups_rejected(self):
         with pytest.raises(ValueError):
             ttest_pooled([1.0], [1.0, 2.0])
