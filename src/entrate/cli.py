@@ -102,14 +102,15 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
         "--format",
         choices=("tokens", "lines"),
         default="tokens",
-        help="layout of FILE(s): whitespace-separated tokens, or one token per line",
+        help="layout of FILE(s) and the --alphabet file: whitespace-separated "
+        "tokens, or one token per line",
     )
     sub.add_argument(
         "--collapse-repeats",
         action="store_true",
         help="merge consecutive identical symbols before analysis",
     )
-    sub.add_argument("--alphabet", metavar="FILE", help="declared alphabet, one token list")
+    sub.add_argument("--alphabet", metavar="FILE", help="declared alphabet, in the --format layout")
 
 
 def _add_report_options(sub: argparse.ArgumentParser) -> None:
@@ -117,10 +118,10 @@ def _add_report_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--csv", metavar="OUT", help="write flat CSV report here")
 
 
-def _read_alphabet(path: str | None) -> tuple[str, ...] | None:
+def _read_alphabet(path: str | None, fmt: str) -> tuple[str, ...] | None:
     if path is None:
         return None
-    symbols = tuple(read_tokens(path))
+    symbols = tuple(read_tokens(path, fmt))
     repeated = sorted(t for t, n in Counter(symbols).items() if n > 1)
     if repeated:
         raise SequenceFileError(f"{path}: alphabet repeats token(s): {', '.join(repeated)}")
@@ -130,7 +131,7 @@ def _read_alphabet(path: str | None) -> tuple[str, ...] | None:
 def _load_sequence(args: argparse.Namespace) -> tuple[Sequence, list[int], dict[str, Any]]:
     if args.text is not None and args.files:
         raise SequenceFileError("pass FILE(s) or --text, not both")
-    declared = _read_alphabet(args.alphabet)
+    declared = _read_alphabet(args.alphabet, args.format)
     if args.text is not None:
         sources = [("--text", tokens_from_text(args.text))]
     elif args.files:

@@ -40,6 +40,42 @@ def naive_novel_length(states, start: int, history_end: int | None = None):
     return (n - start) + 1, True
 
 
+def match_lengths_level_oracle(states) -> np.ndarray:
+    """The package's former match-length kernel, one symbol per level.
+
+    M[i] is the length of the longest prefix of x[i:] occurring inside
+    x[:i].  Level L holds the positions whose L-gram class may still match,
+    sorted by (class, position), so the head of each class run is the
+    class's first occurrence f, and member i is matched at length L iff
+    f + L <= i.  A class with no matched member is dropped, as is every
+    position whose (L+1)-gram would run past the end; the rest are refined
+    into (L+1)-gram classes by a stable sort on (class, next symbol).
+    """
+    x = np.asarray(states, dtype=np.int64)
+    n = x.size
+    matches = np.zeros(n, dtype=np.int64)
+    radix = int(x.max()) + 1
+    pos = np.arange(n)
+    cls = np.zeros(n, dtype=np.int64)
+    L = 0
+    while pos.size:
+        key = cls * radix + x[pos + L]
+        order = np.argsort(key, kind="stable")
+        pos, key = pos[order], key[order]
+        head = np.empty(pos.size, dtype=bool)
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        L += 1
+        cls = np.cumsum(head) - 1
+        matched = pos[head][cls] <= pos - L
+        matches[pos[matched]] = L
+        live = np.zeros(int(cls[-1]) + 1, dtype=bool)
+        live[cls[matched]] = True
+        keep = live[cls] & (pos < n - L)
+        pos, cls = pos[keep], cls[keep]
+    return matches
+
+
 def plugin_rate_oracle(P, n: int, reps: int, seed: int) -> tuple[float, float]:
     """Brute-force expected first-order plug-in entropy rate at length n.
 

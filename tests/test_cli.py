@@ -268,6 +268,19 @@ class TestEstimateCommand:
         assert error["type"] == "input"
         assert alphabet in error["message"] and "repeats token(s): b" in error["message"]
 
+    def test_alphabet_file_follows_format(self, capsys, tmp_path):
+        # Under --format lines a declared token may contain spaces.
+        path = write(tmp_path, "s.txt", "eat food\nsleep\neat food\neat food\nsleep\n")
+        alphabet = write(tmp_path, "al.txt", "eat food\nsleep\nnap time\n")
+        out_json = tmp_path / "r.json"
+        code, _, err = run(
+            capsys, "estimate", path, "--format", "lines", "--alphabet", alphabet,
+            "--json", str(out_json),
+        )
+        assert code == 0, err
+        report = json.loads(out_json.read_text())
+        assert report["input"]["alphabet"] == ["eat food", "sleep", "nap time"]
+
     def test_p_without_replicates_is_input_error(self, capsys, tmp_path):
         path = write(tmp_path, "s.txt", "a b a b a a b\n")
         code, out, err = run(capsys, "estimate", path, "--p", "0.5")

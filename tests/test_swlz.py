@@ -1,13 +1,16 @@
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
-from conftest import int_seq, naive_novel_length, token_seq
+from conftest import int_seq, match_lengths_level_oracle, naive_novel_length, token_seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate import (
+    Alphabet,
     InsufficientDataError,
+    Sequence,
     format_parsing,
     novel_lengths,
     swlz_entropy,
@@ -200,7 +203,73 @@ def short_sequences(draw):
     return int_seq(states, kappa)
 
 
+@cache
+def _alphabet(kappa: int) -> Alphabet:
+    return Alphabet.of_size(kappa)
+
+
+@st.composite
+def stride_sequences(draw):
+    """Sequences of 2-600 symbols whose matches take several packed rounds.
+
+    Small alphabets pack 13-60 symbols per round; the sparse ones (a few
+    symbols up to kappa - 1 >= 8191) leave room for 2-4.  Runs and repeated
+    blocks, with a few point edits, make long matches common.
+    """
+    kappa = draw(st.sampled_from((1, 2, 3, 8, 9)) | st.sampled_from((8192, 40_000, 131_073)))
+    rest = st.lists(st.integers(0, kappa - 1), max_size=min(kappa - 1, 8), unique=True)
+    palette = sorted({kappa - 1, *draw(rest)}, reverse=True)
+    symbol = st.sampled_from(palette)
+    shape = draw(st.sampled_from(("iid", "runs", "blocks")))
+    if shape == "iid":
+        states = draw(st.lists(symbol, min_size=2, max_size=600))
+    elif shape == "runs":
+        runs = draw(st.lists(st.tuples(symbol, st.integers(1, 150)), min_size=1, max_size=12))
+        states = [s for s, run in runs for _ in range(run)]
+    else:
+        block = draw(st.lists(symbol, min_size=1, max_size=12))
+        states = (block * draw(st.integers(1, 300)))[:600]
+        for i, value in draw(st.lists(st.tuples(st.integers(0, 599), symbol), max_size=3)):
+            if i < len(states):
+                states[i] = value
+    if len(states) < 2:
+        states = states * 2
+    return Sequence(np.asarray(states, dtype=np.int64), _alphabet(kappa))
+
+
+def expected_novelty(matches):
+    """Novelty lengths and capped flags from match lengths (index 0 unused)."""
+    n = matches.size
+    lengths = matches + 1
+    capped = matches == n - np.arange(n)
+    lengths[0], capped[0] = 0, False
+    return lengths, capped
+
+
 class TestMatchLengthKernel:
+    @settings(deadline=None)
+    @given(stride_sequences())
+    def test_equals_level_oracle(self, seq):
+        # The packed kernel against the one-symbol-per-level loop it replaced.
+        lengths, capped = expected_novelty(match_lengths_level_oracle(seq.states))
+        nl = novel_lengths(seq)
+        assert nl.lengths.dtype.kind == "i"
+        assert np.array_equal(nl.lengths, lengths)
+        assert np.array_equal(nl.capped, capped)
+
+    @pytest.mark.parametrize("n", [2047, 2048, 3000])
+    @pytest.mark.parametrize("period", [1, 2, 3, 7])
+    def test_periodic_closed_form(self, n, period):
+        # x[i] = i mod p first repeats at i = p; from there the longest
+        # earlier copy starts at i mod p and must end by i (or by n).
+        # n = 2047 -> 2048 changes the symbols packed per round for p = 1, 7.
+        i = np.arange(n)
+        expected = np.where(i < period, 0, np.minimum(i - i % period, n - i))
+        lengths, capped = expected_novelty(expected)
+        nl = novel_lengths(int_seq(i % period, period))
+        assert np.array_equal(nl.lengths, lengths)
+        assert np.array_equal(nl.capped, capped)
+
     @settings(deadline=None)
     @given(short_sequences())
     def test_equals_oracle(self, seq):
