@@ -8,6 +8,10 @@ what makes the scheme suitable for dependent data.
 
 The block-continuation parameter p is chosen so the mean block length matches
 the mean novelty length implied by an entropy estimate: p = H_hat / log2(n).
+
+Segmented data (files whose boundary transitions are excluded) is resampled
+one segment at a time, each within itself, and every replicate pools its
+resampled segments the way the point estimate pools the originals.
 """
 
 from __future__ import annotations
@@ -134,15 +138,17 @@ def stationary_bootstrap_sample(
 
 
 def bootstrap_se(
-    seq: Sequence, estimator: EstimatorSpec, config: BootstrapConfig
+    seq: Sequence, estimator: EstimatorSpec, config: BootstrapConfig, *more: Sequence
 ) -> BootstrapResult:
     """Point estimate of ``seq`` plus its stationary-bootstrap standard error.
 
-    The point estimate is computed once, with the same ``estimator`` as every
-    replicate; errors on the original sequence propagate.  When ``config.p``
-    is None the block parameter is ``choose_p(point, n)``.  Each replicate is
-    resampled and estimated with an independent child stream of the seeded
-    generator, so results do not depend on evaluation order.
+    The point estimate is ``run_estimator(seq, estimator, *more)``, once, with
+    the same ``estimator`` as every replicate; errors on it propagate.  When
+    ``config.p`` is None the block parameter is ``choose_p(point, n)``, n the
+    total length.  Each replicate draws from an independent child stream of
+    the seeded generator, so results do not depend on evaluation order, and
+    resamples ``seq`` and then each of ``more`` from that stream; a segment
+    under 2 symbols is kept as it is.
 
     A replicate whose estimator raises EstimationError (e.g. a reducible
     matrix under the eigen method) is recorded as 0.0 and counted in
@@ -150,19 +156,22 @@ def bootstrap_se(
     ``estimator.paper_zero_mode`` a reducible replicate is not a failure: the
     estimator itself returns 0.0.
     """
-    point = run_estimator(seq, estimator)
+    segments = (seq, *more)
+    point = run_estimator(seq, estimator, *more)
     p, notes = config.p, []
     if p is None:
-        p, note = _clamped_p(point.value, seq.length)
+        p, note = _clamped_p(point.value, sum(s.length for s in segments))
         notes = [note] if note else []
     streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
     values: list[float] = []
     n_failures = 0
     for stream in streams:
         rng = np.random.default_rng(stream)
-        resample = stationary_bootstrap_sample(seq, p, rng)
+        resample = [
+            stationary_bootstrap_sample(s, p, rng) if s.length >= 2 else s for s in segments
+        ]
         try:
-            values.append(run_estimator(resample, estimator).value)
+            values.append(run_estimator(resample[0], estimator, *resample[1:]).value)
         except EstimationError:
             n_failures += 1
             values.append(0.0)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_se
-from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled
+# perfbench/tracer.py wraps cli.estimate_direct_pooled, which nothing here calls.
+from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled  # noqa: F401
 from .estimators import EstimatorSpec, run_estimator
 from .ingest import SequenceFileError, ingest_many, read_tokens, tokens_from_text
 from .markov import EstimationError, Sequence, TransitionMatrix
@@ -174,6 +175,7 @@ def _checked(cast, ok, rule: str):
 _replicate_count = _checked(int, lambda v: v >= 2, "need at least 2 replicates")
 _order = _checked(int, lambda v: v >= 1, "order must be >= 1")
 _block_p = _checked(float, lambda v: 0.0 < v <= 1.0, "p must lie in (0, 1]")
+_seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
 
 
 def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
@@ -209,38 +211,26 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise SequenceFileError("--seed sets the bootstrap RNG seed; it needs --replicates")
     seed = 0 if args.seed is None else args.seed
     specs = _estimator_specs(args)
-    if args.exclude_boundaries and replicates and any(
-        spec.method in DIRECT_METHODS for spec in specs
-    ):
-        raise SequenceFileError(
-            "--exclude-boundaries cannot be combined with --replicates for a direct "
-            "method: the bootstrap resamples the concatenated files"
-        )
     seq, starts, source = _load_sequence(args)
-    segments = _split_segments(seq, starts) if args.exclude_boundaries else None
+    segments = _split_segments(seq, starts) if args.exclude_boundaries else [seq]
     records = []
     lines = []
     for spec in specs:
         se = p_used = None
         extra: list[str] = []
+        first, *more = [seq] if spec.method == "swlz" else segments
         if replicates:
             config = BootstrapConfig(p=args.p, replicates=replicates, seed=seed)
-            result = bootstrap_se(seq, spec, config)
+            result = bootstrap_se(first, spec, config, *more)
             est, se, p_used = result.point, result.standard_error, result.p_used
             extra.extend(result.warnings)
-        elif segments is not None and spec.method in DIRECT_METHODS:
-            est = estimate_direct_pooled(
-                segments,
-                order=spec.order,
-                stationary=spec.method,
-                paper_zero_mode=spec.paper_zero_mode,
-            )
-            extra.append("transitions across file boundaries excluded")
         else:
-            est = run_estimator(seq, spec)
-        if segments is not None and spec.method == "swlz":
+            est = run_estimator(first, spec, *more)
+        if args.exclude_boundaries:
             extra.append(
                 "--exclude-boundaries does not apply to swlz: the files were concatenated"
+                if spec.method == "swlz"
+                else "transitions across file boundaries excluded"
             )
         records.append(_estimate_record(est, se, p_used, replicates, extra))
         detail = f"{est.value:.4f} bits"
@@ -448,13 +438,16 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
             estimators.append(EstimatorSpec(item["method"], order, zero_mode))
         except ValueError as exc:
             raise PlanError(f"plan field 'estimators[{k}]': {exc}") from exc
+    seed = _plan_field(plan_dict, "seed", int)
+    if seed < 0:
+        raise PlanError("plan field 'seed': must be >= 0")
     try:
         plan = ExperimentPlan(
             generator=generator,
             lengths=tuple(lengths),
             replicates=_plan_field(plan_dict, "replicates", int),
             estimators=tuple(estimators),
-            seed=_plan_field(plan_dict, "seed", int),
+            seed=seed,
         )
     except ValueError as exc:
         raise PlanError(f"plan validation: {exc}") from exc
@@ -569,8 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--exclude-boundaries",
             action="store_true",
             help="do not count transitions spanning file boundaries (direct methods); "
-            "not combinable with --replicates for a direct method, because the "
-            "bootstrap resamples the concatenated files",
+            "the bootstrap resamples each file on its own",
         )
         est.add_argument(
             "--replicates",
@@ -582,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--p", type=_block_p, help="bootstrap block parameter override (needs --replicates)"
         )
         est.add_argument(
-            "--seed", type=int, help="bootstrap RNG seed (default 0; needs --replicates)"
+            "--seed", type=_seed, help="bootstrap RNG seed (default 0; needs --replicates)"
         )
         _add_report_options(est)
 
@@ -602,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="fixed initial state for --benchmark or --matrix (default: stationary)",
     )
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--out", metavar="FILE", help="write tokens here instead of stdout")
 
     exp = sub.add_parser("experiment", help="run a Monte Carlo experiment plan")

@@ -218,34 +218,24 @@ def entropy_rate(P: TransitionMatrix, pi: ProbabilityVector | np.ndarray) -> Ent
 
 def estimate_direct(
     seq: Sequence,
+    *more: Sequence,
     order: int = 1,
     stationary: str = "empirical",
-    *,
     paper_zero_mode: bool = False,
 ) -> EntropyEstimate:
-    """Direct entropy rate estimate of ``seq`` as an order-m chain: the
-    one-segment case of ``estimate_direct_pooled``."""
-    return estimate_direct_pooled([seq], order, stationary, paper_zero_mode=paper_zero_mode)
-
-
-def estimate_direct_pooled(
-    segments: list[Sequence],
-    order: int = 1,
-    stationary: str = "empirical",
-    *,
-    paper_zero_mode: bool = False,
-) -> EntropyEstimate:
-    """Direct entropy rate estimate from transition counts pooled across segments.
+    """Direct entropy rate estimate of ``seq`` as an order-m chain, with the
+    transition counts of any further segments ``more`` pooled in.
 
     Embeds each segment into order-m composite states and counts transitions
     within each segment only, so pairs spanning a segment boundary are
-    excluded; segments no longer than ``order`` contribute no transitions.
-    All segments must share one base alphabet.  ``stationary`` (one of
-    ``DIRECT_METHODS``) picks the stationary weights pi_i, and every method
-    evaluates one plug-in sum -sum pi_i p_ij log2 p_ij over the counts'
-    nonzero entries, with p_ij = n_ij / n_i+.  Empirical weights are
-    n_i+ / n_++ and need no K-length array; eigen and limit solve for pi on
-    the dense MLE matrix.  Irreducibility is read once, from the counts.
+    excluded; segments no longer than ``order`` contribute no transitions,
+    but every segment's symbols count towards ``n_obs``.  All segments must
+    share one base alphabet.  ``stationary`` (one of ``DIRECT_METHODS``)
+    picks the stationary weights pi_i, and every method evaluates one plug-in
+    sum -sum pi_i p_ij log2 p_ij over the counts' nonzero entries, with
+    p_ij = n_ij / n_i+.  Empirical weights are n_i+ / n_++ and need no
+    K-length array; eigen and limit solve for pi on the dense MLE matrix.
+    Irreducibility is read once, from the counts.
 
     Eigen and limit fail in this order, and only the last step builds a
     K x K array: above DENSE_STATE_LIMIT composite states they raise
@@ -262,10 +252,9 @@ def estimate_direct_pooled(
         raise ValueError(f"unknown stationary method {stationary!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if not segments:
-        raise ValueError("at least one segment required")
-    alphabet = segments[0].alphabet
-    if any(seg.alphabet is not alphabet for seg in segments[1:]):
+    segments = (seq, *more)
+    alphabet = seq.alphabet
+    if any(seg.alphabet is not alphabet for seg in more):
         raise ValueError("segments must share a single alphabet")
     if isinstance(alphabet, CompositeAlphabet):
         raise ValueError("direct estimates expect base-alphabet sequences")
@@ -317,4 +306,17 @@ def estimate_direct_pooled(
         order=order,
         irreducible=irreducible,
         warnings=tuple(warn),
+    )
+
+
+def estimate_direct_pooled(
+    segments: list[Sequence],
+    order: int = 1,
+    stationary: str = "empirical",
+    *,
+    paper_zero_mode: bool = False,
+) -> EntropyEstimate:
+    """``estimate_direct`` of a nonempty list of segments."""
+    return estimate_direct(
+        *segments, order=order, stationary=stationary, paper_zero_mode=paper_zero_mode
     )

@@ -49,10 +49,14 @@ class EstimatorSpec:
         return f"{self.tag}(m={self.order})"
 
 
-def run_estimator(seq: Sequence, spec: EstimatorSpec) -> EntropyEstimate:
-    """Apply the described estimator to a sequence."""
+def run_estimator(seq: Sequence, spec: EstimatorSpec, *more: Sequence) -> EntropyEstimate:
+    """Apply the described estimator to ``seq``; a direct method pools in the
+    segments ``more`` (see ``estimate_direct``), which swlz refuses."""
     if spec.method == "swlz":
+        if more:
+            raise ValueError("swlz takes one sequence: concatenate the segments")
         return swlz_entropy(seq)
     return estimate_direct(
-        seq, order=spec.order, stationary=spec.method, paper_zero_mode=spec.paper_zero_mode
+        seq, *more, order=spec.order, stationary=spec.method,
+        paper_zero_mode=spec.paper_zero_mode,
     )

@@ -7,8 +7,8 @@ UTF-8 token streams: tokens separated by whitespace (or one per line), with
 to a single occurrence so that the chain models transitions between distinct
 actions only.  Several sources are collapsed individually and then
 concatenated; the transition across each source boundary is included by
-default, with the boundary positions reported so callers can exclude those
-transitions instead.
+default, with the boundary positions reported so that each source can be
+passed on as its own segment instead (``--exclude-boundaries``).
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ def ingest_many(
     otherwise the sorted distinct tokens of all sources.  With ``collapse``,
     each source is collapsed individually before concatenation, so a repeat
     spanning a boundary is preserved.  Returns the sequence plus the start
-    index of each source within it; callers that want to exclude
-    cross-boundary transitions can split there.
+    index of each source within it: split there, the segments go to
+    ``run_estimator`` and ``bootstrap_se``, which then neither count nor
+    resample across a boundary.
     """
     if not sources:
         raise SequenceFileError("no input sources")

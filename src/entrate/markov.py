@@ -147,9 +147,6 @@ class CompositeAlphabet:
             index //= k
         return tuple(out)
 
-    def label(self, state: int) -> str:
-        return "|".join(self.base.label(s) for s in self.decode(state))
-
 
 @dataclass(frozen=True, eq=False)
 class Sequence:
@@ -169,9 +166,6 @@ class Sequence:
     @property
     def length(self) -> int:
         return int(self.states.size)
-
-    def __len__(self) -> int:
-        return self.length
 
     @classmethod
     def from_tokens(
@@ -212,7 +206,6 @@ class TransitionCounts:
     kappa: int
     codes: np.ndarray
     n: np.ndarray
-    alphabet: Alphabet | CompositeAlphabet | None = None
 
     def __post_init__(self) -> None:
         kappa = self.kappa
@@ -321,9 +314,6 @@ class ProbabilityVector:
     def size(self) -> int:
         return int(self.probs.size)
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.probs[i])
-
 
 def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
     """Count one-step transitions: counts[i][j] = #{t : x_{t-1}=i, x_t=j}.
@@ -343,7 +333,7 @@ def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
             "no transitions observed: sequence has fewer than 2 symbols"
         )
     codes, n = np.unique(codes, return_counts=True)
-    return TransitionCounts(kappa=kappa, codes=codes, n=n, alphabet=alphabet)
+    return TransitionCounts(kappa=kappa, codes=codes, n=n)
 
 
 def embed_order(seq: Sequence, m: int) -> Sequence:

@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate import (
+    Alphabet,
     BootstrapConfig,
     EstimatorSpec,
+    Sequence,
     bootstrap_se,
     choose_p,
+    estimate_direct_pooled,
     stationary_bootstrap_sample,
 )
+from entrate.estimators import run_estimator
 from entrate.simulate import benchmark_matrix, simulate_chain
 
 
@@ -224,6 +228,82 @@ class TestBootstrapSe:
                 boot_ses.append(bootstrap_se(seq, spec, config).standard_error)
             empirical_se = np.std(points, ddof=1)
             assert np.median(boot_ses) >= 0.8 * empirical_se
+
+
+@pytest.fixture
+def replicate_inputs(monkeypatch):
+    """The segments of every ``run_estimator`` call ``bootstrap_se`` makes,
+    the point estimate's first."""
+    import entrate.bootstrap as bootstrap_module
+
+    calls = []
+    real = bootstrap_module.run_estimator
+
+    def record(seq, spec, *more):
+        calls.append((seq, *more))
+        return real(seq, spec, *more)
+
+    monkeypatch.setattr(bootstrap_module, "run_estimator", record)
+    return calls
+
+
+class TestSegmentedBootstrap:
+    @staticmethod
+    def segments(*lengths):
+        rng = np.random.default_rng(31)
+        alphabet = Alphabet.of_size(3)
+        return [Sequence(rng.integers(0, 3, n), alphabet) for n in lengths]
+
+    def test_each_segment_resampled_within_itself(self, replicate_inputs):
+        alphabet = Alphabet.of_size(6)
+        segments = [
+            Sequence(np.array(v), alphabet)
+            for v in ([0, 1, 0, 0, 1, 1, 0, 1], [2, 3, 3, 2, 3], [4], [5, 4, 5, 5])
+        ]
+        config = BootstrapConfig(p=0.4, replicates=30, seed=3)
+        bootstrap_se(segments[0], EstimatorSpec("empirical", 1), config, *segments[1:])
+        point, *replicates = replicate_inputs
+        assert list(point) == segments and len(replicates) == 30
+        for replicate in replicates:
+            assert len(replicate) == len(segments)
+            for got, original in zip(replicate, segments):
+                assert got.length == original.length and got.alphabet is alphabet
+                assert set(got.states.tolist()) <= set(original.states.tolist())
+            # A 1-symbol segment cannot be resampled and is passed on as it is.
+            assert replicate[2] is segments[2]
+        assert any(not np.array_equal(r[0].states, segments[0].states) for r in replicates)
+
+    def test_one_child_stream_per_replicate(self, replicate_inputs):
+        # Segment k of replicate b is the next stationary_bootstrap_sample
+        # drawn from child stream b; one segment draws exactly as before.
+        seq, other = self.segments(120, 50)
+        config = BootstrapConfig(p=0.3, replicates=12, seed=8)
+        for more in ((), (other,)):
+            replicate_inputs.clear()
+            result = bootstrap_se(seq, EstimatorSpec("empirical", 1), config, *more)
+            streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
+            assert len(replicate_inputs) == 1 + len(streams)
+            for replicate, stream, value in zip(replicate_inputs[1:], streams, result.estimates):
+                rng = np.random.default_rng(stream)
+                expected = [stationary_bootstrap_sample(s, 0.3, rng) for s in (seq, *more)]
+                assert len(replicate) == len(expected)
+                for got, want in zip(replicate, expected):
+                    assert np.array_equal(got.states, want.states)
+                assert value == estimate_direct_pooled(expected).value
+
+    @pytest.mark.parametrize("method", ["empirical", "eigen", "limit"])
+    def test_point_is_the_pooled_estimate(self, method):
+        segments = self.segments(80, 60, 40)
+        config = BootstrapConfig(p=None, replicates=5, seed=2)
+        result = bootstrap_se(segments[0], EstimatorSpec(method, 2), config, *segments[1:])
+        pooled = estimate_direct_pooled(segments, 2, method)
+        assert result.point == pooled
+        assert result.p_used == choose_p(pooled.value, 180)
+
+    def test_swlz_refuses_segments(self):
+        seq, other = self.segments(20, 20)
+        with pytest.raises(ValueError, match="swlz takes one sequence"):
+            run_estimator(seq, EstimatorSpec("swlz"), other)
 
 
 class TestBootstrapConfig:

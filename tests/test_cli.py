@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import numpy as np
 import pytest
 
 from entrate.cli import _load_plan, main
+from entrate.simulate import ReparamPoint, reparam_to_abcd
+
+PLANS = Path(__file__).parents[1] / "plans"
 
 TABLE_STRING = "13131213232331313332"
 TABLE_PARSING = "1 | 3 | 131 | 2 | 132 | 323 | 31313 | 332"
@@ -200,15 +204,24 @@ class TestEstimateCommand:
         assert record["replicates"] == 20
         assert any("forced to 0" in w for w in record["warnings"])
 
-    def test_exclude_boundaries_with_replicates_rejected(self, capsys, tmp_path):
+    def test_exclude_boundaries_with_replicates(self, capsys, tmp_path):
+        # The bootstrap resamples each file within itself, so its point is the
+        # pooled estimate that --exclude-boundaries gives without replicates.
         p1 = write(tmp_path, "one.txt", "A B A B A A B\n")
         p2 = write(tmp_path, "two.txt", "C D C C D D C\n")
-        code, _, err = run(
-            capsys, "estimate", p1, p2, "--exclude-boundaries", "--replicates", "10"
-        )
-        assert code == 1
-        message = json.loads(err)["error"]["message"]
-        assert "--exclude-boundaries" in message and "--replicates" in message
+        records = []
+        for extra in ([], ["--replicates", "200"]):
+            out_json = tmp_path / f"r{len(records)}.json"
+            code, _, err = run(
+                capsys, "estimate", p1, p2, "--exclude-boundaries", *extra,
+                "--json", str(out_json),
+            )
+            assert code == 0, err
+            records.append(json.loads(out_json.read_text())["estimates"][0])
+        plain, boot = records
+        assert boot["value_bits"] == plain["value_bits"] == pytest.approx(0.7296, abs=1e-4)
+        assert boot["se"] == pytest.approx(0.1513, abs=1e-4)
+        assert "transitions across file boundaries excluded" in boot["warnings"]
 
     def test_exclude_boundaries_warns_for_swlz(self, capsys, tmp_path):
         # swlz matches across the concatenated files whether or not the flag
@@ -414,8 +427,12 @@ class TestSimulateCommand:
             ["--second-order", "0.5,0.5,0.5,2", "--length", "10"],
             ["--benchmark", "medium", "--length", "10", "--kappa", "4"],
             ["--benchmark", "high", "--length", "10", "--kappa", "0"],
+            ["--second-order", "0.1,0.2", "--length", "10"],
         ],
-        ids=["init", "length", "kappa", "second-order", "medium-kappa", "high-kappa"],
+        ids=[
+            "init", "length", "kappa", "second-order", "medium-kappa", "high-kappa",
+            "second-order-arity",
+        ],
     )
     def test_out_of_range_flag_is_input_error(self, capsys, flags):
         code, _, err = run(capsys, "simulate", *flags)
@@ -562,12 +579,26 @@ class TestExperimentCommand:
                 {"generator": {"second_order": {"p": 0.4, "q": 0.75, "phi": "0.1", "gamma": 0}}},
                 "generator.second_order.phi",
             ),
+            ({"generator": {"benchmark": "nope"}}, "generator.benchmark"),
+            ({"generator": {"second_order": [0.5, 0.5, 0.5, 0.5]}}, "generator.second_order"),
+            ({"generator": {"second_order": {"a": 0.5, "q": 0.5}}}, "generator.second_order"),
+            (
+                {"generator": {"second_order": {"a": 0.5, "b": 0.5, "c": 0.5, "d": 1.5}}},
+                "generator.second_order",
+            ),
+            ({"generator": {"chain": [[0.5, 0.5], [0.5, 0.5]]}}, "generator"),
+            ({"lengths": [20, 40.5]}, "lengths"),
+            ({"estimators": [{"order": 1}]}, "estimators[0]"),
+            ({"estimators": [{"method": "bogus"}]}, "estimators[0]"),
+            ({"seed": -1}, "seed"),
         ],
         ids=[
             "kappa-range", "diag-range", "high-kappa-range", "kappa-str", "kappa-null",
             "diag-bool", "order-str", "order-bool", "zero-mode-str", "matrix-null", "matrix-object", "matrix-str",
             "matrix-bool", "second-order-null",
-            "second-order-bool", "reparam-str",
+            "second-order-bool", "reparam-str", "benchmark-name", "second-order-list",
+            "second-order-keys", "second-order-range", "generator-kind", "lengths-float",
+            "estimator-no-method", "estimator-method", "seed-negative",
         ],
     )
     def test_bad_plan_field_is_input_error(self, capsys, tmp_path, edit, field):
@@ -580,9 +611,23 @@ class TestExperimentCommand:
         assert error["message"].startswith(f"plan field '{field}'")
         assert not (tmp_path / "plan.report.json").exists()
 
-    @pytest.mark.parametrize(
-        "path", sorted((Path(__file__).parents[1] / "plans").glob("*.json")), ids=lambda p: p.stem
-    )
+    def test_second_order_abcd_form(self, capsys, tmp_path):
+        # The a,b,c,d form of the shipped p,q,phi,gamma plan names the same
+        # chain, so it reports the same cells.
+        shipped = json.loads((PLANS / "second-order-case1.json").read_text(encoding="utf-8"))
+        shipped["replicates"] = 20
+        abcd = reparam_to_abcd(ReparamPoint(**shipped["generator"]["second_order"]))
+        plans = [shipped, shipped | {"generator": {"second_order": dataclasses.asdict(abcd)}}]
+        cells = []
+        for k, plan in enumerate(plans):
+            plan_path = write(tmp_path, f"plan{k}.json", json.dumps(plan))
+            out = tmp_path / f"r{k}.json"
+            code, _, err = run(capsys, "experiment", plan_path, "--json", str(out))
+            assert code == 0, err
+            cells.append(json.loads(out.read_text())["cells"])
+        assert cells[0] == cells[1]
+
+    @pytest.mark.parametrize("path", sorted(PLANS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_plan_loads(self, path):
         plan, plan_dict = _load_plan(str(path))
         assert plan_dict == json.loads(path.read_text(encoding="utf-8"))
@@ -691,6 +736,22 @@ class TestEndToEnd:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == TABLE_PARSING
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--text", "A B A B A A B", "--replicates", "3", "--seed", "-1"],
+            ["bootstrap", "--text", "A B A B A A B", "--replicates", "3", "--seed", "-1"],
+            ["simulate", "--benchmark", "low", "--length", "10", "--seed", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "--seed" in error["message"] and "seed must be >= 0" in error["message"]
 
     def test_unknown_command_is_input_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
