@@ -124,16 +124,13 @@ def stationary_bootstrap_sample(
     len_arr = np.concatenate(lens)
     ends = np.cumsum(len_arr)
     n_blocks = int(np.searchsorted(ends, n, side="left")) + 1
-    start_arr = start_arr[:n_blocks]
-    len_arr = len_arr[:n_blocks].copy()
-    overshoot = int(ends[n_blocks - 1]) - n
-    if overshoot:
-        len_arr[-1] -= overshoot
-    # Positions within the concatenation, offset per block, modulo n.
-    block_first = np.repeat(start_arr, len_arr)
-    offsets = np.arange(int(len_arr.sum()))
-    block_base = np.repeat(np.cumsum(len_arr) - len_arr, len_arr)
-    idx = (block_first + (offsets - block_base)) % n
+    # Block b fills output positions base[b].. and reads start[b] + (j - base[b]);
+    # the last block is clipped to end at n.
+    base = ends[:n_blocks] - len_arr[:n_blocks]
+    clipped = len_arr[:n_blocks].copy()
+    clipped[-1] = n - base[-1]
+    idx = np.arange(n) + np.repeat(start_arr[:n_blocks] - base, clipped)
+    idx %= n
     return Sequence(seq.states[idx], seq.alphabet)
 
 

@@ -13,13 +13,12 @@ x[i:] that occurs entirely inside x[:i] (the "longest previous
 non-overlapping factor" of Crochemore & Ilie, IPL 106(2), 2008).  The
 novelty length at i is M[i] + 1, and a prefix of length n keeps
 min(M[i], n - i), so one pass over a sequence serves every prefix cut.
-M is computed in numpy by refining L-gram classes s symbols per round: the s
-symbols from each position are packed into one int64 code, with s set by the
-62-bit budget left beside a class id (s = 12 at kappa = 8 and n = 10k), and
-one sort per round resolves all s lengths.  The work is one sort per s
-symbols of the longest match plus vectorised steps over the live positions,
-and memory stays O(n).  Constant and periodic input is still quadratic (see
-``_match_lengths``).
+M is computed in numpy by refining L-gram classes s symbols per round: one
+plain sort of one int64 word per live position, (class, next s symbols,
+position) from the top bits down, resolves all s lengths (s = 8 at kappa = 8
+and n = 10k).  The work is one sort per s symbols of the longest match plus
+vectorised steps over the live positions, and memory stays O(n).  Constant
+and periodic input is still quadratic (see ``_match_lengths``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct import EntropyEstimate
-from .markov import InsufficientDataError, Sequence
+from .markov import EstimationError, InsufficientDataError, Sequence
 
 __all__ = [
     "NovelLengths",
@@ -105,60 +104,69 @@ class Parsing:
             pos = start + length
 
 
+def _digits_per_round(n: int, kappa: int) -> int:
+    """Digits s per SWLZ round: s digits of kappa.bit_length() bits (symbol
+    values 0..kappa-1) beside two n.bit_length()-bit fields in 63 bits."""
+    if (s := (63 - 2 * n.bit_length()) // kappa.bit_length()) < 1:
+        raise EstimationError(f"SWLZ cannot pack n = {n} symbols over kappa = {kappa} values")
+    return s
+
+
 def _match_lengths(states: np.ndarray) -> np.ndarray:
     """M[i], the length of the longest prefix of x[i:] occurring inside x[:i].
 
     ``code[i]`` packs the s symbols from i into one int64, most significant
     first, one ``bits``-wide digit per symbol (symbol + 1; 0 past the end).
-    s is the most digits that fit beside a class id below n in 62 bits, so
-    the input sets it: 12 at kappa = 8 and n = 10k, 3 at kappa = 4096 and
-    n = 1e5.  A round starts from the positions whose L-gram class may still
-    match and sorts them once by (class, ``code[i + L]``).  Each (L+t)-gram
-    class, t = 1..s, is then a run of rows sharing the top t digits.  Its
-    first occurrence f is the run's least position, not always its first
-    row, because rows are ordered by the full code before position; member
-    i is matched at length L + t iff f + L + t <= i.  Matching at L + t
-    implies matching at every shorter length, so M[i] is L plus the depths
-    that matched i.  A group with a digit 0 is the one position that ends
-    there, never matched.  After depth s, a class with no matched member
-    cannot match longer and is dropped, as is every position whose next
-    gram would run past the end.
+    A round starts from the positions whose L-gram class may still match
+    and sorts one unique word per position, ``((class << bits * s) |
+    code[i + L]) << pb | i`` with pb = n.bit_length(), so any sort gives the
+    same order and the input sets s (``_digits_per_round``): 8 at kappa = 8
+    and n = 10k, 2 at kappa = 4096 and n = 1e5.  Each (L+t)-gram class,
+    t = 1..s, is then a run of rows sharing the top t digits.  Its first
+    occurrence f is the run's least position: the first row of a finest run
+    (t = s), whose rows are in position order, or a coarser run's minimum.
+    Member i is matched at length L + t iff f + L + t <= i.  Matching at
+    L + t implies matching at every shorter length, so M[i] is L plus the
+    depths that matched i.  A group with a digit 0 is the one position that
+    ends there, never matched.  After depth s, a class with no matched
+    member cannot match longer and is dropped, as is every position whose
+    next gram would run past the end.
 
     Every array is O(n), and a round costs one sort of its live positions
     plus s vectorised depth steps, so the work is about one sort per s
     symbols of the longest match.  Constant and periodic input is still
     quadratic: nearly every position stays live for about n / (2s) rounds.
-    All-'A' took 0.53-0.64 s at n = 16k (2.1-3.1 s one symbol per round)
-    and period-3 0.19-0.25 s at n = 8k (0.62-0.79 s), on a 2-vCPU Xeon with
-    numpy 2.4.
+    All-'A' took 0.41-0.58 s at n = 16k and period-3 0.14-0.21 s at n = 8k,
+    on a 2-vCPU Xeon with numpy 2.4.
     """
     x = np.asarray(states, dtype=np.int64)
     n = x.size
     matches = np.zeros(n, dtype=np.int64)
-    bits = (int(x.max()) + 1).bit_length()
-    s = max(1, (62 - n.bit_length()) // bits)
+    kappa = int(x.max()) + 1
+    s, bits, pb = _digits_per_round(n, kappa), kappa.bit_length(), n.bit_length()
     code = np.zeros(n, dtype=np.int64)
     for j in range(min(s, n)):
-        code[: n - j] |= (x[j:] + 1) << bits * (s - 1 - j)
+        code[: n - j] |= (x[j:] + 1) << bits * (s - 1 - j) + pb
     pos = np.arange(n)
     cls = np.zeros(n, dtype=np.int64)
+    sizes = np.empty(n, dtype=np.int64)
     L = 0
     while pos.size:
-        key = (cls << bits * s) | code[pos + L]
-        order = np.argsort(key, kind="stable")
-        pos, key = pos[order], key[order]
-        # Rows r-1 and r share their top t digits iff differ < 2**(bits*(s-t)).
-        differ = key[1:] ^ key[:-1]
-        head = np.empty(pos.size, dtype=bool)
-        head[0] = True
+        word = np.sort((cls << bits * s + pb) | code[pos + L] | pos)
+        pos = word & (1 << pb) - 1
+        # Rows r-1 and r share their top t digits iff differ < 2**(bits*(s-t)+pb).
+        differ = word[1:] ^ word[:-1]
+        head = np.ones(pos.size + 1, dtype=bool)  # head[-1] closes the last run
         slack = pos - L
         depth = np.zeros(pos.size, dtype=np.int64)
         for t in range(1, s + 1):
-            np.greater_equal(differ, 1 << bits * (s - t), out=head[1:])
-            starts = np.flatnonzero(head)
-            first = np.minimum.reduceat(pos, starts)
+            np.greater_equal(differ, 1 << bits * (s - t) + pb, out=head[1:-1])
+            bounds = np.flatnonzero(head)
+            starts = bounds[:-1]
+            first = pos[starts] if t == s else np.minimum.reduceat(pos, starts)
+            size = np.subtract(bounds[1:], starts, out=sizes[: starts.size])
             slack -= 1
-            matched = np.repeat(first, np.diff(starts, append=pos.size)) <= slack
+            matched = np.repeat(first, size) <= slack
             if not matched.any():
                 break
             depth += matched
@@ -166,7 +174,7 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
         matches[pos[hit]] = L + depth[hit]
         L += s
         # After an early break nothing matched, so every class is dropped.
-        cls = np.cumsum(head) - 1
+        cls = np.cumsum(head[:-1]) - 1
         live = np.zeros(starts.size, dtype=bool)
         live[cls[matched]] = True
         keep = live[cls] & (pos < n - L)

@@ -76,6 +76,30 @@ def match_lengths_level_oracle(states) -> np.ndarray:
     return matches
 
 
+def stationary_bootstrap_oracle(states, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Stationary bootstrap resample of ``states`` laid out one block at a time.
+
+    Draws the package's block batches from ``rng`` (uniform starts, then
+    Geometric(p) lengths, batches of max(8, int(remaining * p) + 8) blocks)
+    until they cover n symbols, then copies the blocks in order, one symbol
+    at a time and wrapping modulo n, until n symbols are out.
+    """
+    n = len(states)
+    blocks: list[tuple[int, int]] = []
+    total = 0
+    while total < n:
+        batch = max(8, int((n - total) * p) + 8)
+        starts = rng.integers(0, n, size=batch)
+        lengths = rng.geometric(p, size=batch)
+        blocks += zip(starts.tolist(), lengths.tolist())
+        total += int(lengths.sum())
+    out: list[int] = []
+    for start, length in blocks:
+        for k in range(min(length, n - len(out))):
+            out.append(int(states[(start + k) % n]))
+    return np.asarray(out, dtype=np.int64)
+
+
 def plugin_rate_oracle(P, n: int, reps: int, seed: int) -> tuple[float, float]:
     """Brute-force expected first-order plug-in entropy rate at length n.
 

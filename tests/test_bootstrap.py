@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import int_seq
+from conftest import int_seq, stationary_bootstrap_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +82,20 @@ class TestStationaryBootstrapSample:
         seq = int_seq(list(range(n)), kappa=n)
         out = stationary_bootstrap_sample(seq, 1e-12, np.random.default_rng(seed)).states
         assert out.tolist() == ((out[0] + np.arange(n)) % n).tolist()
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 300),
+        st.sampled_from((1e-6, 0.01, 0.212, 0.5, 1.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_block_oracle(self, n, p, seed):
+        # Distinct symbols name their positions, so equal samples mean equal
+        # indices, from the same draws.
+        seq = int_seq(list(range(n)), kappa=n)
+        out = stationary_bootstrap_sample(seq, p, np.random.default_rng(seed))
+        expected = stationary_bootstrap_oracle(seq.states, p, np.random.default_rng(seed))
+        assert np.array_equal(out.states, expected)
 
     def test_p_one_is_iid_position_sampling(self):
         # Geometric(1) blocks have length exactly 1.

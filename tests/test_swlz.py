@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from entrate import (
     Alphabet,
+    EstimationError,
     InsufficientDataError,
     Sequence,
     format_parsing,
     novel_lengths,
+    stationary_bootstrap_sample,
     swlz_entropy,
     swlz_parse,
 )
+from entrate.simulate import benchmark_matrix, simulate_chain
+from entrate.swlz import _digits_per_round
 
 TABLE_STRING = "13131213232331313332"
 
@@ -212,7 +216,7 @@ def _alphabet(kappa: int) -> Alphabet:
 def stride_sequences(draw):
     """Sequences of 2-600 symbols whose matches take several packed rounds.
 
-    Small alphabets pack 13-60 symbols per round; the sparse ones (a few
+    Small alphabets pack 10-59 symbols per round; the sparse ones (a few
     symbols up to kappa - 1 >= 8191) leave room for 2-4.  Runs and repeated
     blocks, with a few point edits, make long matches common.
     """
@@ -257,12 +261,36 @@ class TestMatchLengthKernel:
         assert np.array_equal(nl.lengths, lengths)
         assert np.array_equal(nl.capped, capped)
 
-    @pytest.mark.parametrize("n", [2047, 2048, 3000])
+    def test_equals_level_oracle_at_benchmark_scale(self):
+        # The benchmark inputs: 10k high-entropy symbols, three of their
+        # stationary resamples (repeated blocks force several rounds) and 10k
+        # low-entropy symbols.
+        high = simulate_chain(benchmark_matrix("high"), 10_000, rng=11)
+        rng = np.random.default_rng(5)
+        resamples = [stationary_bootstrap_sample(high, 0.212, rng) for _ in range(3)]
+        low = simulate_chain(benchmark_matrix("low"), 10_000, rng=12)
+        for seq in (high, *resamples, low):
+            lengths, capped = expected_novelty(match_lengths_level_oracle(seq.states))
+            nl = novel_lengths(seq)
+            assert np.array_equal(nl.lengths, lengths)
+            assert np.array_equal(nl.capped, capped)
+
+    def test_digits_per_round(self):
+        # A class id and a position of n.bit_length() bits each, plus s digits.
+        assert _digits_per_round(10_000, 8) == 8
+        assert _digits_per_round(100_000, 4096) == 2
+        assert _digits_per_round(2**26, 511) == 1
+        for n, kappa in ((2**26, 512), (2**27, 1000)):
+            with pytest.raises(EstimationError, match=f"n = {n} .* kappa = {kappa} "):
+                _digits_per_round(n, kappa)
+
+    @pytest.mark.parametrize("n", [2047, 2048, 3000, 4095, 4096])
     @pytest.mark.parametrize("period", [1, 2, 3, 7])
     def test_periodic_closed_form(self, n, period):
         # x[i] = i mod p first repeats at i = p; from there the longest
         # earlier copy starts at i mod p and must end by i (or by n).
-        # n = 2047 -> 2048 changes the symbols packed per round for p = 1, 7.
+        # n = 2047 -> 2048 changes the symbols packed per round for p = 1-3,
+        # and n = 4095 -> 4096 for every p here.
         i = np.arange(n)
         expected = np.where(i < period, 0, np.minimum(i - i % period, n - i))
         lengths, capped = expected_novelty(expected)
