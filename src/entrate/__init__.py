@@ -33,6 +33,7 @@ from .markov import (
     ProbabilityVector,
     ReducibleMatrixError,
     Sequence,
+    StateSpaceError,
     TransitionCounts,
     TransitionMatrix,
     count_transitions,

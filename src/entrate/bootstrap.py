@@ -147,9 +147,9 @@ def bootstrap_se(
     resamples ``seq`` and then each of ``more`` from that stream; a segment
     under 2 symbols is kept as it is.
 
-    A replicate whose estimator raises EstimationError (e.g. a reducible
-    matrix under the eigen method) is recorded as 0.0 and counted in
-    ``n_failures``; any other exception propagates.  Under
+    A replicate whose estimator raises EstimationError (reducible matrix,
+    state space too large, ...) is recorded as 0.0 and counted in
+    ``n_failures``; any other exception, ValueError included, propagates.  Under
     ``estimator.paper_zero_mode`` a reducible replicate is not a failure: the
     estimator itself returns 0.0.
     """

@@ -3,8 +3,9 @@
 Subcommands: estimate, bootstrap, simulate, experiment, ttest, parse.
 Reports are written as versioned JSON (--json) with a flat CSV mirror
 (--csv); a human-readable summary always goes to standard output.  Exit
-codes: 0 success, 1 input error, 2 numeric failure; failures also emit a
-machine-readable error object on standard error.
+codes: 0 success, 1 input error, 2 EstimationError (too short, reducible,
+state space too large), each with a JSON error object on standard error;
+any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_se
@@ -322,7 +321,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             a, b, c, d = (float(v) for v in args.second_order.split(","))
         except ValueError as exc:
             raise SequenceFileError("--second-order expects a,b,c,d") from exc
-    try:
+    try:  # a flag value out of its generator's range is an input error
         if args.second_order is not None:
             params = SecondOrderParams(a, b, c, d)
             seq = simulate_second_order(params, args.length, rng=args.seed)
@@ -332,10 +331,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             else:
                 P = _parse_matrix_file(args.matrix)
             seq = simulate_chain(P, args.length, init=args.init, rng=args.seed)
-    except EstimationError:
-        raise  # a chain without a stationary distribution is a numeric failure
     except ValueError as exc:
-        # A flag value out of its generator's range.
         raise SequenceFileError(str(exc)) from exc
     line = " ".join(seq.tokens()) + "\n"
     if args.out:
@@ -545,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("bootstrap", "bootstrap standard errors (requires --replicates)"),
     ):
         est = sub.add_parser(name, help=help_text)
+        est.set_defaults(run=_cmd_estimate)
         _add_input_options(est)
         est.add_argument(
             "--method",
@@ -579,10 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_report_options(est)
 
     par = sub.add_parser("parse", help="shortest-never-seen phrase decomposition")
+    par.set_defaults(run=_cmd_parse)
     _add_input_options(par)
     _add_report_options(par)
 
     sim = sub.add_parser("simulate", help="simulate a sequence from a known chain")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--benchmark", choices=BENCHMARK_NAMES)
     sim.add_argument("--matrix", metavar="FILE", help="explicit row-stochastic matrix")
     sim.add_argument("--second-order", metavar="A,B,C,D", help="two-state pair chain")
@@ -598,10 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", metavar="FILE", help="write tokens here instead of stdout")
 
     exp = sub.add_parser("experiment", help="run a Monte Carlo experiment plan")
+    exp.set_defaults(run=_cmd_experiment)
     exp.add_argument("plan", metavar="PLAN.json")
     _add_report_options(exp)
 
     tt = sub.add_parser("ttest", help="pooled-variance two-sample t statistic")
+    tt.set_defaults(run=_cmd_ttest)
     tt.add_argument("group_a", metavar="FILE_A")
     tt.add_argument("group_b", metavar="FILE_B")
     _add_report_options(tt)
@@ -614,28 +615,13 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (SequenceFileError, PlanError) as exc:
         _emit_error("input", str(exc))
         return EXIT_INPUT
-    try:
-        if args.command in ("estimate", "bootstrap"):
-            return _cmd_estimate(args)
-        if args.command == "parse":
-            return _cmd_parse(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "ttest":
-            return _cmd_ttest(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (SequenceFileError, PlanError) as exc:
-        _emit_error("input", str(exc))
-        return EXIT_INPUT
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except EstimationError as exc:
         _emit_error("numeric", str(exc))
         return EXIT_NUMERIC
 

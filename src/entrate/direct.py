@@ -239,7 +239,7 @@ def estimate_direct(
 
     Eigen and limit fail in this order, and only the last step builds a
     K x K array: above DENSE_STATE_LIMIT composite states they raise
-    ValueError; then, read from the counts, limit raises
+    StateSpaceError; then, read from the counts, limit raises
     ReducibleMatrixError when the observed transitions are not strongly
     connected, and ``mle_transition_matrix`` raises it for eigen when a state
     was never visited; last comes the solve on the MLE matrix, where eigen may

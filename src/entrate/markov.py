@@ -36,6 +36,7 @@ __all__ = [
     "EstimationError",
     "ReducibleMatrixError",
     "InsufficientDataError",
+    "StateSpaceError",
     "count_transitions",
     "embed_order",
     "mle_transition_matrix",
@@ -49,9 +50,9 @@ DENSE_STATE_LIMIT = 4096
 _SUM_TOL = 1e-12
 
 
-class EstimationError(ValueError):
-    """An estimator cannot produce a value from this particular sequence; the
-    one failure that bootstrap replicates and Monte Carlo cells may count."""
+class EstimationError(Exception):
+    """This sequence cannot give this estimate: the one failure that bootstrap
+    replicates and Monte Carlo cells count.  Input errors are ``ValueError``s."""
 
 
 class ReducibleMatrixError(EstimationError):
@@ -62,6 +63,11 @@ class InsufficientDataError(EstimationError):
     """Raised when a sequence is too short for the requested estimate."""
 
 
+class StateSpaceError(EstimationError):
+    """Raised when an estimate needs more states than a dense table, int64
+    transition codes or a 63-bit SWLZ word can hold; not an input error."""
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -69,7 +75,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _check_dense_limit(kappa: int) -> None:
     if kappa > DENSE_STATE_LIMIT:
-        raise ValueError(
+        raise StateSpaceError(
             f"a dense {kappa} x {kappa} table exceeds the limit of "
             f"{DENSE_STATE_LIMIT} states; the empirical and swlz methods have no such limit"
         )
@@ -129,8 +135,10 @@ class CompositeAlphabet:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("composite order must be >= 1")
-        if self.base.kappa ** self.order > 2**62:
-            raise ValueError("kappa**order too large to index")
+        if self.base.kappa ** (2 * self.order) > 2**63:  # codes i * K + j
+            raise StateSpaceError(
+                f"transition codes over {self.base.kappa}**{self.order} states overflow int64"
+            )
 
     @property
     def kappa(self) -> int:
@@ -211,7 +219,7 @@ class TransitionCounts:
         kappa = self.kappa
         # Checked before any kappa-length array exists.
         if kappa * kappa > np.iinfo(np.int64).max + 1:
-            raise ValueError(f"transition codes over {kappa} states overflow int64")
+            raise StateSpaceError(f"transition codes over {kappa} states overflow int64")
         codes = np.asarray(self.codes, dtype=np.int64)
         n = np.asarray(self.n, dtype=np.int64)
         if codes.ndim != 1 or codes.shape != n.shape:

@@ -385,8 +385,8 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     the whole sequence that every cut reuses.  Cells report min, mean,
     max, and the across-replicate sample standard deviation, plus the count of
     replicates where the estimator raised EstimationError (too-short prefix,
-    reducible matrix without zero mode in its spec, ...); any other exception
-    propagates.
+    reducible matrix without zero mode in its spec, state space too large,
+    ...); any other exception, ``ValueError`` included, propagates.
     """
     gen = plan.generator
     if isinstance(gen, TransitionMatrix):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct import EntropyEstimate
-from .markov import EstimationError, InsufficientDataError, Sequence
+from .markov import InsufficientDataError, Sequence, StateSpaceError
 
 __all__ = [
     "NovelLengths",
@@ -108,7 +108,7 @@ def _digits_per_round(n: int, kappa: int) -> int:
     """Digits s per SWLZ round: s digits of kappa.bit_length() bits (symbol
     values 0..kappa-1) beside two n.bit_length()-bit fields in 63 bits."""
     if (s := (63 - 2 * n.bit_length()) // kappa.bit_length()) < 1:
-        raise EstimationError(f"SWLZ cannot pack n = {n} symbols over kappa = {kappa} values")
+        raise StateSpaceError(f"SWLZ cannot pack n = {n} symbols over kappa = {kappa} values")
     return s
 
 

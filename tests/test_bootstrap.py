@@ -8,6 +8,7 @@ from entrate import (
     Alphabet,
     BootstrapConfig,
     EstimatorSpec,
+    ReducibleMatrixError,
     Sequence,
     bootstrap_se,
     choose_p,
@@ -216,7 +217,7 @@ class TestBootstrapSe:
 
     def test_original_sequence_errors_propagate(self):
         seq = int_seq([0] * 50 + [1], kappa=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ReducibleMatrixError):
             bootstrap_se(
                 seq, EstimatorSpec("eigen", 1), BootstrapConfig(p=0.5, replicates=5, seed=1)
             )

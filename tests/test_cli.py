@@ -627,6 +627,26 @@ class TestExperimentCommand:
             cells.append(json.loads(out.read_text())["cells"])
         assert cells[0] == cells[1]
 
+    def test_state_space_failure_costs_only_its_cells(self, capsys, tmp_path):
+        # Order-5 eigen needs 8**5 = 32768 dense states, above the 4096 limit:
+        # every replicate of its cell fails, and the empirical cell is filled.
+        plan = {
+            "generator": {"benchmark": "high", "kappa": 8},
+            "lengths": [3000],
+            "replicates": 3,
+            "estimators": [{"method": "empirical", "order": 1}, {"method": "eigen", "order": 5}],
+            "seed": 1,
+        }
+        plan_path = write(tmp_path, "plan.json", json.dumps(plan))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", plan_path, "--json", str(out))
+        assert code == 0, err
+        empirical, eigen = json.loads(out.read_text())["cells"]
+        assert (empirical["n_ok"], empirical["n_failed"]) == (3, 0)
+        assert empirical["mean"] > 2.0
+        assert (eigen["n_ok"], eigen["n_failed"]) == (0, 3)
+        assert eigen["mean"] is None
+
     @pytest.mark.parametrize("path", sorted(PLANS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_plan_loads(self, path):
         plan, plan_dict = _load_plan(str(path))
@@ -661,6 +681,14 @@ class TestTtestCommand:
         code, _, err = run(capsys, "ttest", a, b)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "numeric"
+
+    def test_single_value_group_is_numeric_error(self, capsys, tmp_path):
+        a = write(tmp_path, "a.txt", "1\n")
+        b = write(tmp_path, "b.txt", "1 2\n")
+        code, _, err = run(capsys, "ttest", a, b)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert error["type"] == "numeric" and "at least 2 values" in error["message"]
 
     def test_non_numeric_is_input_error(self, capsys, tmp_path):
         a = write(tmp_path, "a.txt", "1 x\n")
@@ -756,3 +784,16 @@ class TestEndToEnd:
     def test_unknown_command_is_input_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+    def test_plain_value_error_is_a_bug_not_an_exit_code(self, capsys, monkeypatch):
+        # Only EstimationError maps to exit 2; any other ValueError is a bug
+        # and must surface as a traceback.
+        import entrate.cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(entrate.cli, "run_estimator", broken)
+        with pytest.raises(ValueError, match="^bug$"):
+            main(["estimate", "--text", "A B A B A A B"])
+        assert capsys.readouterr().err == ""

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate import (
+    InsufficientDataError,
     ProbabilityVector,
     ReducibleMatrixError,
     Sequence,
+    StateSpaceError,
     TransitionMatrix,
     count_transitions,
     embed_order,
@@ -382,7 +384,7 @@ class TestEstimateDirect:
         assert any("343" in w for w in est.warnings)
 
     def test_order_exceeds_length(self):
-        with pytest.raises(ValueError, match="insufficient length"):
+        with pytest.raises(InsufficientDataError, match="insufficient length"):
             estimate_direct(int_seq([0, 1], kappa=2), order=2)
 
     def test_sparse_empirical_matches_manual_arithmetic(self):
@@ -404,10 +406,29 @@ class TestEstimateDirect:
             expected += (row_tot[src] / grand) * -(p * np.log2(p)).sum()
         assert est.value == pytest.approx(expected, abs=1e-12)
 
+    def test_order_ten_over_eight_symbols_runs_and_eleven_fails(self):
+        # 8**10 = 2**30 composite states: the empirical estimate reads only
+        # the observed transitions.  At 8**11 their codes would overflow int64.
+        P = benchmark_matrix("low")
+        seq = simulate_chain(P, 3000, rng=np.random.default_rng(10))
+        est = estimate_direct(seq, order=10, stationary="empirical")
+        from collections import Counter
+
+        states = seq.states.tolist()
+        windows = [tuple(states[t : t + 10]) for t in range(3000 - 9)]
+        pairs = Counter(zip(windows, windows[1:]))
+        row_tot = Counter(w for w, _ in pairs.elements())
+        expected = sum(
+            -(n / 2990) * np.log2(n / row_tot[w]) for (w, _), n in pairs.items()
+        )
+        assert 0.0 < est.value == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(StateSpaceError, match=r"8\*\*11 states overflow int64"):
+            estimate_direct(seq, order=11, stationary="empirical")
+
     def test_sparse_eigen_unsupported(self):
         rng = np.random.default_rng(61)
         seq = int_seq(rng.integers(0, 70, 400), kappa=70)
-        with pytest.raises(ValueError, match="dense"):
+        with pytest.raises(StateSpaceError, match="dense"):
             estimate_direct(seq, order=2, stationary="eigen")
 
     def test_sparse_all_visited_is_irreducible(self):

@@ -12,8 +12,10 @@ from hypothesis.extra.numpy import arrays
 from entrate import (
     Alphabet,
     CompositeAlphabet,
+    InsufficientDataError,
     ReducibleMatrixError,
     Sequence,
+    StateSpaceError,
     TransitionMatrix,
     count_transitions,
     embed_order,
@@ -119,6 +121,24 @@ class TestCompositeAlphabet:
         assert ab[1:] == bb[:-1]
         assert ab[1:] != aa[:-1]
 
+    def test_order_bounded_by_code_space(self):
+        # K = 8**11 = 2**33 states: codes i * K + j reach 2**66 and would wrap
+        # negative inside count_transitions, so the alphabet refuses them.
+        with pytest.raises(StateSpaceError, match=r"over 8\*\*11 states overflow int64"):
+            CompositeAlphabet(Alphabet.of_size(8), 11)
+        seq = int_seq(np.random.default_rng(11).integers(0, 8, 3000), kappa=8)
+        with pytest.raises(StateSpaceError, match=r"8\*\*11"):
+            embed_order(seq, 11)
+        # K = 8**10 = 2**30: codes reach 2**60, inside int64.
+        assert CompositeAlphabet(Alphabet.of_size(8), 10).kappa == 2**30
+        counts = count_transitions(embed_order(seq, 10))
+        assert counts.grand_total == 3000 - 10
+        assert counts.codes[0] >= 0 and counts.codes[-1] < 2**60
+        # The bound is K**2 <= 2**63: 2**31 binary states fit, 2**32 do not.
+        assert CompositeAlphabet(Alphabet.of_size(2), 31).kappa == 2**31
+        with pytest.raises(StateSpaceError, match=r"2\*\*32"):
+            CompositeAlphabet(Alphabet.of_size(2), 32)
+
 
 class TestEmbedOrder:
     def test_m1_identity(self):
@@ -136,7 +156,7 @@ class TestEmbedOrder:
         assert emb.states.tolist() == [0, 0]
 
     def test_too_short(self):
-        with pytest.raises(ValueError, match="insufficient length"):
+        with pytest.raises(InsufficientDataError, match="insufficient length"):
             embed_order(int_seq([0], kappa=2), 2)
 
     def test_grand_total_invariant(self):
@@ -213,7 +233,7 @@ class TestCountTransitions:
                 assert counts.dense[i, j] == expected.get(key, 0), key
 
     def test_single_symbol_errors(self):
-        with pytest.raises(ValueError, match="no transitions"):
+        with pytest.raises(InsufficientDataError, match="no transitions"):
             count_transitions(int_seq([0], kappa=1))
 
     def test_sparse_storage_above_limit(self):
@@ -223,9 +243,9 @@ class TestCountTransitions:
         counts = count_transitions(emb)
         assert counts.grand_total == 498
         assert counts.nonzero()[2].sum() == 498
-        with pytest.raises(ValueError, match="4900 x 4900 .* 4096 states"):
+        with pytest.raises(StateSpaceError, match="4900 x 4900 .* 4096 states"):
             counts.dense
-        with pytest.raises(ValueError, match="4900 x 4900 .* 4096 states"):
+        with pytest.raises(StateSpaceError, match="4900 x 4900 .* 4096 states"):
             mle_transition_matrix(counts)
 
     def test_dense_table_built_without_a_copy(self):
@@ -316,7 +336,7 @@ class TestCountTransitions:
         seq = int_seq([0, 1, 0], kappa=2)
         with pytest.raises(ValueError, match="single alphabet"):
             count_transitions(seq, int_seq([1, 0], kappa=2))
-        with pytest.raises(ValueError, match="no transitions"):
+        with pytest.raises(InsufficientDataError, match="no transitions"):
             count_transitions(seq.prefix(1), seq.prefix(1))
 
 
@@ -438,10 +458,10 @@ class TestValidation:
 
     def test_transition_codes_must_fit_int64(self):
         # 65,536 symbols at m = 2: K = 2**32, whose codes reach K**2 - 1 = 2**64 - 1.
-        with pytest.raises(ValueError, match="overflow int64"):
+        with pytest.raises(StateSpaceError, match="overflow int64"):
             TransitionCounts(kappa=2**32, codes=[], n=[])
         # The guard fires before the K-length row totals exist.
-        with pytest.raises(ValueError, match="overflow int64"):
+        with pytest.raises(StateSpaceError, match="overflow int64"):
             TransitionCounts(kappa=math.isqrt(2**63 - 1) + 1, codes=[], n=[])
 
     def test_rows_must_sum_to_one(self):

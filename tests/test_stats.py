@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entrate import ttest_pooled
+from entrate import EstimationError, InsufficientDataError, ttest_pooled
 
 # Per-subject entropy rate estimates for the two rearing groups, as published.
 LBN_SWLZ = (1.6956, 1.6285, 1.6797, 1.6807, 1.7916, 1.8526)
@@ -38,7 +38,7 @@ class TestTtestPooled:
         assert cmp_ab.t_statistic == -cmp_ba.t_statistic
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(EstimationError, match="degenerate"):
             ttest_pooled([1.0, 1.0, 1.0], [1.0, 1.0])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -47,7 +47,7 @@ class TestTtestPooled:
             ttest_pooled([1.0, 2.0, value], [1.0, 2.0])
 
     def test_small_groups_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError):
             ttest_pooled([1.0], [1.0, 2.0])
 
     def test_first_and_second_order_estimates_correlate(self):

@@ -164,7 +164,7 @@ class TestSwlzEntropy:
         assert est.order is None
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError):
             swlz_entropy(int_seq([0], kappa=1))
 
     def test_short_sequence_warning_above_log_kappa(self):
@@ -332,7 +332,7 @@ class TestMatchLengthKernel:
 
     def test_cut_bounds(self):
         full = novel_lengths(token_seq(TABLE_STRING))
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(InsufficientDataError, match="at least 2"):
             full.cut(1)
         with pytest.raises(ValueError, match="longer"):
             full.cut(len(TABLE_STRING) + 1)
