@@ -2,10 +2,12 @@
 
 Subcommands: estimate, bootstrap, simulate, experiment, ttest, parse.
 Reports are written as versioned JSON (--json) with a flat CSV mirror
-(--csv); a human-readable summary always goes to standard output.  Exit
-codes: 0 success, 1 input error, 2 EstimationError (too short, reducible,
-state space too large), each with a JSON error object on standard error;
-any other exception is a bug and surfaces as a traceback.
+(--csv); a human-readable summary always goes to standard output.  The key
+tables of this module are the format of an experiment plan, and a key they
+do not list is an input error.  Exit codes: 0 success, 1 input error, 2
+EstimationError (too short, reducible, state space too large), each with a
+JSON error object on standard error; any other exception is a bug and
+surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -178,9 +181,13 @@ _seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
 
 
 def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
+    methods = args.method or ["empirical"]
+    for method, count in Counter(methods).items():
+        if count > 1:
+            raise SequenceFileError(f"--method: {method} listed twice")
     return [
         EstimatorSpec(m, None if m == "swlz" else args.order, args.paper_zero_mode)
-        for m in args.method or ["empirical"]
+        for m in methods
     ]
 
 
@@ -303,12 +310,7 @@ def _parse_matrix_file(path: str) -> TransitionMatrix:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    chosen = [
-        args.benchmark is not None,
-        args.matrix is not None,
-        args.second_order is not None,
-    ]
-    if sum(chosen) != 1:
+    if sum(g is not None for g in (args.benchmark, args.matrix, args.second_order)) != 1:
         raise SequenceFileError(
             "choose exactly one generator: --benchmark, --matrix, or --second-order"
         )
@@ -316,6 +318,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SequenceFileError(
             "--init applies to --benchmark and --matrix; --second-order starts stationary"
         )
+    if args.benchmark is None and (args.kappa is not None or args.diag is not None):
+        raise SequenceFileError("--kappa and --diag apply to --benchmark only")
     if args.second_order is not None:
         try:
             a, b, c, d = (float(v) for v in args.second_order.split(","))
@@ -345,23 +349,55 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- experiment
 
 
-def _plan_field(
-    plan: dict[str, Any], key: str, kind: type, required: bool = True, prefix: str = ""
-) -> Any:
-    """``plan[key]`` as a ``kind`` (a bool is no number), named ``prefix + key``."""
-    if key not in plan:
-        if required:
-            raise PlanError(f"plan field '{prefix}{key}': missing")
-        return None
-    value = plan[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise PlanError(f"plan field '{prefix}{key}': expected {kind.__name__}")
-    return value
+# The plan format: one table per plan object, key -> (type, required).  A key
+# its table lacks is refused.  A generator names exactly one of its kinds.
+_PLAN_KEYS = {
+    "generator": (dict, True), "lengths": (list, True), "replicates": (int, True),
+    "estimators": (list, True), "seed": (int, True), "paper_zero_mode": (bool, False),
+}
+_GENERATOR_KEYS = {
+    "benchmark": {"benchmark": (str, True), "kappa": (int, False), "diag": (float, False)},
+    "matrix": {"matrix": (list, True)},
+    "second_order": {"second_order": (dict, True)},
+}
+_ABCD_KEYS = dict.fromkeys(("a", "b", "c", "d"), (float, True))
+_REPARAM_KEYS = dict.fromkeys(("p", "q", "phi", "gamma"), (float, True))
+_ESTIMATOR_KEYS = {"method": (str, True), "order": (int, False)}
+
+
+def _plan_fields(obj: Any, keys: dict[str, tuple[type, bool]], where: str) -> dict[str, Any]:
+    """The values of plan object ``obj`` at path ``where``, checked against its
+    table ``keys``: every required key is present, no other key is, and each
+    value has its type (an int counts as a float, a bool as no number)."""
+    if not isinstance(obj, dict):
+        raise PlanError(f"plan field '{where}': expected dict")
+    missing = [key for key, (_, required) in keys.items() if required and key not in obj]
+    if missing:  # named by its object; a top-level key by itself
+        raise PlanError(f"plan field '{where or missing[0]}': missing {missing[0]!r}")
+    fields = {}
+    for key, value in obj.items():
+        name = f"{where}.{key}" if where else key
+        if key not in keys:
+            raise PlanError(f"plan field '{name}': unknown key")
+        kind = keys[key][0]
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise PlanError(f"plan field '{name}': expected {kind.__name__}")
+        fields[key] = kind(value)  # an int as a float; a dict or list is copied
+    return fields
+
+
+def _plan_value(prefix: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, whose ``ValueError`` becomes a ``PlanError``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise PlanError(f"{prefix}: {exc}") from exc
 
 
 def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
+    """The experiment plan in JSON file ``path``, and its parsed JSON.  The key
+    tables above are the plan format: each plan object is checked against its
+    table, which refuses any other key; the constructors check the values."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -372,81 +408,39 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
         raise PlanError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(plan_dict, dict):
         raise PlanError("plan must be a JSON object")
-
-    gen = _plan_field(plan_dict, "generator", dict)
-    generator: TransitionMatrix | SecondOrderParams
+    top = _plan_fields(plan_dict, _PLAN_KEYS, "")
+    kinds = [kind for kind in _GENERATOR_KEYS if kind in top["generator"]]
+    if len(kinds) != 1:
+        raise PlanError("plan field 'generator': name one kind: benchmark, matrix or second_order")
+    gen = _plan_fields(top["generator"], _GENERATOR_KEYS[kinds[0]], "generator")
     if "benchmark" in gen:
-        name = gen["benchmark"]
+        name = gen.pop("benchmark")
         if name not in BENCHMARK_NAMES:
-            raise PlanError(
-                f"plan field 'generator.benchmark': unknown name {name!r}"
-            )
-        shape = {
-            key: _plan_field(gen, key, kind, prefix="generator.")
-            for key, kind in (("kappa", int), ("diag", float))
-            if key in gen
-        }
-        try:
-            generator = benchmark_matrix(name, **shape)
-        except ValueError as exc:
-            raise PlanError(f"plan field 'generator': {exc}") from exc
+            raise PlanError(f"plan field 'generator.benchmark': unknown name {name!r}")
+        generator = _plan_value("plan field 'generator'", benchmark_matrix, name, **gen)
     elif "matrix" in gen:
-        try:
-            generator = _transition_matrix(gen["matrix"])
-        except ValueError as exc:
-            raise PlanError(f"plan field 'generator.matrix': {exc}") from exc
-    elif "second_order" in gen:
-        so = gen["second_order"]
-        if not isinstance(so, dict):
-            raise PlanError("plan field 'generator.second_order': expected object")
-        if {"a", "b", "c", "d"} <= so.keys():
-            keys = ("a", "b", "c", "d")
-        elif {"p", "q", "phi", "gamma"} <= so.keys():
-            keys = ("p", "q", "phi", "gamma")
-        else:
-            raise PlanError("plan field 'generator.second_order': need a,b,c,d or p,q,phi,gamma")
-        values = {
-            key: _plan_field(so, key, float, prefix="generator.second_order.") for key in keys
-        }
-        try:
-            if "a" in values:
-                generator = SecondOrderParams(**values)
-            else:
-                generator = reparam_to_abcd(ReparamPoint(**values))
-        except ValueError as exc:
-            raise PlanError(f"plan field 'generator.second_order': {exc}") from exc
+        generator = _plan_value("plan field 'generator.matrix'", _transition_matrix, gen["matrix"])
     else:
-        raise PlanError(
-            "plan field 'generator': need one of benchmark, matrix, second_order"
-        )
-
-    lengths = _plan_field(plan_dict, "lengths", list)
-    if not all(isinstance(v, int) for v in lengths):
+        so = gen["second_order"]
+        keys = _ABCD_KEYS if "a" in so else _REPARAM_KEYS
+        values = _plan_fields(so, keys, "generator.second_order")
+        build = SecondOrderParams if "a" in so else lambda **v: reparam_to_abcd(ReparamPoint(**v))
+        generator = _plan_value("plan field 'generator.second_order'", build, **values)
+    if not all(isinstance(v, int) for v in top["lengths"]):
         raise PlanError("plan field 'lengths': expected integers")
     # The plan's top-level flag applies to every estimator it lists.
-    zero_mode = _plan_field(plan_dict, "paper_zero_mode", bool, required=False) is True
+    zero_mode = top.get("paper_zero_mode", False)
     estimators = []
-    for k, item in enumerate(_plan_field(plan_dict, "estimators", list)):
-        if not isinstance(item, dict) or "method" not in item:
-            raise PlanError(f"plan field 'estimators[{k}]': expected object with 'method'")
-        order = _plan_field(item, "order", int, required=False, prefix=f"estimators[{k}].")
-        try:
-            estimators.append(EstimatorSpec(item["method"], order, zero_mode))
-        except ValueError as exc:
-            raise PlanError(f"plan field 'estimators[{k}]': {exc}") from exc
-    seed = _plan_field(plan_dict, "seed", int)
-    if seed < 0:
+    for k, item in enumerate(top["estimators"]):
+        est = _plan_fields(item, _ESTIMATOR_KEYS, f"estimators[{k}]")
+        spec = (est["method"], est.get("order"), zero_mode)
+        estimators.append(_plan_value(f"plan field 'estimators[{k}]'", EstimatorSpec, *spec))
+    if top["seed"] < 0:
         raise PlanError("plan field 'seed': must be >= 0")
-    try:
-        plan = ExperimentPlan(
-            generator=generator,
-            lengths=tuple(lengths),
-            replicates=_plan_field(plan_dict, "replicates", int),
-            estimators=tuple(estimators),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise PlanError(f"plan validation: {exc}") from exc
+    plan = _plan_value(
+        "plan validation", ExperimentPlan, generator=generator, lengths=tuple(top["lengths"]),
+        replicates=top["replicates"], estimators=tuple(estimators), seed=top["seed"],
+    )
     return plan, plan_dict
 
 
@@ -585,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--benchmark", choices=BENCHMARK_NAMES)
     sim.add_argument("--matrix", metavar="FILE", help="explicit row-stochastic matrix")
     sim.add_argument("--second-order", metavar="A,B,C,D", help="two-state pair chain")
-    sim.add_argument("--kappa", type=int, default=8)
-    sim.add_argument("--diag", type=float, default=0.95)
+    sim.add_argument("--kappa", type=int, help="states of --benchmark (default 8)")
+    sim.add_argument("--diag", type=float, help="P_ii of --benchmark low (default 0.95)")
     sim.add_argument("--length", type=int, required=True)
     sim.add_argument(
         "--init",

@@ -115,17 +115,23 @@ BENCHMARK_NAMES = ("low", "medium", "medium-builtin", "high")
 _MEDIUM_MASSES = (0.90, 0.85, 0.80, 0.70, 0.60, 0.50, 0.60, 0.75)
 
 
-def benchmark_matrix(kind: str, kappa: int = 8, diag: float = 0.95) -> TransitionMatrix:
-    """Named benchmark transition matrices.
+def benchmark_matrix(
+    kind: str, kappa: int | None = None, diag: float | None = None
+) -> TransitionMatrix:
+    """Named benchmark transition matrices over ``kappa`` states (default 8).
 
     "low": strongly self-transitioning rows (P_ii = diag, remaining mass split
     evenly), a highly predictable system.  "high": uniform rows, a maximally
     unpredictable system with rate exactly log2(kappa).  "medium" (alias
     "medium-builtin"): a fixed 8-state matrix with heterogeneous row entropies
     sitting between the two; it is a documented built-in stand-in, not taken
-    from any published source.
+    from any published source.  ``diag`` (default 0.95) is for "low" only.
     """
+    if diag is not None and kind != "low":
+        raise ValueError(f"diag applies only to the low benchmark, not {kind!r}")
+    kappa = 8 if kappa is None else kappa
     if kind == "low":
+        diag = 0.95 if diag is None else diag
         if not 0.0 < diag <= 1.0:
             raise ValueError("diag must lie in (0, 1]")
         if kappa < 2:

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entrate.cli import _load_plan, main
 from entrate.simulate import ReparamPoint, reparam_to_abcd
@@ -302,6 +307,16 @@ class TestEstimateCommand:
         message = json.loads(err)["error"]["message"]
         assert "--p" in message and "--replicates" in message
 
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_duplicate_method_is_input_error(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--text", "A B A B A A B", "--method", "swlz",
+            "--method", "empirical", "--method", "swlz", "--replicates", "2",
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "input", "message": "--method: swlz listed twice"}
+
     def test_seed_without_replicates_is_input_error(self, capsys):
         code, out, err = run(capsys, "estimate", "--text", "A B A B A A B", "--seed", "5")
         assert code == 1
@@ -428,10 +443,15 @@ class TestSimulateCommand:
             ["--benchmark", "medium", "--length", "10", "--kappa", "4"],
             ["--benchmark", "high", "--length", "10", "--kappa", "0"],
             ["--second-order", "0.1,0.2", "--length", "10"],
+            ["--benchmark", "high", "--length", "10", "--diag", "0.5"],
+            ["--benchmark", "medium", "--length", "10", "--diag", "0.95"],
+            ["--second-order", "0.2,0.3,0.4,0.5", "--length", "10", "--kappa", "2"],
+            ["--second-order", "0.2,0.3,0.4,0.5", "--length", "10", "--diag", "0.5"],
         ],
         ids=[
             "init", "length", "kappa", "second-order", "medium-kappa", "high-kappa",
-            "second-order-arity",
+            "second-order-arity", "high-diag", "medium-diag", "second-order-kappa",
+            "second-order-diag",
         ],
     )
     def test_out_of_range_flag_is_input_error(self, capsys, flags):
@@ -457,6 +477,23 @@ class TestSimulateCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "input"
         assert error["message"].startswith(path)
+
+    @pytest.mark.parametrize(
+        "flags", [["--kappa", "3"], ["--diag", "0.1"], ["--kappa", "3", "--diag", "0.1"]]
+    )
+    def test_benchmark_shape_with_matrix_is_input_error(self, capsys, tmp_path, flags):
+        path = write(tmp_path, "m.txt", "0.5 0.5\n0.5 0.5\n")
+        code, out, err = run(capsys, "simulate", "--matrix", path, "--length", "5", *flags)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "input", "message": "--kappa and --diag apply to --benchmark only"}
+
+    def test_medium_accepts_its_eight_states(self, capsys):
+        outs = [
+            run(capsys, "simulate", "--benchmark", "medium", "--length", "20", *extra)
+            for extra in ([], ["--kappa", "8"])
+        ]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
 
     def test_init_with_second_order_is_input_error(self, capsys):
         code, out, err = run(
@@ -591,6 +628,16 @@ class TestExperimentCommand:
             ({"estimators": [{"order": 1}]}, "estimators[0]"),
             ({"estimators": [{"method": "bogus"}]}, "estimators[0]"),
             ({"seed": -1}, "seed"),
+            ({"paper_zero_mod": True}, "paper_zero_mod"),
+            ({"generator": {"benchmark": "high", "kapa": 4}}, "generator.kapa"),
+            ({"generator": {"matrix": [[0.5, 0.5], [0.5, 0.5]], "kappa": 2}}, "generator.kappa"),
+            (
+                {"generator": {"second_order": dict.fromkeys("abcdp", 0.5)}},
+                "generator.second_order.p",
+            ),
+            ({"estimators": [{"method": "eigen", "ordr": 2}]}, "estimators[0].ordr"),
+            ({"generator": {"benchmark": "high", "matrix": [[1.0]]}}, "generator"),
+            ({"generator": {"benchmark": "high", "diag": 0.5}}, "generator"),
         ],
         ids=[
             "kappa-range", "diag-range", "high-kappa-range", "kappa-str", "kappa-null",
@@ -599,6 +646,8 @@ class TestExperimentCommand:
             "second-order-bool", "reparam-str", "benchmark-name", "second-order-list",
             "second-order-keys", "second-order-range", "generator-kind", "lengths-float",
             "estimator-no-method", "estimator-method", "seed-negative",
+            "unknown-top", "unknown-benchmark-key", "kappa-with-matrix", "unknown-second-order-key",
+            "unknown-estimator-key", "two-generator-kinds", "diag-with-high",
         ],
     )
     def test_bad_plan_field_is_input_error(self, capsys, tmp_path, edit, field):
@@ -610,6 +659,35 @@ class TestExperimentCommand:
         assert error["type"] == "input"
         assert error["message"].startswith(f"plan field '{field}'")
         assert not (tmp_path / "plan.report.json").exists()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from(["", "generator", "estimators[0]", "estimators[1]"]),
+        st.text(min_size=1, max_size=12),
+        st.sampled_from([True, 0, 2.5, "x", None, [], {}]),
+    )
+    def test_unknown_key_in_any_plan_object_is_refused(self, where, key, value):
+        plan = self.plan_dict()
+        obj = {
+            "": plan, "generator": plan["generator"],
+            "estimators[0]": plan["estimators"][0], "estimators[1]": plan["estimators"][1],
+        }[where]
+        # A key the object's table knows is no unknown key: the optional flag,
+        # a second generator kind, an order for swlz.
+        known = {"": {"paper_zero_mode"}, "generator": {"benchmark", "second_order"}}
+        assume(key not in obj and key not in known.get(where, {"order"}))
+        obj[key] = value
+        path = f"{where}.{key}" if where else key
+        with tempfile.TemporaryDirectory() as tmp:
+            plan_path = write(Path(tmp), "plan.json", json.dumps(plan))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["experiment", plan_path])
+            assert code == 1 and out.getvalue() == ""
+            error = json.loads(err.getvalue())["error"]
+            assert error["type"] == "input"
+            assert error["message"].startswith(f"plan field '{path}': unknown key")
+            assert not (Path(tmp) / "plan.report.json").exists()
 
     def test_second_order_abcd_form(self, capsys, tmp_path):
         # The a,b,c,d form of the shipped p,q,phi,gamma plan names the same

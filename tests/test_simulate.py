@@ -99,6 +99,11 @@ class TestBenchmarkMatrix:
         with pytest.raises(ValueError):
             benchmark_matrix("medium", kappa=4)
 
+    @pytest.mark.parametrize("kind", ["high", "medium", "medium-builtin"])
+    def test_diag_applies_to_low_only(self, kind):
+        with pytest.raises(ValueError, match="diag applies only to the low benchmark"):
+            benchmark_matrix(kind, diag=0.95)
+
 
 class TestSecondOrderMatrix:
     def test_structure(self):
