@@ -185,6 +185,10 @@ def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
     for method, count in Counter(methods).items():
         if count > 1:
             raise SequenceFileError(f"--method: {method} listed twice")
+    if args.order is not None and not set(methods) & set(DIRECT_METHODS):
+        raise SequenceFileError("--order applies to the direct methods; swlz takes no order")
+    if args.paper_zero_mode and not set(methods) & {"eigen", "limit"}:
+        raise SequenceFileError("--paper-zero-mode applies to eigen and limit only")
     return [
         EstimatorSpec(m, None if m == "swlz" else args.order, args.paper_zero_mode)
         for m in methods
@@ -543,7 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=(*DIRECT_METHODS, "swlz"),
             help="estimator; repeatable (default: empirical)",
         )
-        est.add_argument("--order", type=_order, default=1, help="assumed chain order m")
+        est.add_argument(
+            "--order", type=_order, help="assumed chain order m of the direct methods (default 1)"
+        )
         est.add_argument(
             "--paper-zero-mode",
             action="store_true",

@@ -190,7 +190,8 @@ class Sequence:
         return cls(states, alphabet)
 
     def tokens(self) -> list[str]:
-        return [self.alphabet.label(int(s)) for s in self.states]
+        symbols = self.alphabet.symbols
+        return [symbols[s] for s in self.states.tolist()]
 
     def prefix(self, n: int) -> "Sequence":
         """First n observations, sharing the same alphabet."""

@@ -64,6 +64,10 @@ __all__ = [
     "run_experiment",
 ]
 
+# Steps walked per block of Python floats.  It bounds the walk's Python lists:
+# full-length ones would hold about 32 MB of floats at n = 1e6.
+_WALK_BLOCK = 4096
+
 
 def simulate_chain(
     P: TransitionMatrix,
@@ -78,7 +82,12 @@ def simulate_chain(
     ``init`` selects x_0: a fixed state index, an explicit distribution, or
     None for the exact stationary distribution (so the realized process is
     stationary from the start; this raises for reducible matrices).
-    Subsequent symbols are drawn from the current row by inverse-CDF sampling.
+    Subsequent symbols are drawn from the current row by inverse-CDF sampling:
+    one uniform per step, all n drawn at once after x_0, each located by
+    ``bisect_right`` in the row's cumulative sums.  The walk reads the uniforms
+    block-wise as Python floats and writes each block of states with one slice
+    assignment, so no step boxes a numpy scalar; its Python lists hold at most
+    4096 entries whatever n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -101,9 +110,13 @@ def simulate_chain(
     out[0] = x0
     us = rng.random(n)
     state = x0
-    for t in range(1, n):
-        state = bisect_right(rows[state], us[t])
-        out[t] = state
+    for lo in range(1, n, _WALK_BLOCK):
+        block: list[int] = []
+        append = block.append
+        for u in us[lo : lo + _WALK_BLOCK].tolist():
+            state = bisect_right(rows[state], u)
+            append(state)
+        out[lo : lo + _WALK_BLOCK] = block
     return Sequence(out, Alphabet.of_size(kappa))
 
 

@@ -223,7 +223,7 @@ def swlz_parse(seq: Sequence) -> Parsing:
 
 def format_parsing(seq: Sequence, parsing: Parsing) -> str:
     """Render phrases with their symbol labels, Table-style: "1 | 3 | 131"."""
-    labels = [seq.alphabet.label(int(s)) for s in seq.states]
+    labels = seq.tokens()
     joiner = "" if all(len(lab) == 1 for lab in labels) else " "
     return " | ".join(
         joiner.join(labels[start : start + length]) for start, length in parsing.phrases

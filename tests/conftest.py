@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from entrate import Alphabet, ReducibleMatrixError, Sequence, TransitionMatrix
+from entrate import (
+    Alphabet,
+    ProbabilityVector,
+    ReducibleMatrixError,
+    Sequence,
+    TransitionMatrix,
+    stationary_eigen,
+)
 
 
 def int_seq(values, kappa: int | None = None) -> Sequence:
@@ -98,6 +107,41 @@ def stationary_bootstrap_oracle(states, p: float, rng: np.random.Generator) -> n
         for k in range(min(length, n - len(out))):
             out.append(int(states[(start + k) % n]))
     return np.asarray(out, dtype=np.int64)
+
+
+def simulate_chain_oracle(P: TransitionMatrix, n: int, *, init=None, rng=None) -> np.ndarray:
+    """States of ``simulate_chain`` walked one numpy step at a time.
+
+    Same draws in the same order: x_0 (from ``init``, or the stationary
+    distribution when it is None), then n uniforms at once, each located by
+    ``bisect_right`` in the current row's cumulative sums, whose last entry
+    is set to 1.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(rng)
+    kappa = P.size
+    if init is None:
+        init = stationary_eigen(P)
+    if isinstance(init, (int, np.integer)):
+        x0 = int(init)
+        if not 0 <= x0 < kappa:
+            raise ValueError("initial state out of range")
+    else:
+        probs = init.probs if isinstance(init, ProbabilityVector) else np.asarray(init)
+        x0 = int(rng.choice(kappa, p=probs / probs.sum()))
+
+    cum = np.cumsum(P.probs, axis=1)
+    cum[:, -1] = 1.0
+    rows = [row.tolist() for row in cum]
+    out = np.empty(n, dtype=np.int64)
+    out[0] = x0
+    us = rng.random(n)
+    state = x0
+    for t in range(1, n):
+        state = bisect_right(rows[state], us[t])
+        out[t] = state
+    return out
 
 
 def plugin_rate_oracle(P, n: int, reps: int, seed: int) -> tuple[float, float]:

@@ -266,6 +266,28 @@ class TestEstimateCommand:
         assert error["type"] == "input"
         assert "--order" in error["message"] and ">= 1" in error["message"]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["estimate", "--method", "swlz", "--order", "3"], "--order"),
+            (["estimate", "--method", "swlz", "--order", "1"], "--order"),
+            (["bootstrap", "--method", "swlz", "--order", "2", "--replicates", "3"], "--order"),
+            (["estimate", "--method", "empirical", "--paper-zero-mode"], "--paper-zero-mode"),
+            (["estimate", "--paper-zero-mode"], "--paper-zero-mode"),
+            (["estimate", "--method", "swlz", "--method", "empirical", "--paper-zero-mode"],
+             "--paper-zero-mode"),
+        ],
+        ids=["swlz-order", "swlz-order-1", "bootstrap-swlz-order", "empirical-zero-mode",
+             "default-zero-mode", "swlz-empirical-zero-mode"],
+    )
+    def test_option_no_listed_method_uses_is_input_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--text", "A B A B A A B B A")
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert flag in error["message"]
+
     @pytest.mark.parametrize("p", ["1.5", "0", "nan"])
     def test_p_outside_unit_interval_is_input_error(self, capsys, tmp_path, p):
         path = write(tmp_path, "s.txt", "a b a b a a b\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from conftest import random_stochastic
+from conftest import random_stochastic, simulate_chain_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entrate import (
     EstimatorSpec,
@@ -25,7 +27,7 @@ from entrate import (
     stationary_eigen,
     swlz_entropy,
 )
-from entrate.simulate import ExperimentPlan
+from entrate.simulate import _WALK_BLOCK, ExperimentPlan
 
 CASE_I = ReparamPoint(p=0.4, q=0.75, phi=-0.75, gamma=0.2 / 0.75 - 1.0)
 CASE_II = ReparamPoint(p=0.4, q=0.75, phi=0.3, gamma=0.95 / 0.75 - 1.0)
@@ -58,6 +60,48 @@ class TestSimulateChain:
         a = simulate_chain(P, 100, rng=3)
         b = simulate_chain(P, 100, rng=3)
         assert np.array_equal(a.states, b.states)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.sampled_from(["weights", "flat"]),
+        st.sampled_from(["stationary", "state", "vector"]),
+        st.one_of(
+            st.integers(1, 3),
+            st.sampled_from([k * _WALK_BLOCK + d for k in (1, 2) for d in (0, 1, 2)]),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(10, "flat", "state", _WALK_BLOCK + 1, 0)
+    def test_equals_step_oracle(self, k, shape, init_kind, n, seed):
+        # "weights" rows come from integer weights 0-9 with zeros; "flat" rows
+        # spread equal mass over a random support, and six, seven or ten
+        # equal masses sum to 0.9999999999999999 (the example has two such
+        # rows).  The walk runs n - 1 steps, so n = j * _WALK_BLOCK + 1 fills
+        # exactly j blocks.
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(0, 10, size=(k, k)) * (rng.random((k, k)) < 0.6)
+        if shape == "flat":
+            weights = (weights > 0).astype(np.int64)
+        if init_kind == "stationary":
+            # A cycle through every state keeps the chain irreducible.
+            cycle = rng.permutation(k)
+            weights[cycle, np.roll(cycle, 1)] += 1
+        empty = weights.sum(axis=1) == 0
+        weights[empty, np.flatnonzero(empty)] = 1
+        P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
+        init = {
+            "stationary": None,
+            "state": int(rng.integers(0, k)),
+            "vector": rng.integers(0, 3, size=k) + (np.arange(k) == 0),
+        }[init_kind]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simulate_chain(P, n, init=init, rng=got_rng)
+        want = simulate_chain_oracle(P, n, init=init, rng=want_rng)
+        assert got.states.dtype == np.int64
+        assert np.array_equal(got.states, want)
+        # Both walks leave the caller's generator at the same position.
+        assert got_rng.random() == want_rng.random()
 
 
 class TestBenchmarkMatrix:
