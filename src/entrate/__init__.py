@@ -24,7 +24,7 @@ from .direct import (
     stationary_limit,
 )
 from .estimators import EstimatorSpec, run_estimator
-from .ingest import SequenceFileError, ingest_many
+from .ingest import InputError, ingest_many
 from .markov import (
     Alphabet,
     CompositeAlphabet,

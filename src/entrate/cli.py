@@ -4,16 +4,17 @@ Subcommands: estimate, bootstrap, simulate, experiment, ttest, parse.
 Reports are written as versioned JSON (--json) with a flat CSV mirror
 (--csv); a human-readable summary always goes to standard output.  The key
 tables of this module are the format of an experiment plan, and a key they
-do not list is an input error.  Exit codes: 0 success, 1 input error, 2
-EstimationError (too short, reducible, state space too large), each with a
-JSON error object on standard error; any other exception is a bug and
-surfaces as a traceback.
+do not list is an input error.  Exit codes: 0 success; 1 InputError (a path
+that cannot be read as UTF-8 or written, a malformed file or plan, a misused
+flag); 2 EstimationError (too short, reducible, state space too large).  Each
+writes a JSON error object to standard error; any other exception is a bug.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .bootstrap import BootstrapConfig, bootstrap_se
 # perfbench/tracer.py wraps cli.estimate_direct_pooled, which nothing here calls.
 from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled  # noqa: F401
 from .estimators import EstimatorSpec, run_estimator
-from .ingest import SequenceFileError, ingest_many, read_tokens, tokens_from_text
+from .ingest import InputError, ingest_many, read_text, read_tokens, tokens_from_text, write_text
 from .markov import EstimationError, Sequence, TransitionMatrix
 from .simulate import (
     BENCHMARK_NAMES,
@@ -51,14 +52,10 @@ EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 
 
-class PlanError(ValueError):
-    """An experiment plan file violates the plan schema."""
-
-
 class _Parser(argparse.ArgumentParser):
     # Flag misuse is an input error (exit 1), not argparse's default exit 2.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise SequenceFileError(message)
+        raise InputError(message)
 
 
 def _base_report(command: str, seed: int | None) -> dict[str, Any]:
@@ -80,19 +77,26 @@ def _write_reports(
     None path skips that file.  The CSV header is the rows' keys, and a list
     cell is joined with "; "."""
     if json_path:
-        Path(json_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        write_text(json_path, json.dumps(report, indent=2) + "\n")
     if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rows[0])
-            for row in rows:
-                writer.writerow(
-                    "; ".join(v) if isinstance(v, list) else v for v in row.values()
-                )
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow("; ".join(v) if isinstance(v, list) else v for v in row.values())
+        write_text(csv_path, buffer.getvalue())
 
 
 def _round(x: float | None, digits: int = 10) -> float | None:
     return None if x is None else round(float(x), digits)
+
+
+def _input(prefix: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, whose ``ValueError`` becomes an ``InputError``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(f"{prefix}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- estimate
@@ -127,20 +131,20 @@ def _read_alphabet(path: str | None, fmt: str) -> tuple[str, ...] | None:
     symbols = tuple(read_tokens(path, fmt))
     repeated = sorted(t for t, n in Counter(symbols).items() if n > 1)
     if repeated:
-        raise SequenceFileError(f"{path}: alphabet repeats token(s): {', '.join(repeated)}")
+        raise InputError(f"{path}: alphabet repeats token(s): {', '.join(repeated)}")
     return symbols
 
 
 def _load_sequence(args: argparse.Namespace) -> tuple[Sequence, list[int], dict[str, Any]]:
     if args.text is not None and args.files:
-        raise SequenceFileError("pass FILE(s) or --text, not both")
+        raise InputError("pass FILE(s) or --text, not both")
     declared = _read_alphabet(args.alphabet, args.format)
     if args.text is not None:
         sources = [("--text", tokens_from_text(args.text))]
     elif args.files:
         sources = [(p, read_tokens(p, args.format)) for p in args.files]
     else:
-        raise SequenceFileError("no input: pass FILE(s) or --text")
+        raise InputError("no input: pass FILE(s) or --text")
     seq, starts = ingest_many(sources, declared, args.collapse_repeats)
     source = {
         "text": args.text is not None,
@@ -184,11 +188,11 @@ def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
     methods = args.method or ["empirical"]
     for method, count in Counter(methods).items():
         if count > 1:
-            raise SequenceFileError(f"--method: {method} listed twice")
+            raise InputError(f"--method: {method} listed twice")
     if args.order is not None and not set(methods) & set(DIRECT_METHODS):
-        raise SequenceFileError("--order applies to the direct methods; swlz takes no order")
+        raise InputError("--order applies to the direct methods; swlz takes no order")
     if args.paper_zero_mode and not set(methods) & {"eigen", "limit"}:
-        raise SequenceFileError("--paper-zero-mode applies to eigen and limit only")
+        raise InputError("--paper-zero-mode applies to eigen and limit only")
     return [
         EstimatorSpec(m, None if m == "swlz" else args.order, args.paper_zero_mode)
         for m in methods
@@ -216,9 +220,9 @@ def _estimate_record(
 def _cmd_estimate(args: argparse.Namespace) -> int:
     replicates = args.replicates
     if args.p is not None and replicates is None:
-        raise SequenceFileError("--p sets the bootstrap block parameter; it needs --replicates")
+        raise InputError("--p sets the bootstrap block parameter; it needs --replicates")
     if args.seed is not None and replicates is None:
-        raise SequenceFileError("--seed sets the bootstrap RNG seed; it needs --replicates")
+        raise InputError("--seed sets the bootstrap RNG seed; it needs --replicates")
     seed = 0 if args.seed is None else args.seed
     specs = _estimator_specs(args)
     seq, starts, source = _load_sequence(args)
@@ -294,56 +298,43 @@ def _transition_matrix(rows: Any) -> TransitionMatrix:
     return TransitionMatrix(rows)
 
 
-def _parse_matrix_file(path: str) -> TransitionMatrix:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SequenceFileError(f"cannot read {path}: {exc}") from exc
-    try:
-        if text.lstrip().startswith("["):
-            rows = json.loads(text)
-        else:
-            rows = [
-                [float(tok) for tok in line.split()]
-                for line in text.splitlines()
-                if line.strip() and not line.strip().startswith("#")
-            ]
-        return _transition_matrix(rows)
-    except ValueError as exc:
-        raise SequenceFileError(f"{path}: {exc}") from exc
+def _parse_matrix(text: str) -> TransitionMatrix:
+    """A ``--matrix`` file's text as a matrix: JSON rows, or one row per line."""
+    if text.lstrip().startswith("["):
+        rows = json.loads(text)
+    else:
+        rows = [
+            [float(tok) for tok in line.split()]
+            for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")
+        ]
+    return _transition_matrix(rows)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if sum(g is not None for g in (args.benchmark, args.matrix, args.second_order)) != 1:
-        raise SequenceFileError(
-            "choose exactly one generator: --benchmark, --matrix, or --second-order"
-        )
+        raise InputError("choose exactly one generator: --benchmark, --matrix, or --second-order")
     if args.second_order is not None and args.init is not None:
-        raise SequenceFileError(
+        raise InputError(
             "--init applies to --benchmark and --matrix; --second-order starts stationary"
         )
     if args.benchmark is None and (args.kappa is not None or args.diag is not None):
-        raise SequenceFileError("--kappa and --diag apply to --benchmark only")
+        raise InputError("--kappa and --diag apply to --benchmark only")
     if args.second_order is not None:
-        try:
-            a, b, c, d = (float(v) for v in args.second_order.split(","))
-        except ValueError as exc:
-            raise SequenceFileError("--second-order expects a,b,c,d") from exc
-    try:  # a flag value out of its generator's range is an input error
-        if args.second_order is not None:
-            params = SecondOrderParams(a, b, c, d)
-            seq = simulate_second_order(params, args.length, rng=args.seed)
+        abcd = args.second_order.split(",")
+        if len(abcd) != 4:
+            raise InputError("--second-order expects a,b,c,d")
+        params = _input("--second-order", lambda: SecondOrderParams(*map(float, abcd)))
+        seq = _input("simulate", simulate_second_order, params, args.length, rng=args.seed)
+    else:
+        if args.benchmark is not None:
+            P = _input("--benchmark", benchmark_matrix, args.benchmark, args.kappa, args.diag)
         else:
-            if args.benchmark is not None:
-                P = benchmark_matrix(args.benchmark, kappa=args.kappa, diag=args.diag)
-            else:
-                P = _parse_matrix_file(args.matrix)
-            seq = simulate_chain(P, args.length, init=args.init, rng=args.seed)
-    except ValueError as exc:
-        raise SequenceFileError(str(exc)) from exc
+            P = _input(args.matrix, _parse_matrix, read_text(args.matrix))
+        seq = _input("simulate", simulate_chain, P, args.length, init=args.init, rng=args.seed)
     line = " ".join(seq.tokens()) + "\n"
     if args.out:
-        Path(args.out).write_text(line, encoding="utf-8")
+        write_text(args.out, line)
         print(f"wrote {seq.length} symbols to {args.out}")
     else:
         sys.stdout.write(line)
@@ -374,28 +365,20 @@ def _plan_fields(obj: Any, keys: dict[str, tuple[type, bool]], where: str) -> di
     table ``keys``: every required key is present, no other key is, and each
     value has its type (an int counts as a float, a bool as no number)."""
     if not isinstance(obj, dict):
-        raise PlanError(f"plan field '{where}': expected dict")
+        raise InputError(f"plan field '{where}': expected dict")
     missing = [key for key, (_, required) in keys.items() if required and key not in obj]
     if missing:  # named by its object; a top-level key by itself
-        raise PlanError(f"plan field '{where or missing[0]}': missing {missing[0]!r}")
+        raise InputError(f"plan field '{where or missing[0]}': missing {missing[0]!r}")
     fields = {}
     for key, value in obj.items():
         name = f"{where}.{key}" if where else key
         if key not in keys:
-            raise PlanError(f"plan field '{name}': unknown key")
+            raise InputError(f"plan field '{name}': unknown key")
         kind = keys[key][0]
         if type(value) is not kind and not (kind is float and type(value) is int):
-            raise PlanError(f"plan field '{name}': expected {kind.__name__}")
+            raise InputError(f"plan field '{name}': expected {kind.__name__}")
         fields[key] = kind(value)  # an int as a float; a dict or list is copied
     return fields
-
-
-def _plan_value(prefix: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """``build(*args, **kwargs)``, whose ``ValueError`` becomes a ``PlanError``."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise PlanError(f"{prefix}: {exc}") from exc
 
 
 def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
@@ -403,45 +386,41 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     tables above are the plan format: each plan object is checked against its
     table, which refuses any other key; the constructors check the values."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SequenceFileError(f"cannot read {path}: {exc}") from exc
-    try:
-        plan_dict = json.loads(raw)
+        plan_dict = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise PlanError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(plan_dict, dict):
-        raise PlanError("plan must be a JSON object")
+        raise InputError("plan must be a JSON object")
     top = _plan_fields(plan_dict, _PLAN_KEYS, "")
     kinds = [kind for kind in _GENERATOR_KEYS if kind in top["generator"]]
     if len(kinds) != 1:
-        raise PlanError("plan field 'generator': name one kind: benchmark, matrix or second_order")
+        raise InputError("plan field 'generator': name one kind: benchmark, matrix or second_order")
     gen = _plan_fields(top["generator"], _GENERATOR_KEYS[kinds[0]], "generator")
     if "benchmark" in gen:
         name = gen.pop("benchmark")
         if name not in BENCHMARK_NAMES:
-            raise PlanError(f"plan field 'generator.benchmark': unknown name {name!r}")
-        generator = _plan_value("plan field 'generator'", benchmark_matrix, name, **gen)
+            raise InputError(f"plan field 'generator.benchmark': unknown name {name!r}")
+        generator = _input("plan field 'generator'", benchmark_matrix, name, **gen)
     elif "matrix" in gen:
-        generator = _plan_value("plan field 'generator.matrix'", _transition_matrix, gen["matrix"])
+        generator = _input("plan field 'generator.matrix'", _transition_matrix, gen["matrix"])
     else:
         so = gen["second_order"]
         keys = _ABCD_KEYS if "a" in so else _REPARAM_KEYS
         values = _plan_fields(so, keys, "generator.second_order")
         build = SecondOrderParams if "a" in so else lambda **v: reparam_to_abcd(ReparamPoint(**v))
-        generator = _plan_value("plan field 'generator.second_order'", build, **values)
+        generator = _input("plan field 'generator.second_order'", build, **values)
     if not all(isinstance(v, int) for v in top["lengths"]):
-        raise PlanError("plan field 'lengths': expected integers")
+        raise InputError("plan field 'lengths': expected integers")
     # The plan's top-level flag applies to every estimator it lists.
     zero_mode = top.get("paper_zero_mode", False)
     estimators = []
     for k, item in enumerate(top["estimators"]):
         est = _plan_fields(item, _ESTIMATOR_KEYS, f"estimators[{k}]")
         spec = (est["method"], est.get("order"), zero_mode)
-        estimators.append(_plan_value(f"plan field 'estimators[{k}]'", EstimatorSpec, *spec))
+        estimators.append(_input(f"plan field 'estimators[{k}]'", EstimatorSpec, *spec))
     if top["seed"] < 0:
-        raise PlanError("plan field 'seed': must be >= 0")
-    plan = _plan_value(
+        raise InputError("plan field 'seed': must be >= 0")
+    plan = _input(
         "plan validation", ExperimentPlan, generator=generator, lengths=tuple(top["lengths"]),
         replicates=top["replicates"], estimators=tuple(estimators), seed=top["seed"],
     )
@@ -497,13 +476,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _read_numbers(path: str) -> list[float]:
     tokens = read_tokens(path)
-    try:
-        values = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise SequenceFileError(f"{path}: non-numeric value: {exc}") from exc
+    values = _input(f"{path}: non-numeric value", lambda: [float(t) for t in tokens])
     bad = [t for t, v in zip(tokens, values) if not math.isfinite(v)]
     if bad:
-        raise SequenceFileError(f"{path}: non-finite value(s): {', '.join(bad)}")
+        raise InputError(f"{path}: non-finite value(s): {', '.join(bad)}")
     return values
 
 
@@ -618,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except (SequenceFileError, PlanError) as exc:
+    except InputError as exc:
         _emit_error("input", str(exc))
         return EXIT_INPUT
     except EstimationError as exc:

@@ -9,6 +9,8 @@ actions only.  Several sources are collapsed individually and then
 concatenated; the transition across each source boundary is included by
 default, with the boundary positions reported so that each source can be
 passed on as its own segment instead (``--exclude-boundaries``).
+
+Every path a user names is read by ``read_text`` or written by ``write_text``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from .markov import Alphabet, Sequence
 
 __all__ = [
-    "SequenceFileError",
+    "InputError",
+    "read_text",
+    "write_text",
     "collapse_repeats",
     "tokens_from_text",
     "read_tokens",
@@ -29,8 +33,24 @@ __all__ = [
 ]
 
 
-class SequenceFileError(ValueError):
-    """A sequence file is missing, empty, malformed, or off-alphabet."""
+class InputError(ValueError):
+    """Exit 1: an unreadable or unwritable path, a malformed file or plan, a misused flag."""
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``, a path the user named."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, a path the user named, line ends as given."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def collapse_repeats(tokens: list[str]) -> list[str]:
@@ -48,20 +68,17 @@ def tokens_from_text(text: str) -> list[str]:
 
 
 def read_tokens(path: str, fmt: str = "tokens") -> list[str]:
-    """The tokens of the file at ``path``, skipping blank and ``#`` lines.
+    """The tokens of the file at ``path``, read by ``read_text``, skipping
+    blank and ``#`` lines.
 
     ``fmt`` is ``"tokens"`` (whitespace-separated tokens) or ``"lines"`` (each
-    stripped line is one token).  Raises ``SequenceFileError`` for an unknown
-    format, an unreadable file, or a file with no tokens.
+    stripped line is one token).  Raises ``InputError`` for an unknown format,
+    an unreadable file, or a file with no tokens.
     """
     if fmt not in ("tokens", "lines"):
-        raise SequenceFileError(f"unknown format {fmt!r}")
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SequenceFileError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"unknown format {fmt!r}")
     tokens: list[str] = []
-    for line in raw.splitlines():
+    for line in read_text(path).splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -70,7 +87,7 @@ def read_tokens(path: str, fmt: str = "tokens") -> list[str]:
         else:
             tokens.extend(stripped.split())
     if not tokens:
-        raise SequenceFileError(f"empty file: {path}")
+        raise InputError(f"empty file: {path}")
     return tokens
 
 
@@ -92,15 +109,15 @@ def ingest_many(
     resample across a boundary.
     """
     if not sources:
-        raise SequenceFileError("no input sources")
+        raise InputError("no input sources")
     token_lists = []
     for label, tokens in sources:
         if not tokens:
-            raise SequenceFileError(f"empty input: {label}")
+            raise InputError(f"empty input: {label}")
         if declared_alphabet is not None:
             offenders = sorted(set(tokens) - set(declared_alphabet))
             if offenders:
-                raise SequenceFileError(
+                raise InputError(
                     f"{label}: tokens outside declared alphabet: {', '.join(offenders)}"
                 )
         token_lists.append(collapse_repeats(tokens) if collapse else tokens)
@@ -111,5 +128,5 @@ def ingest_many(
         alphabet = Alphabet.from_tokens(merged)
     starts = list(np.cumsum([0] + [len(t) for t in token_lists[:-1]]).astype(int))
     if len(merged) < 2:
-        raise SequenceFileError("fewer than 2 symbols in total")
+        raise InputError("fewer than 2 symbols in total")
     return Sequence.from_tokens(merged, alphabet), starts

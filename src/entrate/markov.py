@@ -52,7 +52,8 @@ _SUM_TOL = 1e-12
 
 class EstimationError(Exception):
     """This sequence cannot give this estimate: the one failure that bootstrap
-    replicates and Monte Carlo cells count.  Input errors are ``ValueError``s."""
+    replicates and Monte Carlo cells count.  Input errors are
+    ``ingest.InputError``s."""
 
 
 class ReducibleMatrixError(EstimationError):
@@ -107,9 +108,6 @@ class Alphabet:
     def from_tokens(cls, tokens: Iterable[str]) -> "Alphabet":
         """Alphabet of the sorted distinct tokens."""
         return cls(tuple(sorted(set(tokens))))
-
-    def label(self, state: int) -> str:
-        return self.symbols[state]
 
     @cached_property
     def _lookup(self) -> dict[str, int]:

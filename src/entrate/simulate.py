@@ -34,11 +34,13 @@ from . import swlz
 from .direct import entropy_rate, stationary_eigen
 from .estimators import EstimatorSpec, run_estimator
 from .markov import (
+    DENSE_STATE_LIMIT,
     Alphabet,
     EstimationError,
     ProbabilityVector,
     ReducibleMatrixError,
     Sequence,
+    StateSpaceError,
     TransitionMatrix,
     is_irreducible,
 )
@@ -139,10 +141,16 @@ def benchmark_matrix(
     "medium-builtin"): a fixed 8-state matrix with heterogeneous row entropies
     sitting between the two; it is a documented built-in stand-in, not taken
     from any published source.  ``diag`` (default 0.95) is for "low" only.
+    Above DENSE_STATE_LIMIT states, "low" and "high" raise ``StateSpaceError``.
     """
     if diag is not None and kind != "low":
         raise ValueError(f"diag applies only to the low benchmark, not {kind!r}")
     kappa = 8 if kappa is None else kappa
+    if kind in ("low", "high") and kappa > DENSE_STATE_LIMIT:
+        raise StateSpaceError(
+            f"the {kind} benchmark generator over {kappa} states exceeds the dense "
+            f"limit of {DENSE_STATE_LIMIT} states"
+        )
     if kind == "low":
         diag = 0.95 if diag is None else diag
         if not 0.0 < diag <= 1.0:

@@ -527,6 +527,16 @@ class TestSimulateCommand:
         assert error["type"] == "input"
         assert "--init" in error["message"]
 
+    def test_benchmark_above_dense_limit_is_numeric_error(self, capsys):
+        # Refused before the 100000 x 100000 matrix is allocated.
+        code, out, err = run(
+            capsys, "simulate", "--benchmark", "high", "--kappa", "100000", "--length", "5"
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "numeric"
+        assert "high benchmark generator over 100000 states" in error["message"]
+
     def test_reducible_matrix_is_numeric_error(self, capsys, tmp_path):
         # No stationary distribution to start from: a numeric failure.
         path = write(tmp_path, "m.txt", "1 0\n0 1\n")
@@ -853,6 +863,55 @@ class TestCsvMirror:
             header, *body = list(csv.reader(fh))
         assert all(list(row) == header for row in rows)
         assert body == [[self.cell(v) for v in row.values()] for row in rows]
+
+    def test_csv_rows_end_in_crlf(self, capsys, tmp_path):
+        out_csv = tmp_path / "r.csv"
+        code, _, _ = run(capsys, "parse", "--text", TABLE_STRING, "--csv", str(out_csv))
+        assert code == 0
+        assert out_csv.read_bytes() == (
+            b"start,length\r\n0,1\r\n1,1\r\n2,3\r\n5,1\r\n6,3\r\n9,3\r\n12,5\r\n17,3\r\n"
+        )
+
+
+class TestPathErrors:
+    """A path the user names that cannot be read as UTF-8, or cannot be
+    written, is an input error whose message names it."""
+
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["estimate", "{bad}"], "bad"),
+            (["parse", "{bad}"], "bad"),
+            (["estimate", "--text", "AB", "--alphabet", "{bad}"], "bad"),
+            (["experiment", "{bad}"], "bad"),
+            (["ttest", "{bad}", "{ok}"], "bad"),
+            (["simulate", "--matrix", "{bad}", "--length", "5"], "bad"),
+            (["estimate", "{ok}", "--json", "{missing}"], "missing"),
+            (["estimate", "{ok}", "--csv", "{missing}"], "missing"),
+            (["estimate", "{ok}", "--json", "{dir}"], "dir"),
+            (["simulate", "--benchmark", "low", "--length", "5", "--out", "{missing}"], "missing"),
+        ],
+        ids=[
+            "estimate", "parse", "alphabet", "experiment", "ttest", "matrix",
+            "json-missing-dir", "csv-missing-dir", "json-is-dir", "simulate-out",
+        ],
+    )
+    def test_is_input_error_naming_the_path(self, capsys, tmp_path, argv, culprit):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 0 \xff\xfe 1\n")
+        paths = {
+            "bad": str(bad),
+            "ok": write(tmp_path, "ok.txt", "1 2 1 2 2 1\n"),
+            "missing": str(tmp_path / "missing" / "out.txt"),
+            "dir": str(tmp_path),
+        }
+        code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        report = json.loads(line)
+        assert list(report) == ["error"] and list(report["error"]) == ["type", "message"]
+        assert report["error"]["type"] == "input"
+        assert paths[culprit] in report["error"]["message"]
 
 
 class TestEndToEnd:

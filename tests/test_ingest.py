@@ -1,7 +1,7 @@
 import pytest
 
 from entrate.ingest import (
-    SequenceFileError,
+    InputError,
     collapse_repeats,
     ingest_many,
     read_tokens,
@@ -59,21 +59,21 @@ class TestReadAndCollapse:
 
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "a.txt", "# only a comment\n\n")
-        with pytest.raises(SequenceFileError, match="empty"):
+        with pytest.raises(InputError, match="empty"):
             ingest_files([path])
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(SequenceFileError, match="cannot read"):
+        with pytest.raises(InputError, match="cannot read"):
             ingest_files([str(tmp_path / "nope.txt")])
 
     def test_unknown_format_rejected(self, tmp_path):
         path = write(tmp_path, "a.txt", "a b\n")
-        with pytest.raises(SequenceFileError, match="unknown format 'csv'"):
+        with pytest.raises(InputError, match="unknown format 'csv'"):
             read_tokens(path, "csv")
 
     def test_off_alphabet_tokens_listed(self, tmp_path):
         path = write(tmp_path, "a.txt", "a b z y a\n")
-        with pytest.raises(SequenceFileError, match="y, z"):
+        with pytest.raises(InputError, match="y, z"):
             ingest_files([path], declared_alphabet=("a", "b"))
 
     def test_declared_alphabet_order_kept(self, tmp_path):
@@ -84,7 +84,7 @@ class TestReadAndCollapse:
 
     def test_collapse_to_single_symbol_rejected(self, tmp_path):
         path = write(tmp_path, "a.txt", "a a a a\n")
-        with pytest.raises(SequenceFileError, match="fewer than 2"):
+        with pytest.raises(InputError, match="fewer than 2"):
             ingest_files([path], collapse=True)
 
 
@@ -106,9 +106,9 @@ class TestIngestMany:
 
 class TestIngestTokens:
     def test_same_checks_as_files(self):
-        with pytest.raises(SequenceFileError, match="--text: .*y, z"):
+        with pytest.raises(InputError, match="--text: .*y, z"):
             ingest_many([("--text", ["a", "z", "y"])], ("a", "b"))
-        with pytest.raises(SequenceFileError, match="fewer than 2"):
+        with pytest.raises(InputError, match="fewer than 2"):
             ingest_many([("--text", ["a", "a"])], collapse=True)
         seq, starts = ingest_many([("--text", ["b", "b", "a"])], ("b", "a"), collapse=True)
         assert seq.tokens() == ["b", "a"]

@@ -63,7 +63,7 @@ class TestAlphabet:
         a = Alphabet(("x", "y", "z"))
         assert a.kappa == 3
         assert Sequence.from_tokens(["y", "x"], a).states.tolist() == [1, 0]
-        assert a.label(2) == "z"
+        assert a.symbols[2] == "z"
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -229,7 +229,7 @@ class TestCountTransitions:
         assert counts.grand_total == 19
         for i in range(3):
             for j in range(3):
-                key = (a.label(i), a.label(j))
+                key = (a.symbols[i], a.symbols[j])
                 assert counts.dense[i, j] == expected.get(key, 0), key
 
     def test_single_symbol_errors(self):

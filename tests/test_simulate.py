@@ -9,6 +9,7 @@ from entrate import (
     ReducibleMatrixError,
     ReparamPoint,
     SecondOrderParams,
+    StateSpaceError,
     TransitionMatrix,
     benchmark_matrix,
     entropy_rate,
@@ -27,6 +28,7 @@ from entrate import (
     stationary_eigen,
     swlz_entropy,
 )
+from entrate.markov import DENSE_STATE_LIMIT
 from entrate.simulate import _WALK_BLOCK, ExperimentPlan
 
 CASE_I = ReparamPoint(p=0.4, q=0.75, phi=-0.75, gamma=0.2 / 0.75 - 1.0)
@@ -142,6 +144,11 @@ class TestBenchmarkMatrix:
     def test_medium_requires_eight_states(self):
         with pytest.raises(ValueError):
             benchmark_matrix("medium", kappa=4)
+
+    @pytest.mark.parametrize("kind", ["low", "high"])
+    def test_generator_above_dense_limit_refused(self, kind):
+        with pytest.raises(StateSpaceError, match=f"{kind} benchmark generator over 4097 states"):
+            benchmark_matrix(kind, kappa=DENSE_STATE_LIMIT + 1)
 
     @pytest.mark.parametrize("kind", ["high", "medium", "medium-builtin"])
     def test_diag_applies_to_low_only(self, kind):
