@@ -16,7 +16,6 @@ resampled segments the way the point estimate pools the originals.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,21 +70,14 @@ class BootstrapResult:
         self.estimates.flags.writeable = False
 
 
-def choose_p(h_hat: float, n: int) -> float:
-    """Block parameter p = H_hat / log2(n), clamped into (1e-6, 1].
+def choose_p(h_hat: float, n: int) -> tuple[float, str]:
+    """Block parameter p = H_hat / log2(n), clamped into (1e-6, 1], and its
+    clamping note ("" when unclamped).
 
     Equates the mean bootstrap block length 1/p with the mean novelty length
-    log2(n) / H_hat implied by the entropy estimate.  Clamping (degenerate
-    H_hat = 0, or estimates exceeding log2 n) is reported as a warning.
+    log2(n) / H_hat implied by the entropy estimate.  The note reports a
+    clamp: a degenerate H_hat = 0, or an estimate exceeding log2 n.
     """
-    p, note = _clamped_p(h_hat, n)
-    if note:
-        _warnings.warn(note, stacklevel=2)
-    return p
-
-
-def _clamped_p(h_hat: float, n: int) -> tuple[float, str]:
-    """``choose_p``'s value and its clamping message ("" when unclamped)."""
     if h_hat < 0:
         raise ValueError("entropy estimate must be nonnegative")
     if n < 2:
@@ -141,8 +133,9 @@ def bootstrap_se(
 
     The point estimate is ``run_estimator(seq, estimator, *more)``, once, with
     the same ``estimator`` as every replicate; errors on it propagate.  When
-    ``config.p`` is None the block parameter is ``choose_p(point, n)``, n the
-    total length.  Each replicate draws from an independent child stream of
+    ``config.p`` is None the block parameter is ``choose_p`` of the point
+    estimate's value and the total length n, and its clamping note joins the
+    result's warnings.  Each replicate draws from an independent child stream of
     the seeded generator, so results do not depend on evaluation order, and
     resamples ``seq`` and then each of ``more`` from that stream; a segment
     under 2 symbols is kept as it is.
@@ -157,7 +150,7 @@ def bootstrap_se(
     point = run_estimator(seq, estimator, *more)
     p, notes = config.p, []
     if p is None:
-        p, note = _clamped_p(point.value, sum(s.length for s in segments))
+        p, note = choose_p(point.value, sum(s.length for s in segments))
         notes = [note] if note else []
     streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
     values: list[float] = []

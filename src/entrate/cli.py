@@ -2,7 +2,8 @@
 
 Subcommands: estimate, bootstrap, simulate, experiment, ttest, parse.
 Reports are written as versioned JSON (--json) with a flat CSV mirror
-(--csv); a human-readable summary always goes to standard output.  The key
+(--csv), both checked to be writable before the estimates or the plan run;
+a human-readable summary always goes to standard output.  The key
 tables of this module are the format of an experiment plan, and a key they
 do not list is an input error.  Exit codes: 0 success; 1 InputError (a path
 that cannot be read as UTF-8 or written, a malformed file or plan, a misused
@@ -28,7 +29,15 @@ from .bootstrap import BootstrapConfig, bootstrap_se
 # perfbench/tracer.py wraps cli.estimate_direct_pooled, which nothing here calls.
 from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled  # noqa: F401
 from .estimators import EstimatorSpec, run_estimator
-from .ingest import InputError, ingest_many, read_text, read_tokens, tokens_from_text, write_text
+from .ingest import (
+    InputError,
+    check_writable,
+    ingest_many,
+    read_text,
+    read_tokens,
+    tokens_from_text,
+    write_text,
+)
 from .markov import EstimationError, Sequence, TransitionMatrix
 from .simulate import (
     BENCHMARK_NAMES,
@@ -74,8 +83,9 @@ def _write_reports(
     rows: list[dict[str, Any]],
 ) -> None:
     """Write ``report`` as JSON and its ``rows`` as the flat CSV mirror; a
-    None path skips that file.  The CSV header is the rows' keys, and a list
-    cell is joined with "; "."""
+    None path skips that file, and neither is written unless both can be.
+    The CSV header is the rows' keys, and a list cell is joined with "; "."""
+    check_writable(json_path, csv_path)
     if json_path:
         write_text(json_path, json.dumps(report, indent=2) + "\n")
     if csv_path:
@@ -227,6 +237,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     specs = _estimator_specs(args)
     seq, starts, source = _load_sequence(args)
     segments = _split_segments(seq, starts) if args.exclude_boundaries else [seq]
+    check_writable(args.json, args.csv)
     records = []
     lines = []
     for spec in specs:
@@ -449,9 +460,10 @@ def _report_to_dict(report: ExperimentReport, plan_dict: dict[str, Any]) -> dict
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     plan, plan_dict = _load_plan(args.plan)
+    json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
+    check_writable(json_path, args.csv)
     report = run_experiment(plan)
     out = _report_to_dict(report, plan_dict)
-    json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
     _write_reports(json_path, args.csv, out, out["cells"])
     fmt = "{:>7} {:>22} {:>9} {:>9} {:>9} {:>9} {:>7}"
     print(fmt.format("length", "estimator", "min", "mean", "max", "sd", "failed"))

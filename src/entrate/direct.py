@@ -19,7 +19,6 @@ each composite transition advances the base chain by one symbol.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,30 +142,23 @@ def stationary_eigen(P: TransitionMatrix) -> ProbabilityVector:
 
 def stationary_limit(
     P: TransitionMatrix, steps: int = DEFAULT_CESARO_STEPS
-) -> ProbabilityVector:
-    """Cesaro average (1/N) sum_{i<=N} P^i[0, :] of first-row matrix powers.
+) -> tuple[ProbabilityVector, str]:
+    """Cesaro average (1/N) sum_{i<=N} P^i[0, :] of first-row matrix powers,
+    and its non-convergence note ("" when the average converged).
 
-    Converges to the stationary distribution for irreducible P but slowly.
-    The sum is built by binary doubling over the digits of N, most
-    significant first, from ``power`` = P^k and ``acc`` = the first row of
-    sum_{i<=k} P^i: doubling k adds ``acc @ power`` to ``acc`` and squares
-    ``power``; a 1-digit multiplies ``power`` by P and adds its first row.
-    That costs about 2 log2 N products of K x K matrices and two extra K x K
-    arrays, instead of N vector-matrix steps.  Warns when the average still
-    drifts by 1e-6 or more between N//2 and N steps (checked when N//2 >= 2).
+    Converges to the stationary distribution for irreducible P but slowly;
+    a reducible P raises ReducibleMatrixError.  The sum is built by binary
+    doubling over the digits of N, most significant first, from ``power`` =
+    P^k and ``acc`` = the first row of sum_{i<=k} P^i: doubling k adds
+    ``acc @ power`` to ``acc`` and squares ``power``; a 1-digit multiplies
+    ``power`` by P and adds its first row.  That costs about 2 log2 N
+    products of K x K matrices and two extra K x K arrays, instead of N
+    vector-matrix steps.  The note carries the measured drift when the
+    average still moves by 1e-6 or more between N//2 and N steps (checked
+    when N//2 >= 2).
     """
     if not is_irreducible(P):
         raise ReducibleMatrixError("reducible transition matrix")
-    pi, note = _cesaro_limit(P, steps)
-    if note:
-        _warnings.warn(note, stacklevel=2)
-    return pi
-
-
-def _cesaro_limit(P: TransitionMatrix, steps: int) -> tuple[ProbabilityVector, str]:
-    """``stationary_limit``'s distribution and its non-convergence note, which
-    carries the measured N//2-to-N drift ("" when the average converged);
-    P is known to be irreducible."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     probs = P.probs
@@ -234,7 +226,9 @@ def estimate_direct(
     picks the stationary weights pi_i, and every method evaluates one plug-in
     sum -sum pi_i p_ij log2 p_ij over the counts' nonzero entries, with
     p_ij = n_ij / n_i+.  Empirical weights are n_i+ / n_++ and need no
-    K-length array; eigen and limit solve for pi on the dense MLE matrix.
+    K-length array; eigen and limit solve for pi on the dense MLE matrix
+    with ``stationary_eigen`` or ``stationary_limit``, whose note joins the
+    estimate's warnings.
     Irreducibility is read once, from the counts.
 
     Eigen and limit fail in this order, and only the last step builds a
@@ -288,7 +282,7 @@ def estimate_direct(
             if stationary == "eigen":
                 pi = stationary_eigen(P)
             else:
-                pi, note = _cesaro_limit(P, DEFAULT_CESARO_STEPS)
+                pi, note = stationary_limit(P)
                 if note:
                     warn.append(note)
         except ReducibleMatrixError as exc:

@@ -10,11 +10,14 @@ concatenated; the transition across each source boundary is included by
 default, with the boundary positions reported so that each source can be
 passed on as its own segment instead (``--exclude-boundaries``).
 
-Every path a user names is read by ``read_text`` or written by ``write_text``.
+Every path a user names is read by ``read_text`` or written by ``write_text``;
+``check_writable`` tells beforehand whether ``write_text`` could write one.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 from itertools import chain, groupby
 from pathlib import Path
 
@@ -26,6 +29,7 @@ __all__ = [
     "InputError",
     "read_text",
     "write_text",
+    "check_writable",
     "collapse_repeats",
     "tokens_from_text",
     "read_tokens",
@@ -51,6 +55,25 @@ def write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable(*paths: str | None) -> None:
+    """Raise ``write_text``'s InputError now for the first of ``paths`` it
+    could not write, creating no file; a None path is skipped.  An existing
+    path must open for appending, which leaves it as it is; a new one needs
+    an existing, writable directory."""
+    for path in filter(None, paths):
+        target = Path(path)
+        try:
+            if target.exists():
+                target.open("a").close()
+            elif not target.parent.is_dir():
+                code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+                raise OSError(code, os.strerror(code), path)
+            elif not os.access(target.parent, os.W_OK):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def collapse_repeats(tokens: list[str]) -> list[str]:

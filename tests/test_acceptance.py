@@ -250,7 +250,7 @@ def test_criterion_08_bootstrap_conservative():
             seq = simulate_chain(P, n, rng=rng)
             h = estimate_direct(seq).value
             points.append(h)
-            config = BootstrapConfig(p=choose_p(h, n), replicates=100, seed=80_000 + k)
+            config = BootstrapConfig(p=choose_p(h, n)[0], replicates=100, seed=80_000 + k)
             boot.append(bootstrap_se(seq, spec, config).standard_error)
         emp_se = float(np.std(points, ddof=1))
         med = float(np.median(boot))
@@ -294,7 +294,7 @@ def test_criterion_09_oracle_suites():
         )
         for P in mats:
             gap = np.max(
-                np.abs(stationary_limit(P, steps=100_000).probs - stationary_eigen(P).probs)
+                np.abs(stationary_limit(P, steps=100_000)[0].probs - stationary_eigen(P).probs)
             )
             worst_gap = max(worst_gap, float(gap))
     ok = mismatches == 0 and worst_resid < 1e-10 and worst_gap < 1e-2

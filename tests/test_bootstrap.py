@@ -21,20 +21,21 @@ from entrate.simulate import benchmark_matrix, simulate_chain
 
 class TestChooseP:
     def test_power_of_two(self):
-        assert choose_p(1.0, 1024) == pytest.approx(0.1)
+        assert choose_p(1.0, 1024)[0] == pytest.approx(0.1)
 
     def test_zero_entropy_clamped_with_warning(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            p = choose_p(0.0, 100)
+        p, note = choose_p(0.0, 100)
+        assert "clamped" in note
         assert p == 1e-6
 
     def test_above_one_clamped(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            assert choose_p(20.0, 100) == 1.0
+        p, note = choose_p(20.0, 100)
+        assert "clamped" in note
+        assert p == 1.0
 
     def test_mean_block_length(self):
         # H = 2.8934 at n = 1000 targets blocks of mean length about 3.44.
-        p = choose_p(2.8934, 1000)
+        p, _ = choose_p(2.8934, 1000)
         assert 1.0 / p == pytest.approx(3.44, abs=0.01)
 
 
@@ -182,7 +183,7 @@ class TestBootstrapSe:
         seq = int_seq(rng.integers(0, 3, 300), kappa=3)
         spec = EstimatorSpec("empirical", 1)
         derived = bootstrap_se(seq, spec, BootstrapConfig(p=None, replicates=15, seed=4))
-        p = choose_p(derived.point.value, seq.length)
+        p, _ = choose_p(derived.point.value, seq.length)
         explicit = bootstrap_se(seq, spec, BootstrapConfig(p=p, replicates=15, seed=4))
         assert derived.p_used == explicit.p_used == p
         assert np.array_equal(derived.estimates, explicit.estimates)
@@ -238,7 +239,7 @@ class TestBootstrapSe:
                 h = estimate_direct(seq).value
                 points.append(h)
                 config = BootstrapConfig(
-                    p=choose_p(h, n), replicates=100, seed=1000 + k
+                    p=choose_p(h, n)[0], replicates=100, seed=1000 + k
                 )
                 boot_ses.append(bootstrap_se(seq, spec, config).standard_error)
             empirical_se = np.std(points, ddof=1)
@@ -313,7 +314,7 @@ class TestSegmentedBootstrap:
         result = bootstrap_se(segments[0], EstimatorSpec(method, 2), config, *segments[1:])
         pooled = estimate_direct_pooled(segments, 2, method)
         assert result.point == pooled
-        assert result.p_used == choose_p(pooled.value, 180)
+        assert result.p_used == choose_p(pooled.value, 180)[0]
 
     def test_swlz_refuses_segments(self):
         seq, other = self.segments(20, 20)

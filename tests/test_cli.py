@@ -153,14 +153,19 @@ class TestEstimateCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "input"
 
-    @pytest.mark.parametrize("command", ["estimate", "parse"])
-    def test_files_with_text_is_input_error(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, both",
+        [("estimate", True), ("parse", True), ("estimate", False), ("parse", False)],
+        ids=["estimate", "parse", "estimate-neither", "parse-neither"],
+    )
+    def test_files_with_text_is_input_error(self, capsys, tmp_path, command, both):
+        # FILE(s) and --text together, or neither of them.
         path = write(tmp_path, "s.txt", "a b a b\n")
-        code, out, err = run(capsys, command, path, "--text", "AAAB")
+        code, out, err = run(capsys, command, *([path, "--text", "AAAB"] if both else []))
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "input"
-        assert "not both" in error["message"]
+        assert ("not both" if both else "no input") in error["message"]
 
     def test_reducible_eigen_is_numeric_error(self, capsys, tmp_path):
         path = write(tmp_path, "s.txt", " ".join(["0"] * 50 + ["1"]))
@@ -670,6 +675,9 @@ class TestExperimentCommand:
             ({"estimators": [{"method": "eigen", "ordr": 2}]}, "estimators[0].ordr"),
             ({"generator": {"benchmark": "high", "matrix": [[1.0]]}}, "generator"),
             ({"generator": {"benchmark": "high", "diag": 0.5}}, "generator"),
+            ({"generator": {"matrix": [0.5, 0.5]}}, "generator.matrix"),
+            ({"estimators": [1]}, "estimators[0]"),
+            ([], None),
         ],
         ids=[
             "kappa-range", "diag-range", "high-kappa-range", "kappa-str", "kappa-null",
@@ -680,16 +688,19 @@ class TestExperimentCommand:
             "estimator-no-method", "estimator-method", "seed-negative",
             "unknown-top", "unknown-benchmark-key", "kappa-with-matrix", "unknown-second-order-key",
             "unknown-estimator-key", "two-generator-kinds", "diag-with-high",
+            "matrix-not-rows", "estimator-not-object", "plan-not-object",
         ],
     )
     def test_bad_plan_field_is_input_error(self, capsys, tmp_path, edit, field):
-        plan = self.plan_dict() | edit
+        # An edit that is no dict is the whole plan, and no field is to blame.
+        plan = self.plan_dict() | edit if isinstance(edit, dict) else edit
         plan_path = write(tmp_path, "plan.json", json.dumps(plan))
-        code, _, err = run(capsys, "experiment", plan_path)
-        assert code == 1
+        code, out, err = run(capsys, "experiment", plan_path)
+        assert code == 1 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "input"
-        assert error["message"].startswith(f"plan field '{field}'")
+        prefix = f"plan field '{field}'" if field else "plan must be a JSON object"
+        assert error["message"].startswith(prefix)
         assert not (tmp_path / "plan.report.json").exists()
 
     @settings(deadline=None, max_examples=60)
@@ -912,6 +923,52 @@ class TestPathErrors:
         assert list(report) == ["error"] and list(report["error"]) == ["type", "message"]
         assert report["error"]["type"] == "input"
         assert paths[culprit] in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate", "{ok}"], ["bootstrap", "{ok}", "--replicates", "2"], ["parse", "{ok}"],
+         ["ttest", "{ok}", "{ok}"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_report_unless_both_can_be_written(self, capsys, tmp_path, argv):
+        ok = write(tmp_path, "ok.txt", "1 2 1 2 2 1\n")
+        part, missing = tmp_path / "part.json", str(tmp_path / "missing" / "x.csv")
+        argv = [arg.format(ok=ok) for arg in argv]
+        code, out, err = run(capsys, *argv, "--json", str(part), "--csv", missing)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"].startswith(f"cannot write {missing}: ")
+        assert not part.exists()
+
+    @pytest.mark.parametrize(
+        "flags, culprit",
+        [
+            (["--json", "{missing}"], "missing"),
+            (["--json", "{out}", "--csv", "{missing}"], "missing"),
+            ([], "default"),
+        ],
+        ids=["json", "csv", "default-report"],
+    )
+    def test_experiment_checks_report_paths_before_it_runs(
+        self, capsys, tmp_path, monkeypatch, flags, culprit
+    ):
+        def run_experiment(plan):
+            pytest.fail("the plan ran before its report paths were checked")
+
+        monkeypatch.setattr("entrate.cli.run_experiment", run_experiment)
+        plan = write(tmp_path, "plan.json", json.dumps(TestExperimentCommand.plan_dict()))
+        paths = {
+            "missing": str(tmp_path / "missing" / "r.json"),
+            "out": str(tmp_path / "r.json"),
+            "default": tmp_path / "plan.report.json",
+        }
+        paths["default"].mkdir()  # the default report path is taken by a directory
+        code, out, err = run(capsys, "experiment", plan, *[f.format(**paths) for f in flags])
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "input"
+        assert error["message"].startswith(f"cannot write {paths[culprit]}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json", "plan.report.json"]
 
 
 class TestEndToEnd:

@@ -2,10 +2,12 @@ import pytest
 
 from entrate.ingest import (
     InputError,
+    check_writable,
     collapse_repeats,
     ingest_many,
     read_tokens,
     tokens_from_text,
+    write_text,
 )
 
 
@@ -125,3 +127,27 @@ class TestTokensFromText:
 
     def test_single_character(self):
         assert tokens_from_text("a") == ["a"]
+
+
+class TestCheckWritable:
+    @pytest.mark.parametrize(
+        "name",
+        ["missing/r.json", "dir", "file.txt/r.json"],
+        ids=["missing-dir", "is-dir", "file-as-dir"],
+    )
+    def test_refuses_with_write_texts_message(self, tmp_path, name):
+        (tmp_path / "dir").mkdir()
+        write(tmp_path, "file.txt", "kept\n")
+        path = str(tmp_path / name)
+        with pytest.raises(InputError) as refused:
+            check_writable(None, path)
+        with pytest.raises(InputError) as failed:
+            write_text(path, "x")
+        assert str(refused.value) == str(failed.value)
+        assert str(refused.value).startswith(f"cannot write {path}: ")
+
+    def test_writable_paths_left_as_they_are(self, tmp_path):
+        old = write(tmp_path, "old.txt", "kept\n")
+        check_writable(old, None, str(tmp_path / "new.txt"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+        assert (tmp_path / "old.txt").read_text(encoding="utf-8") == "kept\n"
