@@ -2,13 +2,14 @@
 
 Subcommands: estimate, bootstrap, simulate, experiment, ttest, parse.
 Reports are written as versioned JSON (--json) with a flat CSV mirror
-(--csv), both checked to be writable before the estimates or the plan run;
-a human-readable summary always goes to standard output.  The key
-tables of this module are the format of an experiment plan, and a key they
-do not list is an input error.  Exit codes: 0 success; 1 InputError (a path
-that cannot be read as UTF-8 or written, a malformed file or plan, a misused
-flag); 2 EstimationError (too short, reducible, state space too large).  Each
-writes a JSON error object to standard error; any other exception is a bug.
+(--csv), both checked to be writable, and to be neither an input nor each
+other, before the estimates or the plan run; a human-readable summary
+always goes to standard output.  The key tables of this module are the
+format of an experiment plan, and a key they do not list is an input error.
+Exit codes: 0 success; 1 InputError (a path that cannot be read as UTF-8 or
+written, a malformed file or plan, a misused flag); 2 EstimationError (too
+short, reducible, state space too large).  Each writes a JSON error object
+to standard error; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def _write_reports(
     rows: list[dict[str, Any]],
 ) -> None:
     """Write ``report`` as JSON and its ``rows`` as the flat CSV mirror; a
-    None path skips that file, and neither is written unless both can be.
-    The CSV header is the rows' keys, and a list cell is joined with "; "."""
-    check_writable(json_path, csv_path)
+    None path skips that file.  Each command has passed both paths to
+    ``check_writable`` before its work, so neither is written unless both
+    can be.  The CSV header is the rows' keys, and a list cell is joined
+    with "; "."""
     if json_path:
         write_text(json_path, json.dumps(report, indent=2) + "\n")
     if csv_path:
@@ -146,6 +148,8 @@ def _read_alphabet(path: str | None, fmt: str) -> tuple[str, ...] | None:
 
 
 def _load_sequence(args: argparse.Namespace) -> tuple[Sequence, list[int], dict[str, Any]]:
+    """The input sequence, its source starts and the report's input block.
+    The report paths are checked here, before any estimate runs."""
     if args.text is not None and args.files:
         raise InputError("pass FILE(s) or --text, not both")
     declared = _read_alphabet(args.alphabet, args.format)
@@ -156,6 +160,7 @@ def _load_sequence(args: argparse.Namespace) -> tuple[Sequence, list[int], dict[
     else:
         raise InputError("no input: pass FILE(s) or --text")
     seq, starts = ingest_many(sources, declared, args.collapse_repeats)
+    check_writable(args.json, args.csv, inputs=[*args.files, args.alphabet])
     source = {
         "text": args.text is not None,
         "files": list(args.files),
@@ -237,7 +242,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     specs = _estimator_specs(args)
     seq, starts, source = _load_sequence(args)
     segments = _split_segments(seq, starts) if args.exclude_boundaries else [seq]
-    check_writable(args.json, args.csv)
     records = []
     lines = []
     for spec in specs:
@@ -331,6 +335,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.benchmark is None and (args.kappa is not None or args.diag is not None):
         raise InputError("--kappa and --diag apply to --benchmark only")
+    check_writable(args.out, inputs=[args.matrix])
     if args.second_order is not None:
         abcd = args.second_order.split(",")
         if len(abcd) != 4:
@@ -461,7 +466,7 @@ def _report_to_dict(report: ExperimentReport, plan_dict: dict[str, Any]) -> dict
 def _cmd_experiment(args: argparse.Namespace) -> int:
     plan, plan_dict = _load_plan(args.plan)
     json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
-    check_writable(json_path, args.csv)
+    check_writable(json_path, args.csv, inputs=[args.plan])
     report = run_experiment(plan)
     out = _report_to_dict(report, plan_dict)
     _write_reports(json_path, args.csv, out, out["cells"])
@@ -498,6 +503,7 @@ def _read_numbers(path: str) -> list[float]:
 def _cmd_ttest(args: argparse.Namespace) -> int:
     a = _read_numbers(args.group_a)
     b = _read_numbers(args.group_b)
+    check_writable(args.json, args.csv, inputs=[args.group_a, args.group_b])
     cmp = ttest_pooled(a, b)
     stats = {
         "t_statistic": _round(cmp.t_statistic),

@@ -31,7 +31,6 @@ from .markov import (
     Sequence,
     TransitionCounts,
     TransitionMatrix,
-    _check_dense_limit,
     _reaches_all,
     count_transitions,
     embed_order,
@@ -65,18 +64,17 @@ _CESARO_DRIFT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """Point estimate of an entropy rate in bits per symbol, with diagnostics.
+    """Point estimate of an entropy rate in bits per symbol, with its notes.
 
     ``method`` is one of direct_empirical, direct_eigen, direct_limit, swlz,
-    or direct_exact for analytic evaluation of a known matrix.  ``order`` and
-    ``irreducible`` are None when the method does not use them (swlz).
+    or direct_exact for analytic evaluation of a known matrix.  ``order`` is
+    None when the method assumes none (swlz, direct_exact).  ``warnings``
+    are the notes the report prints beside the value.
     """
 
     value: float
     method: str
-    n_obs: int
     order: int | None = None
-    irreducible: bool | None = None
     warnings: tuple[str, ...] = ()
 
 
@@ -200,12 +198,7 @@ def entropy_rate(P: TransitionMatrix, pi: ProbabilityVector | np.ndarray) -> Ent
     if pi.size != P.size:
         raise ValueError("dimension mismatch between P and pi")
     src, dst = np.nonzero(P.probs > 0.0)
-    return EntropyEstimate(
-        value=_plugin_rate(pi.probs[src], P.probs[src, dst]),
-        method="direct_exact",
-        n_obs=0,
-        irreducible=is_irreducible(P),
-    )
+    return EntropyEstimate(_plugin_rate(pi.probs[src], P.probs[src, dst]), "direct_exact")
 
 
 def estimate_direct(
@@ -221,26 +214,33 @@ def estimate_direct(
     Embeds each segment into order-m composite states and counts transitions
     within each segment only, so pairs spanning a segment boundary are
     excluded; segments no longer than ``order`` contribute no transitions,
-    but every segment's symbols count towards ``n_obs``.  All segments must
-    share one base alphabet.  ``stationary`` (one of ``DIRECT_METHODS``)
-    picks the stationary weights pi_i, and every method evaluates one plug-in
-    sum -sum pi_i p_ij log2 p_ij over the counts' nonzero entries, with
-    p_ij = n_ij / n_i+.  Empirical weights are n_i+ / n_++ and need no
-    K-length array; eigen and limit solve for pi on the dense MLE matrix
+    but every segment's symbols count towards the length that the short-data
+    warning compares with kappa^m.  All segments must share one base
+    alphabet.  ``stationary`` (one of ``DIRECT_METHODS``) picks the
+    stationary weights pi_i, and every method evaluates one plug-in sum
+    -sum pi_i p_ij log2 p_ij over the counts' nonzero entries, with
+    p_ij = n_ij / n_i+.  Empirical weights are n_i+ / N, N = n_++, and need
+    no K-length array; eigen and limit solve for pi on the dense MLE matrix
     with ``stationary_eigen`` or ``stationary_limit``, whose note joins the
     estimate's warnings.
-    Irreducibility is read once, from the counts.
 
-    Eigen and limit fail in this order, and only the last step builds a
-    K x K array: above DENSE_STATE_LIMIT composite states they raise
-    StateSpaceError; then, read from the counts, limit raises
-    ReducibleMatrixError when the observed transitions are not strongly
-    connected, and ``mle_transition_matrix`` raises it for eigen when a state
-    was never visited; last comes the solve on the MLE matrix, where eigen may
-    still raise ReducibleMatrixError.  Under ``paper_zero_mode`` a
-    ReducibleMatrixError instead reports the estimate as 0.0 with a warning,
-    matching how such failures show up as zero estimates in simulation
-    studies.
+    Eigen's weights differ from the empirical ones only through where the
+    segments start and end.  If segment s runs from composite state a_s to
+    b_s, the flow defect d = sum_s (e_{b_s} - e_{a_s}) is each state's
+    in-count minus its out-count, and the row totals n satisfy
+    n (I - P) = -d.  So eigen's pi is (n + y) / N with y (I - P) = d and
+    sum(y) = 0: a closed walk (d = 0) gives exactly the empirical weights,
+    and one open segment gives (n + mu) / (N + sum(mu)), where mu counts the
+    expected visits from b before a is hit under P.
+
+    Eigen and limit fail in this order: above DENSE_STATE_LIMIT composite
+    states with StateSpaceError, then with ReducibleMatrixError when a state
+    was never visited, both from ``mle_transition_matrix`` before any K x K
+    array exists; last comes the solve, where ``stationary_eigen`` refuses a
+    non-unique pi and ``stationary_limit`` a reducible matrix.  Under
+    ``paper_zero_mode`` a ReducibleMatrixError instead reports the estimate
+    as 0.0 with a warning, matching how such failures show up as zero
+    estimates in simulation studies.
     """
     if stationary not in DIRECT_METHODS:
         raise ValueError(f"unknown stationary method {stationary!r}")
@@ -264,7 +264,6 @@ def estimate_direct(
             f"order-{order} direct estimates are unreliable"
         )
     visited, _, row_totals = counts.row_runs
-    irreducible = is_irreducible(counts)
     method = f"direct_{stationary}"
     if stationary == "empirical":
         weights = row_totals / counts.grand_total
@@ -275,9 +274,6 @@ def estimate_direct(
             )
     else:
         try:
-            _check_dense_limit(counts.kappa)
-            if stationary == "limit" and not irreducible:
-                raise ReducibleMatrixError("reducible transition matrix")
             P = mle_transition_matrix(counts)
             if stationary == "eigen":
                 pi = stationary_eigen(P)
@@ -289,18 +285,10 @@ def estimate_direct(
             if not paper_zero_mode:
                 raise
             warn.append(f"{exc}; estimate forced to 0")
-            return EntropyEstimate(
-                0.0, method, n_obs, order, irreducible=False, warnings=tuple(warn)
-            )
+            return EntropyEstimate(0.0, method, order, tuple(warn))
         weights = pi.probs[counts.nonzero()[0]]
-    return EntropyEstimate(
-        value=_plugin_rate(weights, counts.n / row_totals),
-        method=method,
-        n_obs=n_obs,
-        order=order,
-        irreducible=irreducible,
-        warnings=tuple(warn),
-    )
+    value = _plugin_rate(weights, counts.n / row_totals)
+    return EntropyEstimate(value, method, order, tuple(warn))
 
 
 def estimate_direct_pooled(

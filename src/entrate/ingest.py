@@ -11,7 +11,8 @@ default, with the boundary positions reported so that each source can be
 passed on as its own segment instead (``--exclude-boundaries``).
 
 Every path a user names is read by ``read_text`` or written by ``write_text``;
-``check_writable`` tells beforehand whether ``write_text`` could write one.
+``check_writable`` tells beforehand whether ``write_text`` could write one
+without replacing an input.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import errno
 import os
 from itertools import chain, groupby
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -57,12 +59,19 @@ def write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def check_writable(*paths: str | None) -> None:
+def check_writable(*paths: str | None, inputs: Iterable[str | None] = ()) -> None:
     """Raise ``write_text``'s InputError now for the first of ``paths`` it
     could not write, creating no file; a None path is skipped.  An existing
     path must open for appending, which leaves it as it is; a new one needs
-    an existing, writable directory."""
+    an existing, writable directory.  A path that resolves to one of
+    ``inputs``, or to an earlier path, is refused too: writing it would
+    replace an input or the other report."""
+    taken = {os.path.realpath(p): f"it is the input {p}" for p in filter(None, inputs)}
     for path in filter(None, paths):
+        resolved = os.path.realpath(path)
+        if resolved in taken:
+            raise InputError(f"cannot write {path}: {taken[resolved]}")
+        taken[resolved] = "it is named for two outputs"
         target = Path(path)
         try:
             if target.exists():

@@ -404,19 +404,8 @@ def _reaches_all(src: np.ndarray, dst: np.ndarray, kappa: int, start: int = 0) -
     return all(seen)
 
 
-def is_irreducible(chain: TransitionMatrix | TransitionCounts) -> bool:
-    """True iff the directed graph of positive transitions is strongly connected.
-
-    For counts the graph is that of the observed transitions, which is the
-    graph of their MLE matrix; counts with a never-visited state, which have
-    no MLE matrix, are never irreducible.
-    """
-    if isinstance(chain, TransitionCounts):
-        if chain.row_runs[0].size < chain.kappa:
-            return False
-        src, dst, _ = chain.nonzero()
-        kappa = chain.kappa
-    else:
-        src, dst = np.nonzero(chain.probs > 0.0)
-        kappa = chain.size
-    return _reaches_all(src, dst, kappa) and _reaches_all(dst, src, kappa)
+def is_irreducible(P: TransitionMatrix) -> bool:
+    """True iff the directed graph of P's positive entries is strongly
+    connected: every state reaches state 0 and state 0 reaches every state."""
+    src, dst = np.nonzero(P.probs > 0.0)
+    return _reaches_all(src, dst, P.size) and _reaches_all(dst, src, P.size)

@@ -243,16 +243,16 @@ def swlz_entropy(seq: Sequence) -> EntropyEstimate:
 
 def swlz_estimate(novelty: NovelLengths, kappa: int) -> EntropyEstimate:
     """The SWLZ estimate from novelty lengths (of a sequence or one of its
-    cuts) over an alphabet of kappa symbols."""
+    cuts) over an alphabet of kappa symbols, with a warning when it exceeds
+    log2(kappa), the highest rate a source over kappa symbols can have (0 for
+    kappa = 1)."""
     n = novelty.n_positions + 1
     value = float(np.log2(n) / novelty.mean())
     warn: tuple[str, ...] = ()
     cap = np.log2(kappa)
-    if value > cap and cap > 0:
+    if value > cap:
         warn = (
             f"estimate {value:.4f} exceeds log2(kappa) = {cap:.4f}; "
             "sequence is too short for a reliable estimate",
         )
-    return EntropyEstimate(
-        value=value, method="swlz", n_obs=n, order=None, irreducible=None, warnings=warn
-    )
+    return EntropyEstimate(value, "swlz", warnings=warn)

@@ -189,6 +189,33 @@ def strongly_connected_oracle(support) -> bool:
     return bool(reach.all())
 
 
+def flow_defect_oracle(P, totals, firsts, lasts) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary distribution of the MLE matrix ``P`` of pooled segment
+    counts, read from the counts' flow defect instead of solved for as a
+    fixed point.
+
+    ``totals`` are the pooled row totals n_i+, and segment s runs from state
+    ``firsts[s]`` to ``lasts[s]``.  Each segment's end is paired with the
+    next segment's start, cyclically: mu is the sum over s of the expected
+    visits to each state by the chain P started at ``lasts[s]`` before it
+    first hits ``firsts[s + 1]``, from the hitting-time system on the other
+    states.  Then mu (I - P) = sum_s (e_last - e_first), which cancels
+    n (I - P), so pi = (n + mu) / (N + sum(mu)).  A closed walk needs no
+    solve: mu = 0 and pi = n / N.  Returns (pi, mu).
+    """
+    probs = np.asarray(P, dtype=np.float64)
+    k = probs.shape[0]
+    mu = np.zeros(k)
+    for last, first in zip(lasts, np.roll(firsts, -1)):
+        if last == first:
+            continue
+        others = np.arange(k) != first
+        hit = np.eye(k - 1) - probs[np.ix_(others, others)]
+        mu[others] += np.linalg.solve(hit.T, (np.arange(k) == last)[others].astype(float))
+    n = np.asarray(totals, dtype=np.float64)
+    return (n + mu) / (n.sum() + mu.sum()), mu
+
+
 def cesaro_loop_oracle(P, steps: int) -> tuple[np.ndarray, float | None]:
     """Brute-force Cesaro average (1/N) sum_{i<=N} P^i[0, :] of the
     row-stochastic array ``P``, by N - 1 vector-matrix steps.

@@ -5,7 +5,6 @@ lines.  Statistical criteria use fixed seeds and the stated replicate counts.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -284,19 +283,13 @@ def test_criterion_09_oracle_suites():
     # (c) Cesaro limit vs eigen at 1e5 steps on 4x4 matrices.
     rng_c = np.random.default_rng(911)
     worst_gap = 0.0
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="Cesaro")
-        mats = [random_stochastic(rng_c, 4) for _ in range(5)]
-        mats.append(
-            TransitionMatrix(
-                [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
-            )
+    mats = [random_stochastic(rng_c, 4) for _ in range(5)]
+    mats.append(TransitionMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]))
+    for P in mats:
+        gap = np.max(
+            np.abs(stationary_limit(P, steps=100_000)[0].probs - stationary_eigen(P).probs)
         )
-        for P in mats:
-            gap = np.max(
-                np.abs(stationary_limit(P, steps=100_000)[0].probs - stationary_eigen(P).probs)
-            )
-            worst_gap = max(worst_gap, float(gap))
+        worst_gap = max(worst_gap, float(gap))
     ok = mismatches == 0 and worst_resid < 1e-10 and worst_gap < 1e-2
     report(
         9,

@@ -901,10 +901,12 @@ class TestPathErrors:
             (["estimate", "{ok}", "--csv", "{missing}"], "missing"),
             (["estimate", "{ok}", "--json", "{dir}"], "dir"),
             (["simulate", "--benchmark", "low", "--length", "5", "--out", "{missing}"], "missing"),
+            (["estimate", "{ok}", "--json", "{loop}"], "loop"),
         ],
         ids=[
             "estimate", "parse", "alphabet", "experiment", "ttest", "matrix",
             "json-missing-dir", "csv-missing-dir", "json-is-dir", "simulate-out",
+            "json-symlink-loop",
         ],
     )
     def test_is_input_error_naming_the_path(self, capsys, tmp_path, argv, culprit):
@@ -915,7 +917,9 @@ class TestPathErrors:
             "ok": write(tmp_path, "ok.txt", "1 2 1 2 2 1\n"),
             "missing": str(tmp_path / "missing" / "out.txt"),
             "dir": str(tmp_path),
+            "loop": str(tmp_path / "loop"),
         }
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
         code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
         assert code == 1 and out == ""
         [line] = err.splitlines()
@@ -969,6 +973,50 @@ class TestPathErrors:
         assert error["type"] == "input"
         assert error["message"].startswith(f"cannot write {paths[culprit]}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json", "plan.report.json"]
+
+
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["estimate", "{seq}", "--json", "{seq}"], "seq"),
+            (["estimate", "{seq}", "--csv", "{seq_respelt}"], "seq_respelt"),
+            (["estimate", "{seq}", "--json", "{seq_link}"], "seq_link"),
+            (["bootstrap", "{seq}", "--replicates", "2", "--csv", "{seq}"], "seq"),
+            (["estimate", "{seq}", "--alphabet", "{alphabet}", "--json", "{alphabet}"], "alphabet"),
+            (["parse", "{seq}", "--json", "{seq}"], "seq"),
+            (["estimate", "{seq}", "--json", "{report}", "--csv", "{report}"], "report"),
+            (["experiment", "{plan}", "--json", "{plan}"], "plan"),
+            (["experiment", "{plan}", "--csv", "{plan}"], "plan"),
+            (["ttest", "{seq}", "{group}", "--json", "{group}"], "group"),
+            (["simulate", "--matrix", "{matrix}", "--length", "5", "--out", "{matrix}"], "matrix"),
+        ],
+        ids=[
+            "estimate-json", "estimate-respelt", "estimate-symlink", "bootstrap-csv",
+            "alphabet", "parse", "json-is-csv", "experiment-json", "experiment-csv", "ttest",
+            "simulate-out",
+        ],
+    )
+    def test_report_path_that_is_an_input_is_refused(self, capsys, tmp_path, argv, culprit):
+        (tmp_path / "sub").mkdir()
+        paths = {
+            "seq": write(tmp_path, "s.txt", "1 2 1 2 2 1\n"),
+            "alphabet": write(tmp_path, "a.txt", "1 2\n"),
+            "plan": write(tmp_path, "p.json", json.dumps(TestExperimentCommand.plan_dict())),
+            "group": write(tmp_path, "g.txt", "3 4 5 3\n"),
+            "matrix": write(tmp_path, "m.txt", "0.5 0.5\n0.5 0.5\n"),
+            "seq_respelt": str(tmp_path / "sub" / ".." / "s.txt"),
+            "seq_link": str(tmp_path / "link.txt"),
+            "report": str(tmp_path / "r.out"),
+        }
+        (tmp_path / "link.txt").symlink_to(tmp_path / "s.txt")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "input"
+        assert error["message"].startswith(f"cannot write {paths[culprit]}: it is ")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 class TestEndToEnd:

@@ -6,12 +6,13 @@ import pytest
 from conftest import (
     cesaro_loop_oracle,
     entropy_rate_loop_oracle,
+    flow_defect_oracle,
     int_seq,
     random_stochastic,
     stationary_eig_oracle,
     strongly_connected_oracle,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entrate import (
@@ -26,7 +27,6 @@ from entrate import (
     entropy_rate,
     estimate_direct,
     estimate_direct_pooled,
-    is_irreducible,
     mle_transition_matrix,
     shannon_entropy,
     stationary_eigen,
@@ -221,7 +221,6 @@ class TestEntropyRate:
     def test_deterministic_transitions(self):
         est = entropy_rate(TransitionMatrix([[0, 1], [1, 0]]), np.array([0.5, 0.5]))
         assert est.value == 0.0
-        assert est.irreducible is True
 
     def test_uniform_eight(self):
         P = TransitionMatrix(np.full((8, 8), 0.125))
@@ -269,8 +268,7 @@ class TestEntropyRate:
         P = TransitionMatrix(probs)
         est = entropy_rate(P, weights)
         assert est.value == pytest.approx(entropy_rate_loop_oracle(probs, weights), abs=1e-12)
-        assert est.method == "direct_exact" and est.n_obs == 0 and est.order is None
-        assert est.irreducible == is_irreducible(P)
+        assert est.method == "direct_exact" and est.order is None
         assert est.warnings == ()
 
 
@@ -280,8 +278,6 @@ class TestEstimateDirect:
         est = estimate_direct(seq, order=1, stationary="empirical")
         assert est.value == 0.0
         assert est.method == "direct_empirical"
-        assert est.n_obs == 1000
-        assert est.irreducible is True
 
     def test_low_entropy_simulation(self):
         P = benchmark_matrix("low")
@@ -318,30 +314,32 @@ class TestEstimateDirect:
         seq = int_seq([0] * 50 + [1], kappa=2)
         est = estimate_direct(seq, order=1, stationary="eigen", paper_zero_mode=True)
         assert est.value == 0.0
-        assert est.irreducible is False
         assert any("forced to 0" in w for w in est.warnings)
 
-    @pytest.mark.parametrize(
-        "states",
-        [[0] * 50 + [1], [0, 0, 0, 1, 1, 1]],
+    # A never-visited row fails in mle_transition_matrix, a matrix that is
+    # not strongly connected in stationary_limit.
+    REDUCIBLE_LIMIT = pytest.mark.parametrize(
+        "states, message",
+        [
+            ([0] * 50 + [1], "reducible transition matrix: 1 row(s) never visited"),
+            ([0, 0, 0, 1, 1, 1], "reducible transition matrix"),
+        ],
         ids=["never-visited-row", "not-strongly-connected"],
     )
-    def test_reducible_limit_raises_by_default(self, states):
-        with pytest.raises(ReducibleMatrixError, match="^reducible transition matrix$"):
-            estimate_direct(int_seq(states, kappa=2), order=1, stationary="limit")
 
-    @pytest.mark.parametrize(
-        "states",
-        [[0] * 50 + [1], [0, 0, 0, 1, 1, 1]],
-        ids=["never-visited-row", "not-strongly-connected"],
-    )
-    def test_reducible_limit_paper_zero_mode(self, states):
+    @REDUCIBLE_LIMIT
+    def test_reducible_limit_raises_by_default(self, states, message):
+        with pytest.raises(ReducibleMatrixError) as info:
+            estimate_direct(int_seq(states, kappa=2), order=1, stationary="limit")
+        assert str(info.value) == message
+
+    @REDUCIBLE_LIMIT
+    def test_reducible_limit_paper_zero_mode(self, states, message):
         seq = int_seq(states, kappa=2)
         est = estimate_direct(seq, order=1, stationary="limit", paper_zero_mode=True)
         assert est.value == 0.0
         assert est.method == "direct_limit"
-        assert est.irreducible is False
-        assert est.warnings == ("reducible transition matrix; estimate forced to 0",)
+        assert est.warnings == (f"{message}; estimate forced to 0",)
 
     @settings(deadline=None)
     @given(st.data())
@@ -354,18 +352,15 @@ class TestEstimateDirect:
         stationary = data.draw(st.sampled_from(["eigen", "limit"]))
         seq = int_seq(states, kappa)
         solve = stationary_eigen if stationary == "eigen" else lambda P: stationary_limit(P)[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                P = mle_transition_matrix(count_transitions(embed_order(seq, m)))
-                pi = solve(P)
-            except ReducibleMatrixError:
-                with pytest.raises(ReducibleMatrixError):
-                    estimate_direct(seq, order=m, stationary=stationary)
-                return
+        try:
+            P = mle_transition_matrix(count_transitions(embed_order(seq, m)))
+            pi = solve(P)
+        except ReducibleMatrixError:
+            with pytest.raises(ReducibleMatrixError):
+                estimate_direct(seq, order=m, stationary=stationary)
+            return
         est = estimate_direct(seq, order=m, stationary=stationary)
         assert est.value == pytest.approx(entropy_rate_loop_oracle(P.probs, pi.probs), abs=1e-12)
-        assert est.irreducible == is_irreducible(P)
 
     def test_limit_method(self):
         P = TransitionMatrix([[0.1, 0.9], [0.9, 0.1]])
@@ -441,7 +436,6 @@ class TestEstimateDirect:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert est.irreducible is True
             assert not any("never-visited" in w for w in est.warnings)
             assert peak < 16 * 2**20, f"{kappa} symbols: traced peak {peak / 2**20:.1f} MB"
 
@@ -456,7 +450,7 @@ class TestEstimateDirect:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert est.value == 0.0 and est.irreducible is False
+        assert est.value == 0.0
         assert f"{5000**2 - 4998} never-visited state(s) carry zero stationary weight" in est.warnings
         assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
@@ -467,7 +461,7 @@ class TestEstimateDirect:
         seq = simulate_chain(benchmark_matrix("medium"), 10_000, rng=5)
         for stationary, message in [
             ("eigen", "reducible transition matrix: 2899 row(s) never visited"),
-            ("limit", "reducible transition matrix"),
+            ("limit", "reducible transition matrix: 2899 row(s) never visited"),
         ]:
             tracemalloc.start()
             try:
@@ -494,7 +488,6 @@ class TestEstimateDirect:
         assert est.value == pytest.approx(
             entropy_rate_loop_oracle(probs, totals / totals.sum()), abs=1e-12
         )
-        assert est.irreducible == strongly_connected_oracle(table)
         n_never = int((totals == 0).sum())
         note = f"{n_never} never-visited state(s) carry zero stationary weight"
         assert [w for w in est.warnings if "never-visited" in w] == ([note] if n_never else [])
@@ -508,7 +501,12 @@ class TestEstimateDirectPooled:
         pooled = estimate_direct_pooled([seg1, seg2])
         joined = Sequence(np.array([0, 1, 0, 1, 1, 1, 0, 0]), alphabet)
         joined_est = estimate_direct(joined)
-        assert pooled.n_obs == joined_est.n_obs == 8
+        # The short-data warning counts both segments' symbols: 8 <= 2**3.
+        pooled_order_3 = estimate_direct_pooled([seg1, seg2], order=3)
+        assert (
+            "sequence length 8 <= kappa^m = 8; order-3 direct estimates are unreliable"
+            in pooled_order_3.warnings
+        )
         # The pooled estimate skips the boundary 1->1 transition.
         assert pooled.value != pytest.approx(joined_est.value)
 
@@ -528,3 +526,70 @@ class TestEstimateDirectPooled:
         seq = int_seq([0, 1, 1, 0, 1, 0, 0, 1], kappa=2)
         with pytest.raises(ValueError, match="unknown stationary method 'bogus'"):
             estimate_direct_pooled([seq], 1, "bogus")
+
+
+@st.composite
+def segment_sets(draw, shape):
+    """(segments, order) over 1-3 symbols at orders 1-3: one segment whose
+    last window is its first ("closed"), one open segment, or 2-3 pooled
+    segments, each from a chain that repeats its last symbol with a drawn
+    probability and otherwise draws uniformly."""
+    kappa = draw(st.integers(2 if shape == "open" else 1, 3))
+    m = draw(st.integers(1, 3))
+    k = kappa**m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stay = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    alphabet = Alphabet.of_size(kappa)
+    segments = []
+    for _ in range(draw(st.integers(2, 3)) if shape == "pooled" else 1):
+        n = draw(st.integers(10 * k, 40 * k)) + m
+        held = np.where(rng.random(n) < stay, 0, np.arange(n))
+        states = rng.integers(0, kappa, n)[np.maximum.accumulate(held)]
+        if shape == "closed":
+            states = np.concatenate([states, states[:m]])
+        segments.append(Sequence(states, alphabet))
+    if shape == "open":
+        assume(not np.array_equal(states[:m], states[-m:]))
+    return segments, m
+
+
+class TestFlowDefect:
+    """Eigen's weights against the flow-defect oracle, which shares nothing
+    with the bordered solve: they differ from the empirical weights only
+    through where the segments start and end."""
+
+    @staticmethod
+    def solved(segments, m):
+        """Eigen's pi, the oracle's (pi, mu) and the row totals, for counts
+        that visit every state along a strongly connected support."""
+        walks = [embed_order(seg, m) for seg in segments]
+        k = walks[0].alphabet.kappa
+        totals = np.bincount(np.concatenate([w.states[:-1] for w in walks]), minlength=k)
+        assume(totals.all())
+        P = mle_transition_matrix(count_transitions(*walks))
+        assume(strongly_connected_oracle(P.probs))
+        firsts = [int(w.states[0]) for w in walks]
+        lasts = [int(w.states[-1]) for w in walks]
+        oracle_pi, mu = flow_defect_oracle(P.probs, totals, firsts, lasts)
+        return stationary_eigen(P).probs, oracle_pi, mu, totals
+
+    @settings(deadline=None)
+    @given(segment_sets("closed"))
+    def test_closed_walk_eigen_equals_empirical(self, case):
+        (seq,), m = case
+        pi, oracle_pi, mu, totals = self.solved([seq], m)
+        assert not mu.any()
+        assert np.max(np.abs(pi - totals / totals.sum())) <= 1e-12
+        eigen = estimate_direct(seq, order=m, stationary="eigen").value
+        empirical = estimate_direct(seq, order=m, stationary="empirical").value
+        assert abs(eigen - empirical) <= 1e-12
+
+    @settings(deadline=None)
+    @given(st.one_of(segment_sets("open"), segment_sets("pooled")))
+    def test_open_and_pooled_walks_match_the_oracle(self, case):
+        segments, m = case
+        pi, oracle_pi, mu, totals = self.solved(segments, m)
+        assert np.max(np.abs(pi - oracle_pi)) <= 1e-12
+        # The end effect read off eigen's own pi, as a share of N + sum(mu).
+        scale = totals.sum() + mu.sum()
+        assert np.min(pi - totals / scale) >= -1e-12

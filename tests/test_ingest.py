@@ -151,3 +151,15 @@ class TestCheckWritable:
         check_writable(old, None, str(tmp_path / "new.txt"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
         assert (tmp_path / "old.txt").read_text(encoding="utf-8") == "kept\n"
+
+    def test_refuses_an_input_or_a_second_output(self, tmp_path):
+        seq = write(tmp_path, "s.txt", "kept\n")
+        respelt = str(tmp_path / "." / "s.txt")
+        with pytest.raises(InputError) as as_input:
+            check_writable(None, respelt, inputs=[None, seq])
+        assert str(as_input.value) == f"cannot write {respelt}: it is the input {seq}"
+        out = str(tmp_path / "r.out")
+        with pytest.raises(InputError) as twice:
+            check_writable(out, out)
+        assert str(twice.value) == f"cannot write {out}: it is named for two outputs"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt"]

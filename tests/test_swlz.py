@@ -173,6 +173,27 @@ class TestSwlzEntropy:
         assert est.value == pytest.approx(np.log2(3) / 1.5)
         assert est.warnings
 
+    @pytest.mark.parametrize(
+        "source, kappa, warns",
+        [("AAAA", 1, True), ("AABBABAB", 2, True), ("high", 8, False)],
+        ids=["kappa-1", "kappa-2-short", "high-10k"],
+    )
+    def test_warns_exactly_above_log_kappa(self, source, kappa, warns):
+        # One symbol gives a rate of exactly 0, so any positive estimate is
+        # above the ceiling log2(1) = 0.
+        if source == "high":
+            seq = simulate_chain(benchmark_matrix("high"), 10_000, rng=7)
+        else:
+            seq = token_seq(source)
+        assert seq.alphabet.kappa == kappa
+        est = swlz_entropy(seq)
+        assert (est.value > np.log2(kappa)) == warns
+        expected = (
+            f"estimate {est.value:.4f} exceeds log2(kappa) = {np.log2(kappa):.4f}; "
+            "sequence is too short for a reliable estimate"
+        )
+        assert est.warnings == ((expected,) if warns else ())
+
     def test_iid_uniform_below_ceiling(self):
         rng = np.random.default_rng(97)
         seq = int_seq(rng.integers(0, 8, 1000), 8)
