@@ -10,6 +10,10 @@ Exit codes: 0 success; 1 InputError (a path that cannot be read as UTF-8 or
 written, a malformed file or plan, a misused flag); 2 EstimationError (too
 short, reducible, state space too large).  Each writes a JSON error object
 to standard error; any other exception is a bug.
+
+An invocation builds only its own command's parser (all six for ``entrate
+--help`` or a name that is no command), and a command loads ``simulate``,
+``stats`` or the SWLZ parse helpers only when it runs.
 """
 
 from __future__ import annotations
@@ -23,12 +27,11 @@ import sys
 from collections import Counter
 from collections.abc import Callable
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_se
-# perfbench/tracer.py wraps cli.estimate_direct_pooled, which nothing here calls.
-from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled  # noqa: F401
+from .direct import DIRECT_METHODS, EntropyEstimate
 from .estimators import EstimatorSpec, run_estimator
 from .ingest import (
     InputError,
@@ -40,20 +43,9 @@ from .ingest import (
     write_text,
 )
 from .markov import EstimationError, Sequence, TransitionMatrix
-from .simulate import (
-    BENCHMARK_NAMES,
-    ExperimentPlan,
-    ExperimentReport,
-    ReparamPoint,
-    SecondOrderParams,
-    benchmark_matrix,
-    reparam_to_abcd,
-    run_experiment,
-    simulate_chain,
-    simulate_second_order,
-)
-from .stats import ttest_pooled
-from .swlz import format_parsing, swlz_parse
+
+if TYPE_CHECKING:
+    from .simulate import ExperimentPlan, ExperimentReport
 
 SCHEMA_VERSION = 1
 
@@ -66,6 +58,20 @@ class _Parser(argparse.ArgumentParser):
     # Flag misuse is an input error (exit 1), not argparse's default exit 2.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InputError(message)
+
+
+# Names that perfbench/tracer.py or a test patches here.  Each is taken from
+# the package on first use and kept here, and the commands call it through
+# this module, ``sys.modules[__name__]``, so that a patch takes effect.
+# Nothing here calls estimate_direct_pooled; the tracer wraps it.
+_PATCHABLE = ("run_experiment", "estimate_direct_pooled")
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _PATCHABLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def _base_report(command: str, seed: int | None) -> dict[str, Any]:
@@ -282,6 +288,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    from .swlz import format_parsing, swlz_parse
+
     seq, _, source = _load_sequence(args)
     parsing = swlz_parse(seq)
     rendered = format_parsing(seq, parsing)
@@ -327,6 +335,8 @@ def _parse_matrix(text: str) -> TransitionMatrix:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import SecondOrderParams, benchmark_matrix, simulate_chain, simulate_second_order
+
     if sum(g is not None for g in (args.benchmark, args.matrix, args.second_order)) != 1:
         raise InputError("choose exactly one generator: --benchmark, --matrix, or --second-order")
     if args.second_order is not None and args.init is not None:
@@ -401,6 +411,8 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     """The experiment plan in JSON file ``path``, and its parsed JSON.  The key
     tables above are the plan format: each plan object is checked against its
     table, which refuses any other key; the constructors check the values."""
+    from . import simulate
+
     try:
         plan_dict = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -414,16 +426,18 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     gen = _plan_fields(top["generator"], _GENERATOR_KEYS[kinds[0]], "generator")
     if "benchmark" in gen:
         name = gen.pop("benchmark")
-        if name not in BENCHMARK_NAMES:
+        if name not in simulate.BENCHMARK_NAMES:
             raise InputError(f"plan field 'generator.benchmark': unknown name {name!r}")
-        generator = _input("plan field 'generator'", benchmark_matrix, name, **gen)
+        generator = _input("plan field 'generator'", simulate.benchmark_matrix, name, **gen)
     elif "matrix" in gen:
         generator = _input("plan field 'generator.matrix'", _transition_matrix, gen["matrix"])
     else:
         so = gen["second_order"]
         keys = _ABCD_KEYS if "a" in so else _REPARAM_KEYS
         values = _plan_fields(so, keys, "generator.second_order")
-        build = SecondOrderParams if "a" in so else lambda **v: reparam_to_abcd(ReparamPoint(**v))
+        build = simulate.SecondOrderParams if "a" in so else (
+            lambda **v: simulate.reparam_to_abcd(simulate.ReparamPoint(**v))
+        )
         generator = _input("plan field 'generator.second_order'", build, **values)
     if not all(isinstance(v, int) for v in top["lengths"]):
         raise InputError("plan field 'lengths': expected integers")
@@ -437,8 +451,9 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     if top["seed"] < 0:
         raise InputError("plan field 'seed': must be >= 0")
     plan = _input(
-        "plan validation", ExperimentPlan, generator=generator, lengths=tuple(top["lengths"]),
-        replicates=top["replicates"], estimators=tuple(estimators), seed=top["seed"],
+        "plan validation", simulate.ExperimentPlan, generator=generator,
+        lengths=tuple(top["lengths"]), replicates=top["replicates"],
+        estimators=tuple(estimators), seed=top["seed"],
     )
     return plan, plan_dict
 
@@ -467,7 +482,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     plan, plan_dict = _load_plan(args.plan)
     json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
     check_writable(json_path, args.csv, inputs=[args.plan])
-    report = run_experiment(plan)
+    report = sys.modules[__name__].run_experiment(plan)
     out = _report_to_dict(report, plan_dict)
     _write_reports(json_path, args.csv, out, out["cells"])
     fmt = "{:>7} {:>22} {:>9} {:>9} {:>9} {:>9} {:>7}"
@@ -501,6 +516,8 @@ def _read_numbers(path: str) -> list[float]:
 
 
 def _cmd_ttest(args: argparse.Namespace) -> int:
+    from .stats import ttest_pooled
+
     a = _read_numbers(args.group_a)
     b = _read_numbers(args.group_b)
     check_writable(args.json, args.csv, inputs=[args.group_a, args.group_b])
@@ -522,60 +539,51 @@ def _cmd_ttest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="entrate", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"entrate {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _estimate_arguments(est: argparse.ArgumentParser, bootstrap: bool = False) -> None:
+    _add_input_options(est)
+    est.add_argument(
+        "--method",
+        action="append",
+        choices=(*DIRECT_METHODS, "swlz"),
+        help="estimator; repeatable (default: empirical)",
+    )
+    est.add_argument(
+        "--order", type=_order, help="assumed chain order m of the direct methods (default 1)"
+    )
+    est.add_argument(
+        "--paper-zero-mode",
+        action="store_true",
+        help="report reducible eigen/limit estimates as 0 instead of failing",
+    )
+    est.add_argument(
+        "--exclude-boundaries",
+        action="store_true",
+        help="do not count transitions spanning file boundaries (direct methods); "
+        "the bootstrap resamples each file on its own",
+    )
+    est.add_argument(
+        "--replicates",
+        type=_replicate_count,
+        required=bootstrap,
+        help="attach bootstrap SE with B >= 2 replicates",
+    )
+    est.add_argument(
+        "--p", type=_block_p, help="bootstrap block parameter override (needs --replicates)"
+    )
+    est.add_argument(
+        "--seed", type=_seed, help="bootstrap RNG seed (default 0; needs --replicates)"
+    )
+    _add_report_options(est)
 
-    # bootstrap is estimate with --replicates required.
-    for name, help_text in (
-        ("estimate", "entropy rate estimates for a sequence file"),
-        ("bootstrap", "bootstrap standard errors (requires --replicates)"),
-    ):
-        est = sub.add_parser(name, help=help_text)
-        est.set_defaults(run=_cmd_estimate)
-        _add_input_options(est)
-        est.add_argument(
-            "--method",
-            action="append",
-            choices=(*DIRECT_METHODS, "swlz"),
-            help="estimator; repeatable (default: empirical)",
-        )
-        est.add_argument(
-            "--order", type=_order, help="assumed chain order m of the direct methods (default 1)"
-        )
-        est.add_argument(
-            "--paper-zero-mode",
-            action="store_true",
-            help="report reducible eigen/limit estimates as 0 instead of failing",
-        )
-        est.add_argument(
-            "--exclude-boundaries",
-            action="store_true",
-            help="do not count transitions spanning file boundaries (direct methods); "
-            "the bootstrap resamples each file on its own",
-        )
-        est.add_argument(
-            "--replicates",
-            type=_replicate_count,
-            required=name == "bootstrap",
-            help="attach bootstrap SE with B >= 2 replicates",
-        )
-        est.add_argument(
-            "--p", type=_block_p, help="bootstrap block parameter override (needs --replicates)"
-        )
-        est.add_argument(
-            "--seed", type=_seed, help="bootstrap RNG seed (default 0; needs --replicates)"
-        )
-        _add_report_options(est)
 
-    par = sub.add_parser("parse", help="shortest-never-seen phrase decomposition")
-    par.set_defaults(run=_cmd_parse)
+def _parse_arguments(par: argparse.ArgumentParser) -> None:
     _add_input_options(par)
     _add_report_options(par)
 
-    sim = sub.add_parser("simulate", help="simulate a sequence from a known chain")
-    sim.set_defaults(run=_cmd_simulate)
+
+def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
+    from .simulate import BENCHMARK_NAMES
+
     sim.add_argument("--benchmark", choices=BENCHMARK_NAMES)
     sim.add_argument("--matrix", metavar="FILE", help="explicit row-stochastic matrix")
     sim.add_argument("--second-order", metavar="A,B,C,D", help="two-state pair chain")
@@ -590,17 +598,43 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--out", metavar="FILE", help="write tokens here instead of stdout")
 
-    exp = sub.add_parser("experiment", help="run a Monte Carlo experiment plan")
-    exp.set_defaults(run=_cmd_experiment)
+
+def _experiment_arguments(exp: argparse.ArgumentParser) -> None:
     exp.add_argument("plan", metavar="PLAN.json")
     _add_report_options(exp)
 
-    tt = sub.add_parser("ttest", help="pooled-variance two-sample t statistic")
-    tt.set_defaults(run=_cmd_ttest)
+
+def _ttest_arguments(tt: argparse.ArgumentParser) -> None:
     tt.add_argument("group_a", metavar="FILE_A")
     tt.add_argument("group_b", metavar="FILE_B")
     _add_report_options(tt)
 
+
+# Each command: its help line, the function that runs it, and the function
+# that adds its arguments.  bootstrap is estimate with --replicates required.
+_COMMANDS = {
+    "estimate": ("entropy rate estimates for a sequence file", _cmd_estimate, _estimate_arguments),
+    "bootstrap": ("bootstrap standard errors (requires --replicates)", _cmd_estimate,
+                  lambda est: _estimate_arguments(est, bootstrap=True)),
+    "parse": ("shortest-never-seen phrase decomposition", _cmd_parse, _parse_arguments),
+    "simulate": ("simulate a sequence from a known chain", _cmd_simulate, _simulate_arguments),
+    "experiment": ("run a Monte Carlo experiment plan", _cmd_experiment, _experiment_arguments),
+    "ttest": ("pooled-variance two-sample t statistic", _cmd_ttest, _ttest_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``entrate`` parser, with the subparser of ``command`` only, or of
+    every command when ``command`` is None."""
+    # The docstring's last paragraph is for readers of this module, not of --help.
+    parser = _Parser(prog="entrate", description=__doc__.rsplit("\n\n", 1)[0])
+    parser.add_argument("--version", action="version", version=f"entrate {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, run, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            cmd = sub.add_parser(name, help=help_text)
+            cmd.set_defaults(run=run)
+            add_arguments(cmd)
     return parser
 
 
@@ -609,8 +643,11 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # A first argument that names a command needs only that command's parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.run(args)
     except InputError as exc:
         _emit_error("input", str(exc))

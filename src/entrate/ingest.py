@@ -59,28 +59,41 @@ def write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _file_id(path: str) -> tuple[int, int] | str:
+    """The file at ``path`` by its device and inode, which every link to it
+    shares; a path that names no file, by the path it resolves to."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def check_writable(*paths: str | None, inputs: Iterable[str | None] = ()) -> None:
     """Raise ``write_text``'s InputError now for the first of ``paths`` it
     could not write, creating no file; a None path is skipped.  An existing
     path must open for appending, which leaves it as it is; a new one needs
-    an existing, writable directory.  A path that resolves to one of
-    ``inputs``, or to an earlier path, is refused too: writing it would
-    replace an input or the other report."""
-    taken = {os.path.realpath(p): f"it is the input {p}" for p in filter(None, inputs)}
+    an existing, writable directory.  A path that names the same file as one
+    of ``inputs``, or as an earlier path, through a symbolic or hard link or
+    not, is refused too: writing it would replace an input or the other
+    report."""
+    taken = {_file_id(p): f"it is the input {p}" for p in filter(None, inputs)}
     for path in filter(None, paths):
-        resolved = os.path.realpath(path)
-        if resolved in taken:
-            raise InputError(f"cannot write {path}: {taken[resolved]}")
-        taken[resolved] = "it is named for two outputs"
-        target = Path(path)
+        key = _file_id(path)
+        if key in taken:
+            raise InputError(f"cannot write {path}: {taken[key]}")
+        taken[key] = "it is named for two outputs"
+        parent = Path(path).parent
         try:
-            if target.exists():
-                target.open("a").close()
-            elif not target.parent.is_dir():
-                code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
-                raise OSError(code, os.strerror(code), path)
-            elif not os.access(target.parent, os.W_OK):
-                raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+            try:
+                os.stat(path)  # a symbolic-link loop raises here, not at the write
+            except FileNotFoundError:
+                if not parent.is_dir():
+                    raise
+                if not os.access(parent, os.W_OK):
+                    raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+            else:
+                open(path, "a").close()
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from exc
 

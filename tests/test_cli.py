@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -981,6 +982,7 @@ class TestPathErrors:
             (["estimate", "{seq}", "--json", "{seq}"], "seq"),
             (["estimate", "{seq}", "--csv", "{seq_respelt}"], "seq_respelt"),
             (["estimate", "{seq}", "--json", "{seq_link}"], "seq_link"),
+            (["estimate", "{seq}", "--json", "{seq_hard}"], "seq_hard"),
             (["bootstrap", "{seq}", "--replicates", "2", "--csv", "{seq}"], "seq"),
             (["estimate", "{seq}", "--alphabet", "{alphabet}", "--json", "{alphabet}"], "alphabet"),
             (["parse", "{seq}", "--json", "{seq}"], "seq"),
@@ -991,7 +993,7 @@ class TestPathErrors:
             (["simulate", "--matrix", "{matrix}", "--length", "5", "--out", "{matrix}"], "matrix"),
         ],
         ids=[
-            "estimate-json", "estimate-respelt", "estimate-symlink", "bootstrap-csv",
+            "estimate-json", "estimate-respelt", "estimate-symlink", "hard-link", "bootstrap-csv",
             "alphabet", "parse", "json-is-csv", "experiment-json", "experiment-csv", "ttest",
             "simulate-out",
         ],
@@ -1006,9 +1008,11 @@ class TestPathErrors:
             "matrix": write(tmp_path, "m.txt", "0.5 0.5\n0.5 0.5\n"),
             "seq_respelt": str(tmp_path / "sub" / ".." / "s.txt"),
             "seq_link": str(tmp_path / "link.txt"),
+            "seq_hard": str(tmp_path / "h.txt"),
             "report": str(tmp_path / "r.out"),
         }
         (tmp_path / "link.txt").symlink_to(tmp_path / "s.txt")
+        os.link(tmp_path / "s.txt", tmp_path / "h.txt")
         before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
         code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
         assert code == 1 and out == ""
@@ -1017,6 +1021,18 @@ class TestPathErrors:
         assert error["type"] == "input"
         assert error["message"].startswith(f"cannot write {paths[culprit]}: it is ")
         assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+    def test_symlink_loop_is_refused_before_the_estimates(self, capsys, tmp_path, monkeypatch):
+        def bootstrap_se(*args, **kwargs):
+            pytest.fail("the estimates ran before the report path was checked")
+
+        monkeypatch.setattr("entrate.cli.bootstrap_se", bootstrap_se)
+        ok = write(tmp_path, "ok.txt", "1 2 1 2 2 1\n")
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        code, out, err = run(capsys, "bootstrap", ok, "--replicates", "2", "--json", str(loop))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"].startswith(f"cannot write {loop}: ")
 
 
 class TestEndToEnd:
@@ -1061,3 +1077,66 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="^bug$"):
             main(["estimate", "--text", "A B A B A A B"])
         assert capsys.readouterr().err == ""
+
+
+COMMANDS = ("estimate", "bootstrap", "parse", "simulate", "experiment", "ttest")
+
+
+class TestStartUp:
+    """An invocation builds only its own command's parser and loads only the
+    modules that command runs, and nothing of that shows to the user."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[c, "--help"] for c in COMMANDS]
+        + [["bootstrap", "--text", "A B"], ["--help"], [], ["bogus"], ["-h", "estimate"]],
+        ids=[*COMMANDS, "bootstrap-error", "help", "no-arguments", "unknown", "h-then-command"],
+    )
+    def test_output_is_that_of_the_parser_of_every_command(self, capsys, monkeypatch, argv):
+        import entrate.cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        build = entrate.cli.build_parser
+        built = []
+
+        def outcome(build_parser):
+            monkeypatch.setattr(entrate.cli, "build_parser", build_parser)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        one = outcome(spy)
+        assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+        assert one == outcome(lambda command=None: build())
+        assert one[1] or one[2]
+
+    def test_bootstrap_loads_neither_simulate_nor_stats(self):
+        script = (
+            "import contextlib, io, sys, entrate.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    entrate.cli.main(['bootstrap', '--text', 'ABABAABBA', '--replicates', '2'])\n"
+            "print(sorted({'entrate.simulate', 'entrate.stats', 'statistics'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[]\n"
+
+    def test_every_public_name_is_its_modules_object(self):
+        import entrate
+        import entrate.cli
+        import entrate.simulate
+
+        for name in entrate.__all__:
+            value = getattr(entrate, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert set(entrate.__all__) <= set(dir(entrate))
+        assert entrate.cli.run_experiment is entrate.simulate.run_experiment
+        with pytest.raises(AttributeError):
+            entrate.no_such_name
