@@ -10,10 +10,6 @@ Exit codes: 0 success; 1 InputError (a path that cannot be read as UTF-8 or
 written, a malformed file or plan, a misused flag); 2 EstimationError (too
 short, reducible, state space too large).  Each writes a JSON error object
 to standard error; any other exception is a bug.
-
-An invocation builds only its own command's parser (all six for ``entrate
---help`` or a name that is no command), and a command loads ``simulate``,
-``stats`` or the SWLZ parse helpers only when it runs.
 """
 
 from __future__ import annotations
@@ -31,7 +27,8 @@ from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap_se
-from .direct import DIRECT_METHODS, EntropyEstimate
+# perfbench/tracer.py wraps cli.estimate_direct_pooled, which nothing here calls.
+from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct_pooled  # noqa: F401
 from .estimators import EstimatorSpec, run_estimator
 from .ingest import (
     InputError,
@@ -60,15 +57,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-# Names that perfbench/tracer.py or a test patches here.  Each is taken from
-# the package on first use and kept here, and the commands call it through
-# this module, ``sys.modules[__name__]``, so that a patch takes effect.
-# Nothing here calls estimate_direct_pooled; the tracer wraps it.
-_PATCHABLE = ("run_experiment", "estimate_direct_pooled")
-
-
+# A command imports simulate, stats or the SWLZ parse helpers when it runs.
+# run_experiment, which perfbench/tracer.py and the tests patch here, is
+# imported on first use, and _cmd_experiment calls it through this module.
 def __getattr__(name: str) -> Any:
-    if name not in _PATCHABLE:
+    if name != "run_experiment":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
@@ -411,7 +404,10 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     """The experiment plan in JSON file ``path``, and its parsed JSON.  The key
     tables above are the plan format: each plan object is checked against its
     table, which refuses any other key; the constructors check the values."""
-    from . import simulate
+    from .simulate import (
+        BENCHMARK_NAMES, ExperimentPlan, ReparamPoint, SecondOrderParams, benchmark_matrix,
+        reparam_to_abcd,
+    )
 
     try:
         plan_dict = json.loads(read_text(path))
@@ -426,18 +422,16 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     gen = _plan_fields(top["generator"], _GENERATOR_KEYS[kinds[0]], "generator")
     if "benchmark" in gen:
         name = gen.pop("benchmark")
-        if name not in simulate.BENCHMARK_NAMES:
+        if name not in BENCHMARK_NAMES:
             raise InputError(f"plan field 'generator.benchmark': unknown name {name!r}")
-        generator = _input("plan field 'generator'", simulate.benchmark_matrix, name, **gen)
+        generator = _input("plan field 'generator'", benchmark_matrix, name, **gen)
     elif "matrix" in gen:
         generator = _input("plan field 'generator.matrix'", _transition_matrix, gen["matrix"])
     else:
         so = gen["second_order"]
         keys = _ABCD_KEYS if "a" in so else _REPARAM_KEYS
         values = _plan_fields(so, keys, "generator.second_order")
-        build = simulate.SecondOrderParams if "a" in so else (
-            lambda **v: simulate.reparam_to_abcd(simulate.ReparamPoint(**v))
-        )
+        build = SecondOrderParams if "a" in so else lambda **v: reparam_to_abcd(ReparamPoint(**v))
         generator = _input("plan field 'generator.second_order'", build, **values)
     if not all(isinstance(v, int) for v in top["lengths"]):
         raise InputError("plan field 'lengths': expected integers")
@@ -451,9 +445,8 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     if top["seed"] < 0:
         raise InputError("plan field 'seed': must be >= 0")
     plan = _input(
-        "plan validation", simulate.ExperimentPlan, generator=generator,
-        lengths=tuple(top["lengths"]), replicates=top["replicates"],
-        estimators=tuple(estimators), seed=top["seed"],
+        "plan validation", ExperimentPlan, generator=generator, lengths=tuple(top["lengths"]),
+        replicates=top["replicates"], estimators=tuple(estimators), seed=top["seed"],
     )
     return plan, plan_dict
 
@@ -539,102 +532,100 @@ def _cmd_ttest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _estimate_arguments(est: argparse.ArgumentParser, bootstrap: bool = False) -> None:
-    _add_input_options(est)
-    est.add_argument(
-        "--method",
-        action="append",
-        choices=(*DIRECT_METHODS, "swlz"),
-        help="estimator; repeatable (default: empirical)",
-    )
-    est.add_argument(
-        "--order", type=_order, help="assumed chain order m of the direct methods (default 1)"
-    )
-    est.add_argument(
-        "--paper-zero-mode",
-        action="store_true",
-        help="report reducible eigen/limit estimates as 0 instead of failing",
-    )
-    est.add_argument(
-        "--exclude-boundaries",
-        action="store_true",
-        help="do not count transitions spanning file boundaries (direct methods); "
-        "the bootstrap resamples each file on its own",
-    )
-    est.add_argument(
-        "--replicates",
-        type=_replicate_count,
-        required=bootstrap,
-        help="attach bootstrap SE with B >= 2 replicates",
-    )
-    est.add_argument(
-        "--p", type=_block_p, help="bootstrap block parameter override (needs --replicates)"
-    )
-    est.add_argument(
-        "--seed", type=_seed, help="bootstrap RNG seed (default 0; needs --replicates)"
-    )
-    _add_report_options(est)
-
-
-def _parse_arguments(par: argparse.ArgumentParser) -> None:
-    _add_input_options(par)
-    _add_report_options(par)
-
-
-def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
-    from .simulate import BENCHMARK_NAMES
-
-    sim.add_argument("--benchmark", choices=BENCHMARK_NAMES)
-    sim.add_argument("--matrix", metavar="FILE", help="explicit row-stochastic matrix")
-    sim.add_argument("--second-order", metavar="A,B,C,D", help="two-state pair chain")
-    sim.add_argument("--kappa", type=int, help="states of --benchmark (default 8)")
-    sim.add_argument("--diag", type=float, help="P_ii of --benchmark low (default 0.95)")
-    sim.add_argument("--length", type=int, required=True)
-    sim.add_argument(
-        "--init",
-        type=int,
-        help="fixed initial state for --benchmark or --matrix (default: stationary)",
-    )
-    sim.add_argument("--seed", type=_seed, default=0)
-    sim.add_argument("--out", metavar="FILE", help="write tokens here instead of stdout")
-
-
-def _experiment_arguments(exp: argparse.ArgumentParser) -> None:
-    exp.add_argument("plan", metavar="PLAN.json")
-    _add_report_options(exp)
-
-
-def _ttest_arguments(tt: argparse.ArgumentParser) -> None:
-    tt.add_argument("group_a", metavar="FILE_A")
-    tt.add_argument("group_b", metavar="FILE_B")
-    _add_report_options(tt)
-
-
-# Each command: its help line, the function that runs it, and the function
-# that adds its arguments.  bootstrap is estimate with --replicates required.
-_COMMANDS = {
-    "estimate": ("entropy rate estimates for a sequence file", _cmd_estimate, _estimate_arguments),
-    "bootstrap": ("bootstrap standard errors (requires --replicates)", _cmd_estimate,
-                  lambda est: _estimate_arguments(est, bootstrap=True)),
-    "parse": ("shortest-never-seen phrase decomposition", _cmd_parse, _parse_arguments),
-    "simulate": ("simulate a sequence from a known chain", _cmd_simulate, _simulate_arguments),
-    "experiment": ("run a Monte Carlo experiment plan", _cmd_experiment, _experiment_arguments),
-    "ttest": ("pooled-variance two-sample t statistic", _cmd_ttest, _ttest_arguments),
-}
+# The names of the commands that build_parser adds.
+_COMMANDS = ("estimate", "bootstrap", "parse", "simulate", "experiment", "ttest")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``entrate`` parser, with the subparser of ``command`` only, or of
     every command when ``command`` is None."""
-    # The docstring's last paragraph is for readers of this module, not of --help.
-    parser = _Parser(prog="entrate", description=__doc__.rsplit("\n\n", 1)[0])
+    parser = _Parser(prog="entrate", description=__doc__)
     parser.add_argument("--version", action="version", version=f"entrate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, run, add_arguments) in _COMMANDS.items():
-        if command in (None, name):
-            cmd = sub.add_parser(name, help=help_text)
-            cmd.set_defaults(run=run)
-            add_arguments(cmd)
+    wanted = _COMMANDS if command is None else (command,)
+
+    # bootstrap is estimate with --replicates required.
+    for name, help_text in (
+        ("estimate", "entropy rate estimates for a sequence file"),
+        ("bootstrap", "bootstrap standard errors (requires --replicates)"),
+    ):
+        if name not in wanted:
+            continue
+        est = sub.add_parser(name, help=help_text)
+        est.set_defaults(run=_cmd_estimate)
+        _add_input_options(est)
+        est.add_argument(
+            "--method",
+            action="append",
+            choices=(*DIRECT_METHODS, "swlz"),
+            help="estimator; repeatable (default: empirical)",
+        )
+        est.add_argument(
+            "--order", type=_order, help="assumed chain order m of the direct methods (default 1)"
+        )
+        est.add_argument(
+            "--paper-zero-mode",
+            action="store_true",
+            help="report reducible eigen/limit estimates as 0 instead of failing",
+        )
+        est.add_argument(
+            "--exclude-boundaries",
+            action="store_true",
+            help="do not count transitions spanning file boundaries (direct methods); "
+            "the bootstrap resamples each file on its own",
+        )
+        est.add_argument(
+            "--replicates",
+            type=_replicate_count,
+            required=name == "bootstrap",
+            help="attach bootstrap SE with B >= 2 replicates",
+        )
+        est.add_argument(
+            "--p", type=_block_p, help="bootstrap block parameter override (needs --replicates)"
+        )
+        est.add_argument(
+            "--seed", type=_seed, help="bootstrap RNG seed (default 0; needs --replicates)"
+        )
+        _add_report_options(est)
+
+    if "parse" in wanted:
+        par = sub.add_parser("parse", help="shortest-never-seen phrase decomposition")
+        par.set_defaults(run=_cmd_parse)
+        _add_input_options(par)
+        _add_report_options(par)
+
+    # --benchmark's choices load simulate: no other command's parser does.
+    if "simulate" in wanted:
+        from .simulate import BENCHMARK_NAMES
+
+        sim = sub.add_parser("simulate", help="simulate a sequence from a known chain")
+        sim.set_defaults(run=_cmd_simulate)
+        sim.add_argument("--benchmark", choices=BENCHMARK_NAMES)
+        sim.add_argument("--matrix", metavar="FILE", help="explicit row-stochastic matrix")
+        sim.add_argument("--second-order", metavar="A,B,C,D", help="two-state pair chain")
+        sim.add_argument("--kappa", type=int, help="states of --benchmark (default 8)")
+        sim.add_argument("--diag", type=float, help="P_ii of --benchmark low (default 0.95)")
+        sim.add_argument("--length", type=int, required=True)
+        sim.add_argument(
+            "--init",
+            type=int,
+            help="fixed initial state for --benchmark or --matrix (default: stationary)",
+        )
+        sim.add_argument("--seed", type=_seed, default=0)
+        sim.add_argument("--out", metavar="FILE", help="write tokens here instead of stdout")
+
+    if "experiment" in wanted:
+        exp = sub.add_parser("experiment", help="run a Monte Carlo experiment plan")
+        exp.set_defaults(run=_cmd_experiment)
+        exp.add_argument("plan", metavar="PLAN.json")
+        _add_report_options(exp)
+
+    if "ttest" in wanted:
+        tt = sub.add_parser("ttest", help="pooled-variance two-sample t statistic")
+        tt.set_defaults(run=_cmd_ttest)
+        tt.add_argument("group_a", metavar="FILE_A")
+        tt.add_argument("group_b", metavar="FILE_B")
+        _add_report_options(tt)
     return parser
 
 
@@ -644,7 +635,8 @@ def _emit_error(kind: str, message: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A first argument that names a command needs only that command's parser.
+    # A first argument that names a command needs only that command's parser;
+    # --help, no arguments and an unknown command see all of them.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)
