@@ -16,13 +16,11 @@ resampled segments the way the point estimate pools the originals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .direct import EntropyEstimate
 from .estimators import EstimatorSpec, run_estimator
-from .markov import EstimationError, Sequence
+from .markov import EstimationError, Sequence, _Frozen, _Value
 
 __all__ = [
     "BootstrapConfig",
@@ -35,39 +33,41 @@ __all__ = [
 P_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class BootstrapConfig:
+class BootstrapConfig(_Value):
     """Block parameter p in (0, 1] (None: ``choose_p`` of the point
     estimate), replicate count, and RNG seed."""
 
-    p: float | None
-    replicates: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.p is not None and not 0.0 < self.p <= 1.0:
+    def __init__(self, p: float | None, replicates: int, seed: int) -> None:
+        if p is not None and not 0.0 < p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        if self.replicates < 2:
+        if replicates < 2:
             raise ValueError("need at least 2 replicates")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "replicates", replicates)
+        object.__setattr__(self, "seed", seed)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.replicates, self.seed))
 
 
-@dataclass(frozen=True, eq=False)
-class BootstrapResult:
+class BootstrapResult(_Frozen):
     """Point estimate, replicate estimates (0.0 for each of the ``n_failures``
     failed replicates) and their sample standard deviation; ``warnings`` notes
     a clamped block parameter and failed replicates."""
 
-    estimates: np.ndarray
-    standard_error: float
-    p_used: float
-    point: EntropyEstimate
-    n_failures: int = 0
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.standard_error < 0:
+    def __init__(
+        self, estimates: np.ndarray, standard_error: float, p_used: float,
+        point: EntropyEstimate, n_failures: int = 0, warnings: tuple[str, ...] = (),
+    ) -> None:
+        if standard_error < 0:
             raise ValueError("standard error must be nonnegative")
-        self.estimates.flags.writeable = False
+        estimates.flags.writeable = False
+        object.__setattr__(self, "estimates", estimates)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "p_used", p_used)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "n_failures", n_failures)
+        object.__setattr__(self, "warnings", warnings)
 
 
 def choose_p(h_hat: float, n: int) -> tuple[float, str]:
@@ -122,7 +122,7 @@ def stationary_bootstrap_sample(
     clipped = len_arr[:n_blocks].copy()
     clipped[-1] = n - base[-1]
     idx = np.arange(n) + np.repeat(start_arr[:n_blocks] - base, clipped)
-    idx %= n
+    idx -= n * (idx >= n)  # every index is below 2n
     return Sequence(seq.states[idx], seq.alphabet)
 
 

@@ -19,8 +19,6 @@ each composite transition advances the base chain by one symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .markov import (
@@ -32,6 +30,7 @@ from .markov import (
     TransitionCounts,
     TransitionMatrix,
     _reaches_all,
+    _Value,
     count_transitions,
     embed_order,
     is_irreducible,
@@ -62,8 +61,7 @@ DEFAULT_CESARO_STEPS = 100_000
 _CESARO_DRIFT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(_Value):
     """Point estimate of an entropy rate in bits per symbol, with its notes.
 
     ``method`` is one of direct_empirical, direct_eigen, direct_limit, swlz,
@@ -72,10 +70,16 @@ class EntropyEstimate:
     are the notes the report prints beside the value.
     """
 
-    value: float
-    method: str
-    order: int | None = None
-    warnings: tuple[str, ...] = ()
+    def __init__(
+        self, value: float, method: str, order: int | None = None, warnings: tuple[str, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "warnings", warnings)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.method, self.order, self.warnings))
 
 
 def _plugin_rate(weights: np.ndarray | float, p: np.ndarray) -> float:

@@ -6,38 +6,38 @@ simulation experiment plans, and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct
-from .markov import Sequence
+from .markov import Sequence, _Value
 from .swlz import swlz_entropy
 
 __all__ = ["EstimatorSpec", "run_estimator"]
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
+class EstimatorSpec(_Value):
     """An estimator choice: a direct method with an order, or "swlz".
 
     ``paper_zero_mode`` reports a reducible eigen/limit estimate as 0.0
     instead of raising; swlz and empirical ignore it.
     """
 
-    method: str
-    order: int | None = None
-    paper_zero_mode: bool = False
-
-    def __post_init__(self) -> None:
-        if self.method == "swlz":
-            if self.order is not None:
+    def __init__(
+        self, method: str, order: int | None = None, paper_zero_mode: bool = False
+    ) -> None:
+        if method == "swlz":
+            if order is not None:
                 raise ValueError("swlz does not take an order")
-        elif self.method in DIRECT_METHODS:
-            order = 1 if self.order is None else self.order
+        elif method in DIRECT_METHODS:
+            order = 1 if order is None else order
             if order < 1:
                 raise ValueError("order must be >= 1")
-            object.__setattr__(self, "order", order)
         else:
-            raise ValueError(f"unknown estimator method {self.method!r}")
+            raise ValueError(f"unknown estimator method {method!r}")
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "paper_zero_mode", paper_zero_mode)
+
+    def __hash__(self) -> int:
+        return hash((self.method, self.order, self.paper_zero_mode))
 
     @property
     def tag(self) -> str:

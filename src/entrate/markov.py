@@ -14,12 +14,14 @@ the one place that refuses counts with a never-visited state, whose row it
 could not estimate.
 
 All types are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+functions, so everything here is safe to share across threads.  A record
+type's ``__init__`` checks its arguments and writes each field once with
+``object.__setattr__``; its base ``_Frozen`` refuses any later assignment or
+deletion, and ``_Value`` gives the types compared by value ``==`` and a hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence as TypingSequence
 
@@ -69,6 +71,36 @@ class StateSpaceError(EstimationError):
     transition codes or a 63-bit SWLZ word can hold; not an input error."""
 
 
+class _Frozen:
+    """Base of the package's record types: a field is written once, by the
+    subclass's ``__init__``, which takes every field by name."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        code = type(self).__init__.__code__
+        fields = (f"{f}={getattr(self, f)!r}" for f in code.co_varnames[1 : code.co_argcount])
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class _Value(_Frozen):
+    """A record equal to another of its class whose fields are equal; each
+    subclass hashes the same fields, and its instance dict holds only them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -82,18 +114,16 @@ def _check_dense_limit(kappa: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Alphabet:
+class Alphabet(_Frozen):
     """Ordered finite set of distinct symbol labels."""
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(str(s) for s in self.symbols))
-        if len(self.symbols) < 1:
+    def __init__(self, symbols: Iterable[str]) -> None:
+        symbols = tuple(str(s) for s in symbols)
+        if len(symbols) < 1:
             raise ValueError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def kappa(self) -> int:
@@ -114,8 +144,7 @@ class Alphabet:
         return {s: i for i, s in enumerate(self.symbols)}
 
 
-@dataclass(frozen=True)
-class CompositeAlphabet:
+class CompositeAlphabet(_Value):
     """States of the first-order chain on overlapping m-tuples of a base alphabet.
 
     Two composite alphabets are equal when they share one base alphabet object
@@ -127,16 +156,18 @@ class CompositeAlphabet:
     tuples and indices in ``[0, kappa**m)``.
     """
 
-    base: Alphabet
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, base: Alphabet, order: int) -> None:
+        if order < 1:
             raise ValueError("composite order must be >= 1")
-        if self.base.kappa ** (2 * self.order) > 2**63:  # codes i * K + j
+        if base.kappa ** (2 * order) > 2**63:  # codes i * K + j
             raise StateSpaceError(
-                f"transition codes over {self.base.kappa}**{self.order} states overflow int64"
+                f"transition codes over {base.kappa}**{order} states overflow int64"
             )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "order", order)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.order))
 
     @property
     def kappa(self) -> int:
@@ -154,20 +185,17 @@ class CompositeAlphabet:
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class Sequence:
+class Sequence(_Frozen):
     """An observed realization x_0 ... x_T as integer state indices."""
 
-    states: np.ndarray
-    alphabet: Alphabet | CompositeAlphabet
-
-    def __post_init__(self) -> None:
-        states = np.ascontiguousarray(self.states, dtype=np.int64)
+    def __init__(self, states: np.ndarray, alphabet: Alphabet | CompositeAlphabet) -> None:
+        states = np.ascontiguousarray(states, dtype=np.int64)
         if states.ndim != 1 or states.size < 1:
             raise ValueError("sequence must be a nonempty 1-d array of states")
-        if states.min() < 0 or states.max() >= self.alphabet.kappa:
+        if states.min() < 0 or states.max() >= alphabet.kappa:
             raise ValueError("state index out of range for alphabet")
         object.__setattr__(self, "states", _freeze(states))
+        object.__setattr__(self, "alphabet", alphabet)
 
     @property
     def length(self) -> int:
@@ -198,8 +226,7 @@ class Sequence:
         return Sequence(self.states[:n], self.alphabet)
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionCounts:
+class TransitionCounts(_Frozen):
     """Observed one-step transition counts n_ij, in coordinate form.
 
     ``codes`` holds the observed transitions i -> j as strictly increasing
@@ -210,17 +237,12 @@ class TransitionCounts:
     DENSE_STATE_LIMIT states) are views built on first read.
     """
 
-    kappa: int
-    codes: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self) -> None:
-        kappa = self.kappa
+    def __init__(self, kappa: int, codes: np.ndarray, n: np.ndarray) -> None:
         # Checked before any kappa-length array exists.
         if kappa * kappa > np.iinfo(np.int64).max + 1:
             raise StateSpaceError(f"transition codes over {kappa} states overflow int64")
-        codes = np.asarray(self.codes, dtype=np.int64)
-        n = np.asarray(self.n, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.int64)
+        n = np.asarray(n, dtype=np.int64)
         if codes.ndim != 1 or codes.shape != n.shape:
             raise ValueError("codes and counts must be 1-d arrays of one length")
         if codes.size and (codes[0] < 0 or codes[-1] >= kappa * kappa):
@@ -229,6 +251,7 @@ class TransitionCounts:
             raise ValueError("transition codes must be strictly increasing")
         if np.any(n <= 0):
             raise ValueError("transition counts must be positive")
+        object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "codes", _freeze(codes))
         object.__setattr__(self, "n", _freeze(n))
 
@@ -270,8 +293,7 @@ class TransitionCounts:
         return _freeze(table).reshape(self.kappa, self.kappa)
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
+class TransitionMatrix(_Frozen):
     """Row-stochastic matrix of estimated or exact transition probabilities:
     square, every entry in [0, 1] and every row summing to 1 within 1e-12.
 
@@ -279,10 +301,8 @@ class TransitionMatrix:
     never-visited state instead of leaving its row empty.
     """
 
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+    def __init__(self, probs: np.ndarray) -> None:
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError("transition matrix must be square")
         # Written so that a NaN entry fails the checks.
@@ -298,14 +318,11 @@ class TransitionMatrix:
         return int(self.probs.shape[0])
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityVector:
+class ProbabilityVector(_Frozen):
     """Distribution over states: nonnegative entries summing to 1."""
 
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+    def __init__(self, probs: np.ndarray) -> None:
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probability vector must be a nonempty 1-d array")
         # Written so that a NaN entry fails the checks.

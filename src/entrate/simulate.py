@@ -26,7 +26,6 @@ makes the entropy rate analytic over the whole (phi, gamma) region.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,8 @@ from .markov import (
     Sequence,
     StateSpaceError,
     TransitionMatrix,
+    _Frozen,
+    _Value,
     is_irreducible,
 )
 
@@ -175,36 +176,37 @@ def benchmark_matrix(
     raise ValueError(f"unknown benchmark {kind!r}; expected one of {BENCHMARK_NAMES}")
 
 
-@dataclass(frozen=True)
-class SecondOrderParams:
+class SecondOrderParams(_Value):
     """Transition probabilities (a, b, c, d) of the 2-state pair chain."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
+    def __init__(self, a: float, b: float, c: float, d: float) -> None:
+        for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"parameter {name}={v} outside [0, 1]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
 
-@dataclass(frozen=True)
-class ReparamPoint:
+class ReparamPoint(_Value):
     """First-order probabilities (p, q) plus dependence parameters (phi, gamma)."""
 
-    p: float
-    q: float
-    phi: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p < 1.0 and 0.0 < self.q < 1.0):
+    def __init__(self, p: float, q: float, phi: float, gamma: float) -> None:
+        if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
             raise ValueError("p and q must lie strictly inside (0, 1)")
-        _check_bound("phi", self.phi, phi_bound(self.p), self.p, "p")
-        _check_bound("gamma", self.gamma, gamma_bound(self.q), self.q, "q")
+        _check_bound("phi", phi, phi_bound(p), p, "p")
+        _check_bound("gamma", gamma, gamma_bound(q), q, "q")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "gamma", gamma)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.phi, self.gamma))
 
 
 _BOUND_TOL = 1e-12
@@ -358,50 +360,54 @@ def entropy_surface(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentPlan:
+class ExperimentPlan(_Frozen):
     """A Monte Carlo run: generator, cut lengths, replicates, estimators, seed."""
 
-    generator: TransitionMatrix | SecondOrderParams
-    lengths: tuple[int, ...]
-    replicates: int
-    estimators: tuple[EstimatorSpec, ...]
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not self.lengths:
+    def __init__(
+        self, generator: TransitionMatrix | SecondOrderParams, lengths: tuple[int, ...],
+        replicates: int, estimators: tuple[EstimatorSpec, ...], seed: int,
+    ) -> None:
+        if not lengths:
             raise ValueError("at least one cut length required")
-        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
+        if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
-        if self.lengths[0] < 2:
+        if lengths[0] < 2:
             raise ValueError("lengths must be >= 2")
-        if self.replicates < 1:
+        if replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not self.estimators:
+        if not estimators:
             raise ValueError("at least one estimator required")
-        for k, est in enumerate(self.estimators):
-            if est in self.estimators[:k]:
+        for k, est in enumerate(estimators):
+            if est in estimators[:k]:
                 raise ValueError(f"estimator {est.describe()} listed twice")
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "replicates", replicates)
+        object.__setattr__(self, "estimators", estimators)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True, eq=False)
-class CellResult:
+class CellResult(_Frozen):
     """Summary of one (cut length, estimator) cell across replicates."""
 
-    length: int
-    estimator: EstimatorSpec
-    n_ok: int
-    n_failed: int
-    minimum: float | None
-    mean: float | None
-    maximum: float | None
-    sd: float | None
+    def __init__(
+        self, length: int, estimator: EstimatorSpec, n_ok: int, n_failed: int,
+        minimum: float | None, mean: float | None, maximum: float | None, sd: float | None,
+    ) -> None:
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "estimator", estimator)
+        object.__setattr__(self, "n_ok", n_ok)
+        object.__setattr__(self, "n_failed", n_failed)
+        object.__setattr__(self, "minimum", minimum)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "maximum", maximum)
+        object.__setattr__(self, "sd", sd)
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentReport:
-    plan: ExperimentPlan
-    cells: tuple[CellResult, ...]
+class ExperimentReport(_Frozen):
+    def __init__(self, plan: ExperimentPlan, cells: tuple[CellResult, ...]) -> None:
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "cells", cells)
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:

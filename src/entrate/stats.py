@@ -2,24 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, sqrt
 from statistics import fmean, variance
 
-from .markov import EstimationError, InsufficientDataError
+from .markov import EstimationError, InsufficientDataError, _Value
 
 __all__ = ["GroupComparison", "ttest_pooled"]
 
 
-@dataclass(frozen=True)
-class GroupComparison:
+class GroupComparison(_Value):
     """Pooled-variance t comparison of two groups (statistic and df only)."""
 
-    group_a: tuple[float, ...]
-    group_b: tuple[float, ...]
-    t_statistic: float
-    df: int
-    means: tuple[float, float]
+    def __init__(
+        self, group_a: tuple[float, ...], group_b: tuple[float, ...], t_statistic: float,
+        df: int, means: tuple[float, float],
+    ) -> None:
+        object.__setattr__(self, "group_a", group_a)
+        object.__setattr__(self, "group_b", group_b)
+        object.__setattr__(self, "t_statistic", t_statistic)
+        object.__setattr__(self, "df", df)
+        object.__setattr__(self, "means", means)
+
+    def __hash__(self) -> int:
+        return hash((self.group_a, self.group_b, self.t_statistic, self.df, self.means))
 
 
 def ttest_pooled(a: list[float], b: list[float]) -> GroupComparison:

@@ -23,12 +23,10 @@ and periodic input is still quadratic (see ``_match_lengths``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .direct import EntropyEstimate
-from .markov import InsufficientDataError, Sequence, StateSpaceError
+from .markov import InsufficientDataError, Sequence, StateSpaceError, _Frozen
 
 __all__ = [
     "NovelLengths",
@@ -41,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class NovelLengths:
+class NovelLengths(_Frozen):
     """Per-position novelty lengths for positions 1..n-1.
 
     ``lengths[i]`` is the length of the shortest substring starting at i that
@@ -52,12 +49,11 @@ class NovelLengths:
     more symbol to be realized.
     """
 
-    lengths: np.ndarray
-    capped: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.lengths.flags.writeable = False
-        self.capped.flags.writeable = False
+    def __init__(self, lengths: np.ndarray, capped: np.ndarray) -> None:
+        lengths.flags.writeable = False
+        capped.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "capped", capped)
 
     @property
     def n_positions(self) -> int:
@@ -83,8 +79,7 @@ class NovelLengths:
         return _novelty(self.lengths[:n] - 1, n)
 
 
-@dataclass(frozen=True, eq=False)
-class Parsing:
+class Parsing(_Frozen):
     """Greedy decomposition into shortest-never-seen phrases.
 
     Phrases are (start, length) spans that tile [0, n).  Every phrase except
@@ -93,15 +88,14 @@ class Parsing:
     phrase could complete.
     """
 
-    phrases: tuple[tuple[int, int], ...]
-    last_capped: bool
-
-    def __post_init__(self) -> None:
+    def __init__(self, phrases: tuple[tuple[int, int], ...], last_capped: bool) -> None:
         pos = 0
-        for start, length in self.phrases:
+        for start, length in phrases:
             if start != pos or length < 1:
                 raise ValueError("phrases must tile the sequence contiguously")
             pos = start + length
+        object.__setattr__(self, "phrases", phrases)
+        object.__setattr__(self, "last_capped", last_capped)
 
 
 def _digits_per_round(n: int, kappa: int) -> int:

@@ -88,12 +88,14 @@ class TestStationaryBootstrapSample:
     @settings(deadline=None)
     @given(
         st.integers(2, 300),
-        st.sampled_from((1e-6, 0.01, 0.212, 0.5, 1.0)),
+        st.sampled_from((1e-6, 0.01, 0.212, 0.5, 1.0)) | st.floats(1e-6, 1.0),
         st.integers(0, 2**32 - 1),
     )
     def test_equals_per_block_oracle(self, n, p, seed):
         # Distinct symbols name their positions, so equal samples mean equal
-        # indices, from the same draws.
+        # indices, from the same draws.  The oracle wraps each index % n; the
+        # package subtracts n once, which is exact because every index is
+        # below 2n.
         seq = int_seq(list(range(n)), kappa=n)
         out = stationary_bootstrap_sample(seq, p, np.random.default_rng(seed))
         expected = stationary_bootstrap_oracle(seq.states, p, np.random.default_rng(seed))

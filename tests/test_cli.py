@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -14,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entrate.cli import _load_plan, main
+from entrate.cli import main
 from entrate.simulate import ReparamPoint, reparam_to_abcd
+from entrate.study import _load_plan
 
 PLANS = Path(__file__).parents[1] / "plans"
 
@@ -252,6 +252,34 @@ class TestEstimateCommand:
         assert not any("concatenated" in w for w in plain["warnings"])
         assert any("concatenated" in w for w in record["warnings"])
         assert "swlz: the files were concatenated" in out
+
+    @pytest.mark.parametrize("source", ["text", "one-file", "two-files"])
+    def test_exclude_boundaries_notes_only_several_sources(self, capsys, tmp_path, source):
+        # One source has no boundary: the flag then changes nothing, and says nothing.
+        p1 = write(tmp_path, "one.txt", "A B A B A A B\n")
+        p2 = write(tmp_path, "two.txt", "C D C C D D C\n")
+        inputs = {"text": ["--text", "A B A B A A B"], "one-file": [p1], "two-files": [p1, p2]}
+        records = []
+        for flag in ([], ["--exclude-boundaries"]):
+            out_json = tmp_path / f"r{len(records)}.json"
+            code, _, err = run(
+                capsys, "estimate", *inputs[source], "--method", "empirical", "--method", "swlz",
+                *flag, "--json", str(out_json),
+            )
+            assert code == 0, err
+            records.append(json.loads(out_json.read_text())["estimates"])
+        plain, excluded = records
+        if source != "two-files":
+            assert excluded == plain
+            return
+        empirical, swlz = excluded
+        assert empirical["warnings"] == plain[0]["warnings"] + [
+            "transitions across file boundaries excluded"
+        ]
+        assert swlz == plain[1] | {
+            "warnings": plain[1]["warnings"]
+            + ["--exclude-boundaries does not apply to swlz: the files were concatenated"]
+        }
 
     @pytest.mark.parametrize("count", ["1", "0", "-3"])
     def test_fewer_than_two_replicates_is_input_error(self, capsys, tmp_path, count):
@@ -739,7 +767,8 @@ class TestExperimentCommand:
         shipped = json.loads((PLANS / "second-order-case1.json").read_text(encoding="utf-8"))
         shipped["replicates"] = 20
         abcd = reparam_to_abcd(ReparamPoint(**shipped["generator"]["second_order"]))
-        plans = [shipped, shipped | {"generator": {"second_order": dataclasses.asdict(abcd)}}]
+        as_abcd = {"a": abcd.a, "b": abcd.b, "c": abcd.c, "d": abcd.d}
+        plans = [shipped, shipped | {"generator": {"second_order": as_abcd}}]
         cells = []
         for k, plan in enumerate(plans):
             plan_path = write(tmp_path, f"plan{k}.json", json.dumps(plan))
@@ -1080,6 +1109,8 @@ class TestEndToEnd:
 
 
 COMMANDS = ("estimate", "bootstrap", "parse", "simulate", "experiment", "ttest")
+# Modules that importing the CLI and running a bootstrap leave unloaded.
+NOT_AT_START = {"dataclasses", "entrate.simulate", "entrate.stats", "entrate.study", "statistics"}
 
 
 class TestStartUp:
@@ -1117,16 +1148,26 @@ class TestStartUp:
         assert one[1] or one[2]
 
     def test_bootstrap_loads_neither_simulate_nor_stats(self):
+        # Nor dataclasses, nor the simulate, experiment and ttest commands.
         script = (
             "import contextlib, io, sys, entrate.cli\n"
+            f"unloaded = {sorted(NOT_AT_START)!r}\n"
+            "print(sorted(set(unloaded) & set(sys.modules)))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    entrate.cli.main(['bootstrap', '--text', 'ABABAABBA', '--replicates', '2'])\n"
-            "print(sorted({'entrate.simulate', 'entrate.stats', 'statistics'} & set(sys.modules)))"
+            "print(sorted(set(unloaded) & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n[]\n"
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        commands = out[out.index("{") + 1 : out.index("}")]
+        assert commands.split(",") == list(COMMANDS)
 
     def test_every_public_name_is_its_modules_object(self):
         import entrate
