@@ -1,0 +1,116 @@
+"""Full-precision digests of library outputs on fixed seeds.
+
+Reports round to 10 digits; these pin every bit.  Each bootstrap case pins
+the sha256 of its replicate estimates' bytes and ``float.hex`` of its point
+estimate, and the plan case pins each cell mean.  A change that alters any
+value on purpose updates the digests here and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from entrate import (
+    BootstrapConfig,
+    EstimatorSpec,
+    ExperimentPlan,
+    Sequence,
+    bootstrap_se,
+    run_experiment,
+)
+from entrate.simulate import benchmark_matrix, simulate_chain
+
+
+def _chain(kind: str, n: int, seed: int):
+    return simulate_chain(benchmark_matrix(kind), n, rng=seed)
+
+
+# id -> (method, order, replicates, segments as (benchmark, length, seed),
+#        sha256 of the replicate estimates, float.hex of the point estimate)
+BOOTSTRAPS = {
+    "order1-empirical-low-1k": (
+        "empirical", 1, 50, [("low", 1_000, 11)],
+        "e3412b7177497a97ebf486e28db59495fa8f582c014a2a86531d93fe9a0b1854",
+        "0x1.6a623bbd3e97fp-2",
+    ),
+    "order1-eigen-low-1k": (
+        "eigen", 1, 50, [("low", 1_000, 11)],
+        "980eab79d8638ad3ca84c9d2f262917a4268e99ff16d29d32117043f7e9b8ec3",
+        "0x1.69b35b0c635b6p-2",
+    ),
+    "order2-eigen-medium-10k": (
+        "eigen", 2, 10, [("medium", 10_000, 12)],
+        "1f9e202fd7b9f830589fedadeb3596b9f17623e83232c08efae54292d0100f0e",
+        "0x1.9690c14db8a0cp+0",
+    ),
+    "order2-limit-medium-10k": (
+        "limit", 2, 10, [("medium", 10_000, 12)],
+        "fa06f5566693e38fdfe36f9b97a225791ae26fca2ad4a6b6ce8d0d989f357d52",
+        "0x1.9690668445762p+0",
+    ),
+    "order4-empirical-medium-10k": (
+        "empirical", 4, 10, [("medium", 10_000, 12)],
+        "8e1b6066779018ffa4e4c4edca3baabeae0e2e0f5ce1669d67e3be40ba086a04",
+        "0x1.53aa658bdeb1cp+0",
+    ),
+    "order2-eigen-pooled-two-segments": (
+        "eigen", 2, 20, [("medium", 3_000, 13), ("medium", 2_000, 14)],
+        "ae9fbbe7f6dcd7cff448023630d7c13ec8094925e2993d548fc2cfc022cf7b3f",
+        "0x1.8a5377bb73a8cp+0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOTSTRAPS))
+def test_bootstrap_digest(case):
+    method, order, replicates, segments, estimates_sha, point_hex = BOOTSTRAPS[case]
+    seqs = [_chain(kind, n, seed) for kind, n, seed in segments]
+    seqs[1:] = [Sequence(seq.states, seqs[0].alphabet) for seq in seqs[1:]]
+    result = bootstrap_se(
+        seqs[0], EstimatorSpec(method, order), BootstrapConfig(None, replicates, 7), *seqs[1:]
+    )
+    assert result.estimates.dtype == "float64" and result.estimates.size == replicates
+    assert hashlib.sha256(result.estimates.tobytes()).hexdigest() == estimates_sha
+    assert result.point.value.hex() == point_hex
+
+
+# (length, estimator tag) -> float.hex of the cell mean
+LOW_PLAN_MEANS = {
+    (50, "direct_empirical"): "0x1.032b2f44a35cap-2",
+    (50, "direct_eigen"): "0x0.0p+0",
+    (50, "swlz"): "0x1.bb34cca25edb0p-1",
+    (250, "direct_empirical"): "0x1.4e33bfc801758p-2",
+    (250, "direct_eigen"): "0x1.5cfb3c2938ef8p-3",
+    (250, "swlz"): "0x1.9eeb0ed04458cp-1",
+    (500, "direct_empirical"): "0x1.52e7877115d54p-2",
+    (500, "direct_eigen"): "0x1.4b857b53663aep-2",
+    (500, "swlz"): "0x1.5e400a486eee6p-1",
+    (1000, "direct_empirical"): "0x1.61a12f65b80f0p-2",
+    (1000, "direct_eigen"): "0x1.60b424b1dd180p-2",
+    (1000, "swlz"): "0x1.10d4e9449b309p-1",
+    (5000, "direct_empirical"): "0x1.a045483852cc0p-2",
+    (5000, "direct_eigen"): "0x1.a04ae46ba5c1bp-2",
+    (5000, "swlz"): "0x1.dab3e60577310p-2",
+    (10000, "direct_empirical"): "0x1.b99787527d6e8p-2",
+    (10000, "direct_eigen"): "0x1.b9997d5b6df8ap-2",
+    (10000, "swlz"): "0x1.d45d71d10282fp-2",
+}
+
+
+def test_low_plan_cell_means():
+    # plans/low-entropy-benchmark.json with 2 replicates.
+    plan = ExperimentPlan(
+        generator=benchmark_matrix("low", 8, 0.95),
+        lengths=(50, 250, 500, 1000, 5000, 10000),
+        replicates=2,
+        estimators=(
+            EstimatorSpec("empirical", 1, True),
+            EstimatorSpec("eigen", 1, True),
+            EstimatorSpec("swlz", None, True),
+        ),
+        seed=20170,
+    )
+    means = {
+        (cell.length, cell.estimator.tag): cell.mean.hex() for cell in run_experiment(plan).cells
+    }
+    assert means == LOW_PLAN_MEANS
