@@ -20,7 +20,7 @@ import numpy as np
 
 from .direct import EntropyEstimate
 from .estimators import EstimatorSpec, run_estimator
-from .markov import EstimationError, Sequence, _Frozen, _Value
+from .markov import EstimationError, Sequence, _freeze, _Frozen, _Value
 
 __all__ = [
     "BootstrapConfig",
@@ -42,9 +42,7 @@ class BootstrapConfig(_Value):
             raise ValueError("p must lie in (0, 1]")
         if replicates < 2:
             raise ValueError("need at least 2 replicates")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "replicates", replicates)
-        object.__setattr__(self, "seed", seed)
+        self.__dict__.update(p=p, replicates=replicates, seed=seed)
 
     def __hash__(self) -> int:
         return hash((self.p, self.replicates, self.seed))
@@ -61,13 +59,10 @@ class BootstrapResult(_Frozen):
     ) -> None:
         if standard_error < 0:
             raise ValueError("standard error must be nonnegative")
-        estimates.flags.writeable = False
-        object.__setattr__(self, "estimates", estimates)
-        object.__setattr__(self, "standard_error", standard_error)
-        object.__setattr__(self, "p_used", p_used)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "n_failures", n_failures)
-        object.__setattr__(self, "warnings", warnings)
+        self.__dict__.update(
+            estimates=_freeze(estimates), standard_error=standard_error, p_used=p_used, point=point,
+            n_failures=n_failures, warnings=warnings,
+        )
 
 
 def choose_p(h_hat: float, n: int) -> tuple[float, str]:
@@ -123,7 +118,7 @@ def stationary_bootstrap_sample(
     clipped[-1] = n - base[-1]
     idx = np.arange(n) + np.repeat(start_arr[:n_blocks] - base, clipped)
     idx -= n * (idx >= n)  # every index is below 2n
-    return Sequence(seq.states[idx], seq.alphabet)
+    return Sequence._trusted(states=_freeze(seq.states[idx]), alphabet=seq.alphabet)
 
 
 def bootstrap_se(

@@ -1,16 +1,11 @@
-"""Command-line interface.
+"""Command-line interface; ``_DESCRIPTION`` is what ``entrate --help`` says.
 
-Subcommands: estimate, bootstrap, simulate, experiment, ttest, parse.
-Reports are written as versioned JSON (--json) with a flat CSV mirror
-(--csv), both checked to be writable, and to be neither an input nor each
-other, before the estimates or the plan run; a human-readable summary
-always goes to standard output.  The simulate, experiment and ttest commands
-live in entrate.study, whose key tables are the format of an experiment plan;
-a key they do not list is an input error.
-Exit codes: 0 success; 1 InputError (a path that cannot be read as UTF-8 or
-written, a malformed file or plan, a misused flag); 2 EstimationError (too
-short, reducible, state space too large).  Each writes a JSON error object
-to standard error; any other exception is a bug.
+The report paths (--json, --csv) are checked to be writable, and to be
+neither an input nor each other, before the estimates or the plan run.  The
+simulate, experiment and ttest commands live in entrate.study, whose key
+tables are the format of an experiment plan.  An InputError exits 1 and an
+EstimationError 2, each with a JSON error object on standard error; any
+other exception is a bug.
 """
 
 from __future__ import annotations
@@ -313,12 +308,20 @@ def _deferred(name: str) -> Callable[[argparse.Namespace], int]:
 
 # The names of the commands that build_parser adds.
 _COMMANDS = ("estimate", "bootstrap", "parse", "simulate", "experiment", "ttest")
+_DESCRIPTION = (
+    "Entropy rate estimates for finite-state symbol sequences. Commands: estimate, bootstrap, "
+    "parse, simulate, experiment and ttest. All but simulate print a summary to standard "
+    "output; --json also writes a versioned JSON report and --csv a flat CSV mirror of it. "
+    "Exit codes: 0 success; 1 input error (a file, plan, flag or report path that cannot "
+    "be used); 2 estimation error (too short, reducible, state space too large). "
+    "An error is written to standard error as a JSON object."
+)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``entrate`` parser, with the subparser of ``command`` only, or of
     every command when ``command`` is None."""
-    parser = _Parser(prog="entrate", description=__doc__)
+    parser = _Parser(prog="entrate", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"entrate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     wanted = _COMMANDS if command is None else (command,)

@@ -73,10 +73,7 @@ class EntropyEstimate(_Value):
     def __init__(
         self, value: float, method: str, order: int | None = None, warnings: tuple[str, ...] = ()
     ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "warnings", warnings)
+        self.__dict__.update(value=value, method=method, order=order, warnings=warnings)
 
     def __hash__(self) -> int:
         return hash((self.value, self.method, self.order, self.warnings))

@@ -32,9 +32,7 @@ class EstimatorSpec(_Value):
                 raise ValueError("order must be >= 1")
         else:
             raise ValueError(f"unknown estimator method {method!r}")
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "paper_zero_mode", paper_zero_mode)
+        self.__dict__.update(method=method, order=order, paper_zero_mode=paper_zero_mode)
 
     def __hash__(self) -> int:
         return hash((self.method, self.order, self.paper_zero_mode))

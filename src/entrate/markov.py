@@ -15,9 +15,13 @@ could not estimate.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.  A record
-type's ``__init__`` checks its arguments and writes each field once with
-``object.__setattr__``; its base ``_Frozen`` refuses any later assignment or
-deletion, and ``_Value`` gives the types compared by value ``==`` and a hash.
+type's ``__init__`` checks its arguments and writes its fields with one
+``self.__dict__.update(...)``; its base ``_Frozen`` refuses any later
+assignment or deletion, and ``_Value`` gives the types compared by value
+``==`` and a hash.  ``_Frozen._trusted`` skips ``__init__`` and its checks
+for the builders whose output passes them by construction, and only these:
+``count_transitions``, ``mle_transition_matrix``, ``embed_order``,
+``Sequence.prefix`` and ``bootstrap.stationary_bootstrap_sample``.
 """
 
 from __future__ import annotations
@@ -83,6 +87,15 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _trusted(cls, **fields: object):
+        """An instance holding ``fields`` as given, built without ``__init__``
+        and its checks: only for inputs that pass them by construction, with
+        every array already read-only."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
+
     def __repr__(self) -> str:
         code = type(self).__init__.__code__
         fields = (f"{f}={getattr(self, f)!r}" for f in code.co_varnames[1 : code.co_argcount])
@@ -123,7 +136,7 @@ class Alphabet(_Frozen):
             raise ValueError("alphabet must contain at least one symbol")
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
-        object.__setattr__(self, "symbols", symbols)
+        self.__dict__.update(symbols=symbols)
 
     @property
     def kappa(self) -> int:
@@ -163,8 +176,7 @@ class CompositeAlphabet(_Value):
             raise StateSpaceError(
                 f"transition codes over {base.kappa}**{order} states overflow int64"
             )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "order", order)
+        self.__dict__.update(base=base, order=order)
 
     def __hash__(self) -> int:
         return hash((self.base, self.order))
@@ -194,8 +206,7 @@ class Sequence(_Frozen):
             raise ValueError("sequence must be a nonempty 1-d array of states")
         if states.min() < 0 or states.max() >= alphabet.kappa:
             raise ValueError("state index out of range for alphabet")
-        object.__setattr__(self, "states", _freeze(states))
-        object.__setattr__(self, "alphabet", alphabet)
+        self.__dict__.update(states=_freeze(states), alphabet=alphabet)
 
     @property
     def length(self) -> int:
@@ -223,15 +234,16 @@ class Sequence(_Frozen):
         """First n observations, sharing the same alphabet."""
         if not 1 <= n <= self.length:
             raise ValueError("prefix length out of range")
-        return Sequence(self.states[:n], self.alphabet)
+        return Sequence._trusted(states=self.states[:n], alphabet=self.alphabet)
 
 
 class TransitionCounts(_Frozen):
     """Observed one-step transition counts n_ij, in coordinate form.
 
     ``codes`` holds the observed transitions i -> j as strictly increasing
-    int64 codes ``i * kappa + j`` and ``n`` their positive counts, so storage
-    grows with the distinct transitions observed, not with kappa.
+    int64 codes ``i * kappa + j`` and ``n`` their positive int64 counts, both
+    read-only, so storage grows with the distinct transitions observed, not
+    with kappa.  ``count_transitions`` builds its counts without these checks.
     ``nonzero()`` and ``row_runs`` are the bulk reads; the kappa-length
     ``row_totals_arr`` and the kappa x kappa ``dense`` table (up to
     DENSE_STATE_LIMIT states) are views built on first read.
@@ -251,9 +263,7 @@ class TransitionCounts(_Frozen):
             raise ValueError("transition codes must be strictly increasing")
         if np.any(n <= 0):
             raise ValueError("transition counts must be positive")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "codes", _freeze(codes))
-        object.__setattr__(self, "n", _freeze(n))
+        self.__dict__.update(kappa=kappa, codes=_freeze(codes), n=_freeze(n))
 
     @property
     def grand_total(self) -> int:
@@ -311,7 +321,7 @@ class TransitionMatrix(_Frozen):
         probs = np.clip(probs, 0.0, 1.0)
         if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= _SUM_TOL):
             raise ValueError("rows must sum to 1 within 1e-12")
-        object.__setattr__(self, "probs", _freeze(probs))
+        self.__dict__.update(probs=_freeze(probs))
 
     @property
     def size(self) -> int:
@@ -332,7 +342,7 @@ class ProbabilityVector(_Frozen):
         if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         probs = np.clip(probs, 0.0, None) / probs.clip(0.0, None).sum()
-        object.__setattr__(self, "probs", _freeze(probs))
+        self.__dict__.update(probs=_freeze(probs))
 
     @property
     def size(self) -> int:
@@ -345,6 +355,11 @@ def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
     Several segments over one alphabet are pooled: each contributes only the
     pairs within it, never one spanning two segments.  The grand total equals
     the summed segment lengths minus the number of segments.
+
+    The codes i * kappa + j of the T observed transitions are counted with a
+    kappa**2-cell ``np.bincount`` when kappa**2 <= T, and otherwise sorted by
+    ``np.unique``.  Either way the memory is a few arrays of at most T int64
+    entries, whatever kappa is; both give the same arrays.
     """
     segments = (seq, *more)
     alphabet = seq.alphabet
@@ -356,8 +371,13 @@ def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
         raise InsufficientDataError(
             "no transitions observed: sequence has fewer than 2 symbols"
         )
-    codes, n = np.unique(codes, return_counts=True)
-    return TransitionCounts(kappa=kappa, codes=codes, n=n)
+    if kappa * kappa <= codes.size:
+        hist = np.bincount(codes, minlength=kappa * kappa)
+        codes = np.flatnonzero(hist)
+        n = hist[codes]
+    else:
+        codes, n = np.unique(codes, return_counts=True)
+    return TransitionCounts._trusted(kappa=kappa, codes=_freeze(codes), n=_freeze(n))
 
 
 def embed_order(seq: Sequence, m: int) -> Sequence:
@@ -381,7 +401,7 @@ def embed_order(seq: Sequence, m: int) -> Sequence:
     idx = np.zeros(n_out, dtype=np.int64)
     for k in range(m):
         idx += seq.states[k : k + n_out] * base.kappa**k
-    return Sequence(idx, comp)
+    return Sequence._trusted(states=_freeze(idx), alphabet=comp)
 
 
 def mle_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
@@ -401,8 +421,9 @@ def mle_transition_matrix(counts: TransitionCounts) -> TransitionMatrix:
         )
     src, dst, n = counts.nonzero()
     probs = np.zeros((counts.kappa, counts.kappa))
+    # Entries n_ij / n_i+ lie in [0, 1]; rows sum to 1 far within 1e-12.
     probs[src, dst] = n / entry_totals
-    return TransitionMatrix(probs)
+    return TransitionMatrix._trusted(probs=_freeze(probs))
 
 
 def _reaches_all(src: np.ndarray, dst: np.ndarray, kappa: int, start: int = 0) -> bool:

@@ -183,10 +183,7 @@ class SecondOrderParams(_Value):
         for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"parameter {name}={v} outside [0, 1]")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d))
@@ -200,10 +197,7 @@ class ReparamPoint(_Value):
             raise ValueError("p and q must lie strictly inside (0, 1)")
         _check_bound("phi", phi, phi_bound(p), p, "p")
         _check_bound("gamma", gamma, gamma_bound(q), q, "q")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "gamma", gamma)
+        self.__dict__.update(p=p, q=q, phi=phi, gamma=gamma)
 
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.phi, self.gamma))
@@ -380,11 +374,10 @@ class ExperimentPlan(_Frozen):
         for k, est in enumerate(estimators):
             if est in estimators[:k]:
                 raise ValueError(f"estimator {est.describe()} listed twice")
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "replicates", replicates)
-        object.__setattr__(self, "estimators", estimators)
-        object.__setattr__(self, "seed", seed)
+        self.__dict__.update(
+            generator=generator, lengths=lengths, replicates=replicates, estimators=estimators,
+            seed=seed,
+        )
 
 
 class CellResult(_Frozen):
@@ -394,20 +387,15 @@ class CellResult(_Frozen):
         self, length: int, estimator: EstimatorSpec, n_ok: int, n_failed: int,
         minimum: float | None, mean: float | None, maximum: float | None, sd: float | None,
     ) -> None:
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "estimator", estimator)
-        object.__setattr__(self, "n_ok", n_ok)
-        object.__setattr__(self, "n_failed", n_failed)
-        object.__setattr__(self, "minimum", minimum)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "maximum", maximum)
-        object.__setattr__(self, "sd", sd)
+        self.__dict__.update(
+            length=length, estimator=estimator, n_ok=n_ok, n_failed=n_failed, minimum=minimum,
+            mean=mean, maximum=maximum, sd=sd,
+        )
 
 
 class ExperimentReport(_Frozen):
     def __init__(self, plan: ExperimentPlan, cells: tuple[CellResult, ...]) -> None:
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "cells", cells)
+        self.__dict__.update(plan=plan, cells=cells)
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:

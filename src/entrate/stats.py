@@ -17,11 +17,9 @@ class GroupComparison(_Value):
         self, group_a: tuple[float, ...], group_b: tuple[float, ...], t_statistic: float,
         df: int, means: tuple[float, float],
     ) -> None:
-        object.__setattr__(self, "group_a", group_a)
-        object.__setattr__(self, "group_b", group_b)
-        object.__setattr__(self, "t_statistic", t_statistic)
-        object.__setattr__(self, "df", df)
-        object.__setattr__(self, "means", means)
+        self.__dict__.update(
+            group_a=group_a, group_b=group_b, t_statistic=t_statistic, df=df, means=means,
+        )
 
     def __hash__(self) -> int:
         return hash((self.group_a, self.group_b, self.t_statistic, self.df, self.means))

@@ -52,8 +52,7 @@ class NovelLengths(_Frozen):
     def __init__(self, lengths: np.ndarray, capped: np.ndarray) -> None:
         lengths.flags.writeable = False
         capped.flags.writeable = False
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "capped", capped)
+        self.__dict__.update(lengths=lengths, capped=capped)
 
     @property
     def n_positions(self) -> int:
@@ -94,8 +93,7 @@ class Parsing(_Frozen):
             if start != pos or length < 1:
                 raise ValueError("phrases must tile the sequence contiguously")
             pos = start + length
-        object.__setattr__(self, "phrases", phrases)
-        object.__setattr__(self, "last_capped", last_capped)
+        self.__dict__.update(phrases=phrases, last_capped=last_capped)
 
 
 def _digits_per_round(n: int, kappa: int) -> int:

@@ -29,6 +29,17 @@ def token_seq(text: str) -> Sequence:
     return Sequence.from_tokens(list(text))
 
 
+def count_transitions_oracle(*segments: Sequence) -> dict[tuple[int, int], int]:
+    """Transition counts {(i, j): n_ij} of the pairs within each segment,
+    tallied one pair at a time in a dict; no pair spans two segments."""
+    counts: dict[tuple[int, int], int] = {}
+    for seg in segments:
+        states = seg.states.tolist()
+        for pair in zip(states, states[1:]):
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
 def naive_novel_length(states, start: int, history_end: int | None = None):
     """Brute-force novelty length: scan L = 1, 2, ... with substring search.
 

@@ -1169,6 +1169,16 @@ class TestStartUp:
         commands = out[out.index("{") + 1 : out.index("}")]
         assert commands.split(",") == list(COMMANDS)
 
+    def test_help_describes_the_tool_not_its_code(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "entrate.study" not in out
+        description = " ".join(out[out.index("\n\n") : out.index("positional arguments")].split())
+        assert all(command in description for command in COMMANDS)
+        assert "--json" in description and "Exit codes: 0 success; 1 input error" in description
+
     def test_every_public_name_is_its_modules_object(self):
         import entrate
         import entrate.cli

@@ -4,8 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import int_seq, random_stochastic, strongly_connected_oracle
-from hypothesis import given, settings
+from conftest import (
+    count_transitions_oracle,
+    int_seq,
+    random_stochastic,
+    strongly_connected_oracle,
+)
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -277,6 +282,58 @@ class TestCountTransitions:
             tracemalloc.stop()
         assert counts.kappa == 4096 and counts.grand_total == emb.length - 1
         assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+    def test_order2_counting_memory_is_a_small_multiple_of_its_codes(self):
+        # 64 states: the 4,096-cell histogram is under half the 9,999 codes.
+        rng = np.random.default_rng(9)
+        emb = embed_order(int_seq(rng.integers(0, 8, 10_000), 8), 2)
+        codes_nbytes = 8 * (emb.length - 1)
+        tracemalloc.start()
+        try:
+            counts = count_transitions(emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.kappa**2 <= emb.length - 1
+        assert peak < 3 * codes_nbytes, f"traced peak {peak / codes_nbytes:.2f}x codes"
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_counts_match_dict_oracle_on_both_sides_of_the_size_rule(self, data):
+        # kappa**m squared against the pooled transition count picks the
+        # histogram or the sort; segments of one composite symbol add none.
+        kappa = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        alphabet = Alphabet.of_size(kappa)
+        segments = []
+        for length in data.draw(st.lists(st.integers(1, 2000), min_size=1, max_size=4)):
+            # A segment over the lowest ``high`` symbols leaves the rest unvisited.
+            high = data.draw(st.integers(1, kappa))
+            base = Sequence(rng.integers(0, high, length + m - 1), alphabet)
+            segments.append(embed_order(base, m))
+        transitions = sum(seg.length - 1 for seg in segments)
+        if transitions == 0:
+            with pytest.raises(InsufficientDataError):
+                count_transitions(*segments)
+            return
+        event("histogram" if (kappa**m) ** 2 <= transitions else "sort")
+        counts = count_transitions(*segments)
+        assert counts.kappa == kappa**m
+        src, dst, n = counts.nonzero()
+        assert dict(zip(zip(src.tolist(), dst.tolist()), n.tolist())) == (
+            count_transitions_oracle(*segments)
+        )
+        assert counts.grand_total == transitions
+        # What the public constructor checks and count_transitions does not.
+        for arr in (counts.codes, counts.n):
+            assert arr.dtype == np.int64 and arr.ndim == 1 and not arr.flags.writeable
+        assert np.all(counts.codes[1:] > counts.codes[:-1])
+        assert 0 <= counts.codes[0] and counts.codes[-1] < counts.kappa**2
+        assert np.all(counts.n > 0)
+        rebuilt = TransitionCounts(counts.kappa, counts.codes, counts.n)
+        assert np.array_equal(rebuilt.codes, counts.codes)
+        assert np.array_equal(rebuilt.n, counts.n)
 
     @settings(deadline=None)
     @given(st.data())
