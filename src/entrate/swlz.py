@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .direct import EntropyEstimate
-from .markov import InsufficientDataError, Sequence, StateSpaceError, _Frozen
+from .markov import InsufficientDataError, Sequence, StateSpaceError, _freeze, _Frozen
 
 __all__ = [
     "NovelLengths",
@@ -50,9 +50,7 @@ class NovelLengths(_Frozen):
     """
 
     def __init__(self, lengths: np.ndarray, capped: np.ndarray) -> None:
-        lengths.flags.writeable = False
-        capped.flags.writeable = False
-        self.__dict__.update(lengths=lengths, capped=capped)
+        self.__dict__.update(lengths=_freeze(lengths), capped=_freeze(capped))
 
     @property
     def n_positions(self) -> int:
