@@ -117,8 +117,8 @@ def stationary_bootstrap_sample(
     clipped = len_arr[:n_blocks].copy()
     clipped[-1] = n - base[-1]
     idx = np.arange(n) + np.repeat(start_arr[:n_blocks] - base, clipped)
-    idx -= n * (idx >= n)  # every index is below 2n
-    return Sequence._trusted(states=_freeze(seq.states[idx]), alphabet=seq.alphabet)
+    states = np.take(seq.states, idx, mode="wrap")
+    return Sequence._trusted(states=_freeze(states), alphabet=seq.alphabet)
 
 
 def bootstrap_se(
