@@ -26,7 +26,7 @@ _MODULES = {
     "markov": "Alphabet CompositeAlphabet EstimationError InsufficientDataError ProbabilityVector "
     "ReducibleMatrixError Sequence StateSpaceError TransitionCounts TransitionMatrix "
     "count_transitions embed_order is_irreducible mle_transition_matrix",
-    "simulate": "ExperimentPlan ExperimentReport ReparamPoint SecondOrderParams benchmark_matrix "
+    "simulate": "CellResult ExperimentPlan ReparamPoint SecondOrderParams benchmark_matrix "
     "entropy_surface first_order_projection gamma_bound phi_bound reparam_to_abcd run_experiment "
     "second_order_entropy second_order_matrix second_order_stationary simulate_chain "
     "simulate_second_order",

@@ -16,6 +16,8 @@ resampled segments the way the point estimate pools the originals.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .direct import EntropyEstimate
@@ -44,25 +46,26 @@ class BootstrapConfig(_Value):
             raise ValueError("need at least 2 replicates")
         self.__dict__.update(p=p, replicates=replicates, seed=seed)
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.replicates, self.seed))
-
 
 class BootstrapResult(_Frozen):
-    """Point estimate, replicate estimates (0.0 for each of the ``n_failures``
-    failed replicates) and their sample standard deviation; ``warnings`` notes
-    a clamped block parameter and failed replicates."""
+    """Point estimate and replicate estimates (0.0 for each of the
+    ``n_failures`` failed replicates) under block parameter ``p_used``;
+    ``warnings`` notes a clamped block parameter and failed replicates.  The
+    standard error is derived from the estimates, not stored beside them."""
 
     def __init__(
-        self, estimates: np.ndarray, standard_error: float, p_used: float,
-        point: EntropyEstimate, n_failures: int = 0, warnings: tuple[str, ...] = (),
+        self, estimates: np.ndarray, p_used: float, point: EntropyEstimate,
+        n_failures: int = 0, warnings: tuple[str, ...] = (),
     ) -> None:
-        if standard_error < 0:
-            raise ValueError("standard error must be nonnegative")
         self.__dict__.update(
-            estimates=_freeze(estimates), standard_error=standard_error, p_used=p_used, point=point,
-            n_failures=n_failures, warnings=warnings,
+            estimates=_freeze(estimates), p_used=p_used, point=point, n_failures=n_failures,
+            warnings=warnings,
         )
+
+    @cached_property
+    def standard_error(self) -> float:
+        """The replicate estimates' sample standard deviation, computed on first read."""
+        return float(self.estimates.std(ddof=1))
 
 
 def choose_p(h_hat: float, n: int) -> tuple[float, str]:
@@ -162,10 +165,8 @@ def bootstrap_se(
             values.append(0.0)
     if n_failures:
         notes.append(f"{n_failures} bootstrap replicate(s) failed (zero policy)")
-    estimates = np.asarray(values, dtype=np.float64)
     return BootstrapResult(
-        estimates=estimates,
-        standard_error=float(estimates.std(ddof=1)),
+        estimates=np.asarray(values, dtype=np.float64),
         p_used=p,
         point=point,
         n_failures=n_failures,

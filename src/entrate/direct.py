@@ -38,7 +38,6 @@ from .markov import (
 )
 
 __all__ = [
-    "DIRECT_METHODS",
     "EntropyEstimate",
     "shannon_entropy",
     "stationary_empirical",
@@ -74,9 +73,6 @@ class EntropyEstimate(_Value):
         self, value: float, method: str, order: int | None = None, warnings: tuple[str, ...] = ()
     ) -> None:
         self.__dict__.update(value=value, method=method, order=order, warnings=warnings)
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.method, self.order, self.warnings))
 
 
 def _plugin_rate(weights: np.ndarray | float, p: np.ndarray) -> float:

@@ -34,9 +34,6 @@ class EstimatorSpec(_Value):
             raise ValueError(f"unknown estimator method {method!r}")
         self.__dict__.update(method=method, order=order, paper_zero_mode=paper_zero_mode)
 
-    def __hash__(self) -> int:
-        return hash((self.method, self.order, self.paper_zero_mode))
-
     @property
     def tag(self) -> str:
         return "swlz" if self.method == "swlz" else f"direct_{self.method}"

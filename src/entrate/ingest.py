@@ -27,16 +27,7 @@ import numpy as np
 
 from .markov import Alphabet, Sequence
 
-__all__ = [
-    "InputError",
-    "read_text",
-    "write_text",
-    "check_writable",
-    "collapse_repeats",
-    "tokens_from_text",
-    "read_tokens",
-    "ingest_many",
-]
+__all__ = ["InputError", "ingest_many"]
 
 
 class InputError(ValueError):

@@ -18,7 +18,10 @@ functions, so everything here is safe to share across threads.  A record
 type's ``__init__`` checks its arguments and writes its fields with one
 ``self.__dict__.update(...)``; its base ``_Frozen`` refuses any later
 assignment or deletion, and ``_Value`` gives the types compared by value
-``==`` and a hash.  ``_Frozen._trusted`` skips ``__init__`` and its checks
+``==`` and a hash.  The rule for every record in the package: it stores no
+field that it can derive (that is a ``cached_property`` view) or that its
+caller already holds, and a ``_Value`` hashes exactly the fields it
+compares.  ``_Frozen._trusted`` skips ``__init__`` and its checks
 for the builders whose output passes them by construction, and only these:
 ``count_transitions``, ``mle_transition_matrix``, ``embed_order``,
 ``Sequence.prefix`` and ``bootstrap.stationary_bootstrap_sample``.
@@ -32,7 +35,6 @@ from typing import Iterable, Sequence as TypingSequence
 import numpy as np
 
 __all__ = [
-    "DENSE_STATE_LIMIT",
     "Alphabet",
     "CompositeAlphabet",
     "Sequence",
@@ -103,8 +105,9 @@ class _Frozen:
 
 
 class _Value(_Frozen):
-    """A record equal to another of its class whose fields are equal; each
-    subclass hashes the same fields, and its instance dict holds only them."""
+    """A record equal to another of its class whose fields are equal, and
+    hashed by the same fields; its instance dict holds only them, so it has
+    no cached views."""
 
     __slots__ = ()
 
@@ -112,6 +115,10 @@ class _Value(_Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        # A frozenset, like dict equality, ignores the order fields were written in.
+        return hash(frozenset(self.__dict__.items()))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -177,9 +184,6 @@ class CompositeAlphabet(_Value):
                 f"transition codes over {base.kappa}**{order} states overflow int64"
             )
         self.__dict__.update(base=base, order=order)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.order))
 
     @property
     def kappa(self) -> int:
@@ -359,14 +363,16 @@ def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
     The codes i * kappa + j of the T observed transitions are counted with a
     kappa**2-cell ``np.bincount`` when kappa**2 <= T, and otherwise sorted by
     ``np.unique``.  Either way the memory is a few arrays of at most T int64
-    entries, whatever kappa is; both give the same arrays.
+    entries, whatever kappa is; both give the same arrays.  One segment's
+    codes are built in one array, which several segments concatenate.
     """
-    segments = (seq, *more)
     alphabet = seq.alphabet
     if any(s.alphabet != alphabet for s in more):
         raise ValueError("segments must share a single alphabet")
     kappa = alphabet.kappa
-    codes = np.concatenate([s.states[:-1] * kappa + s.states[1:] for s in segments])
+    codes = _codes(seq, kappa)
+    if more:
+        codes = np.concatenate([codes, *(_codes(s, kappa) for s in more)])
     if codes.size < 1:
         raise InsufficientDataError(
             "no transitions observed: sequence has fewer than 2 symbols"
@@ -378,6 +384,13 @@ def count_transitions(seq: Sequence, *more: Sequence) -> TransitionCounts:
     else:
         codes, n = np.unique(codes, return_counts=True)
     return TransitionCounts._trusted(kappa=kappa, codes=_freeze(codes), n=_freeze(n))
+
+
+def _codes(seq: Sequence, kappa: int) -> np.ndarray:
+    """The transition codes x_{t-1} * kappa + x_t of ``seq``, in one new array."""
+    codes = seq.states[:-1] * kappa
+    codes += seq.states[1:]
+    return codes
 
 
 def embed_order(seq: Sequence, m: int) -> Sequence:

@@ -49,7 +49,6 @@ from .markov import (
 __all__ = [
     "simulate_chain",
     "benchmark_matrix",
-    "BENCHMARK_NAMES",
     "SecondOrderParams",
     "ReparamPoint",
     "second_order_matrix",
@@ -63,7 +62,6 @@ __all__ = [
     "entropy_surface",
     "ExperimentPlan",
     "CellResult",
-    "ExperimentReport",
     "run_experiment",
 ]
 
@@ -185,9 +183,6 @@ class SecondOrderParams(_Value):
                 raise ValueError(f"parameter {name}={v} outside [0, 1]")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
-
 
 class ReparamPoint(_Value):
     """First-order probabilities (p, q) plus dependence parameters (phi, gamma)."""
@@ -198,9 +193,6 @@ class ReparamPoint(_Value):
         _check_bound("phi", phi, phi_bound(p), p, "p")
         _check_bound("gamma", gamma, gamma_bound(q), q, "q")
         self.__dict__.update(p=p, q=q, phi=phi, gamma=gamma)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.phi, self.gamma))
 
 
 _BOUND_TOL = 1e-12
@@ -393,12 +385,7 @@ class CellResult(_Frozen):
         )
 
 
-class ExperimentReport(_Frozen):
-    def __init__(self, plan: ExperimentPlan, cells: tuple[CellResult, ...]) -> None:
-        self.__dict__.update(plan=plan, cells=cells)
-
-
-def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
+def run_experiment(plan: ExperimentPlan) -> tuple[CellResult, ...]:
     """Simulate, cut, and estimate per the plan; deterministic under its seed.
 
     Each replicate simulates one sequence of the longest cut length; every
@@ -407,7 +394,9 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     max, and the across-replicate sample standard deviation, plus the count of
     replicates where the estimator raised EstimationError (too-short prefix,
     reducible matrix without zero mode in its spec, state space too large,
-    ...); any other exception, ``ValueError`` included, propagates.
+    ...); any other exception, ``ValueError`` included, propagates.  The
+    cells come back length by length, in the plan's estimator order within
+    each length; the plan itself stays with the caller.
     """
     gen = plan.generator
     if isinstance(gen, TransitionMatrix):
@@ -457,4 +446,4 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
                     sd=float(vals.std(ddof=1)) if vals.size > 1 else None,
                 )
             )
-    return ExperimentReport(plan=plan, cells=tuple(cells))
+    return tuple(cells)

@@ -11,18 +11,12 @@ __all__ = ["GroupComparison", "ttest_pooled"]
 
 
 class GroupComparison(_Value):
-    """Pooled-variance t comparison of two groups (statistic and df only)."""
+    """Pooled-variance t comparison of two groups: the statistic, its degrees
+    of freedom and the two group means, not the groups, which the caller
+    holds."""
 
-    def __init__(
-        self, group_a: tuple[float, ...], group_b: tuple[float, ...], t_statistic: float,
-        df: int, means: tuple[float, float],
-    ) -> None:
-        self.__dict__.update(
-            group_a=group_a, group_b=group_b, t_statistic=t_statistic, df=df, means=means,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group_a, self.group_b, self.t_statistic, self.df, self.means))
+    def __init__(self, t_statistic: float, df: int, means: tuple[float, float]) -> None:
+        self.__dict__.update(t_statistic=t_statistic, df=df, means=means)
 
 
 def ttest_pooled(a: list[float], b: list[float]) -> GroupComparison:
@@ -31,6 +25,8 @@ def ttest_pooled(a: list[float], b: list[float]) -> GroupComparison:
     t = (mean_a - mean_b) / (s_p sqrt(1/n_a + 1/n_b)) with pooled variance
     s_p^2 = ((n_a-1) s_a^2 + (n_b-1) s_b^2) / (n_a + n_b - 2).  Groups under
     2 values or with zero pooled variance raise EstimationError subclasses.
+    The comparison holds t, df and the means; the group sizes are the
+    caller's ``len(a)`` and ``len(b)``.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -44,10 +40,4 @@ def ttest_pooled(a: list[float], b: list[float]) -> GroupComparison:
     if sp2 <= 0.0:
         raise EstimationError("degenerate groups: pooled variance is zero")
     t = (fmean(a) - fmean(b)) / sqrt(sp2 * (1.0 / na + 1.0 / nb))
-    return GroupComparison(
-        group_a=tuple(a),
-        group_b=tuple(b),
-        t_statistic=t,
-        df=df,
-        means=(fmean(a), fmean(b)),
-    )
+    return GroupComparison(t_statistic=t, df=df, means=(fmean(a), fmean(b)))

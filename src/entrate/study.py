@@ -18,7 +18,7 @@ from .ingest import InputError, check_writable, read_text, read_tokens, write_te
 from .markov import TransitionMatrix
 
 if TYPE_CHECKING:
-    from .simulate import ExperimentPlan, ExperimentReport
+    from .simulate import CellResult, ExperimentPlan
 
 
 # ---------------------------------------------------------------- simulate
@@ -174,8 +174,10 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     return plan, plan_dict
 
 
-def _report_to_dict(report: ExperimentReport, plan_dict: dict[str, Any]) -> dict[str, Any]:
-    out = _base_report("experiment", report.plan.seed)
+def _report_to_dict(
+    plan: ExperimentPlan, cells: tuple[CellResult, ...], plan_dict: dict[str, Any]
+) -> dict[str, Any]:
+    out = _base_report("experiment", plan.seed)
     out["plan"] = plan_dict
     out["cells"] = [
         {
@@ -189,7 +191,7 @@ def _report_to_dict(report: ExperimentReport, plan_dict: dict[str, Any]) -> dict
             "max": _round(cell.maximum),
             "sd": _round(cell.sd),
         }
-        for cell in report.cells
+        for cell in cells
     ]
     return out
 
@@ -198,12 +200,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     plan, plan_dict = _load_plan(args.plan)
     json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
     check_writable(json_path, args.csv, inputs=[args.plan])
-    report = cli.run_experiment(plan)  # looked up where the tests patch it
-    out = _report_to_dict(report, plan_dict)
+    cells = cli.run_experiment(plan)  # looked up where the tests patch it
+    out = _report_to_dict(plan, cells, plan_dict)
     _write_reports(json_path, args.csv, out, out["cells"])
     fmt = "{:>7} {:>22} {:>9} {:>9} {:>9} {:>9} {:>7}"
     print(fmt.format("length", "estimator", "min", "mean", "max", "sd", "failed"))
-    for c in report.cells:
+    for c in cells:
         print(
             fmt.format(
                 c.length,
@@ -243,8 +245,8 @@ def _cmd_ttest(args: argparse.Namespace) -> int:
         "df": cmp.df,
         "mean_a": _round(cmp.means[0]),
         "mean_b": _round(cmp.means[1]),
-        "n_a": len(cmp.group_a),
-        "n_b": len(cmp.group_b),
+        "n_a": len(a),
+        "n_b": len(b),
     }
     _write_reports(args.json, args.csv, _base_report("ttest", None) | stats, [stats])
     print(f"t = {cmp.t_statistic:.4f}  (df = {cmp.df})")

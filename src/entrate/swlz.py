@@ -23,6 +23,8 @@ and periodic input is still quadratic (see ``_match_lengths``).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .direct import EntropyEstimate
@@ -44,13 +46,20 @@ class NovelLengths(_Frozen):
 
     ``lengths[i]`` is the length of the shortest substring starting at i that
     is absent from the history x_0..x_{i-1}; index 0 is unused and set to 0.
-    ``capped[i]`` marks positions whose entire remaining suffix occurs in the
-    history, where the reported length (remaining + 1) would need at least one
-    more symbol to be realized.
+    ``capped``, a view derived from ``lengths``, marks the positions whose
+    entire remaining suffix occurs in the history.
     """
 
-    def __init__(self, lengths: np.ndarray, capped: np.ndarray) -> None:
-        self.__dict__.update(lengths=_freeze(lengths), capped=_freeze(capped))
+    def __init__(self, lengths: np.ndarray) -> None:
+        self.__dict__.update(lengths=_freeze(lengths))
+
+    @cached_property
+    def capped(self) -> np.ndarray:
+        """Read-only flags, built on first read: position i >= 1 is capped iff
+        ``lengths[i] == n - i + 1``, the remaining n - i symbols plus one more
+        that the sequence does not have.  Position 0, whose length is 0, never is."""
+        n = self.lengths.size
+        return _freeze(self.lengths == n + 1 - np.arange(n))
 
     @property
     def n_positions(self) -> int:
@@ -174,13 +183,10 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
 
 def _novelty(matches: np.ndarray, n: int) -> NovelLengths:
     """Novelty lengths of a length-n sequence from match lengths (n or more)."""
-    remaining = n - np.arange(n)
-    matched = np.minimum(matches[:n], remaining)
-    lengths = matched + 1
-    capped = matched == remaining
+    lengths = np.minimum(matches[:n], n - np.arange(n))
+    lengths += 1
     lengths[0] = 0
-    capped[0] = False
-    return NovelLengths(lengths, capped)
+    return NovelLengths(lengths)
 
 
 def novel_lengths(seq: Sequence) -> NovelLengths:

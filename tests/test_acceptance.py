@@ -136,7 +136,7 @@ def test_criterion_05_low_entropy_convergence():
         estimators=(EstimatorSpec("empirical", 1),),
         seed=20250,
     )
-    cells = {c.length: c for c in run_experiment(plan).cells}
+    cells = {c.length: c for c in run_experiment(plan)}
     elapsed = time.perf_counter() - start
     # The plug-in estimator is biased downward at short lengths (Miller 1955;
     # Paninski 2003): at n = 250 its expected value for this matrix is about
@@ -190,8 +190,8 @@ def test_criterion_06_bias_directions():
         estimators=(EstimatorSpec("swlz"), EstimatorSpec("empirical", 1)),
         seed=615,
     )
-    low_cells = run_experiment(low_plan).cells
-    high_cells = {c.estimator.tag: c for c in run_experiment(high_plan).cells}
+    low_cells = run_experiment(low_plan)
+    high_cells = {c.estimator.tag: c for c in run_experiment(high_plan)}
     swlz_low = low_cells[0].mean
     swlz_high = high_cells["swlz"].mean
     direct_high = high_cells["direct_empirical"].mean
@@ -221,7 +221,7 @@ def test_criterion_07_misspecification_bias():
         ),
         seed=4307,
     )
-    cells = {c.estimator.order: c for c in run_experiment(plan).cells}
+    cells = {c.estimator.order: c for c in run_experiment(plan)}
     excess_m1 = cells[1].mean - truth
     gap_m2 = abs(cells[2].mean - truth)
     gap_m3 = abs(cells[3].mean - truth)

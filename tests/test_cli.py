@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -1188,6 +1189,9 @@ class TestStartUp:
             value = getattr(entrate, name)
             assert getattr(sys.modules[value.__module__], name) is value, name
         assert set(entrate.__all__) <= set(dir(entrate))
+        for module, names in entrate._MODULES.items():
+            public = importlib.import_module(f"entrate.{module}").__all__
+            assert sorted(public) == sorted(names.split()), module
         assert entrate.cli.run_experiment is entrate.simulate.run_experiment
         with pytest.raises(AttributeError):
             entrate.no_such_name

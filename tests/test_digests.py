@@ -111,6 +111,6 @@ def test_low_plan_cell_means():
         seed=20170,
     )
     means = {
-        (cell.length, cell.estimator.tag): cell.mean.hex() for cell in run_experiment(plan).cells
+        (cell.length, cell.estimator.tag): cell.mean.hex() for cell in run_experiment(plan)
     }
     assert means == LOW_PLAN_MEANS

@@ -295,7 +295,7 @@ class TestCountTransitions:
         finally:
             tracemalloc.stop()
         assert counts.kappa**2 <= emb.length - 1
-        assert peak < 3 * codes_nbytes, f"traced peak {peak / codes_nbytes:.2f}x codes"
+        assert peak < 1.75 * codes_nbytes, f"traced peak {peak / codes_nbytes:.2f}x codes"
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrate import (
+    BootstrapConfig,
+    EstimationError,
     EstimatorSpec,
     ReducibleMatrixError,
     ReparamPoint,
@@ -12,6 +14,7 @@ from entrate import (
     StateSpaceError,
     TransitionMatrix,
     benchmark_matrix,
+    bootstrap_se,
     entropy_rate,
     entropy_surface,
     estimate_direct,
@@ -19,6 +22,7 @@ from entrate import (
     gamma_bound,
     phi_bound,
     reparam_to_abcd,
+    run_estimator,
     run_experiment,
     second_order_entropy,
     second_order_matrix,
@@ -339,7 +343,7 @@ class TestRunExperiment:
     def test_determinism(self):
         a = run_experiment(self._plan())
         b = run_experiment(self._plan())
-        for ca, cb in zip(a.cells, b.cells):
+        for ca, cb in zip(a, b):
             assert (ca.length, ca.estimator, ca.mean, ca.sd) == (
                 cb.length,
                 cb.estimator,
@@ -348,22 +352,22 @@ class TestRunExperiment:
             )
 
     def test_single_replicate_degenerate_stats(self):
-        report = run_experiment(self._plan(replicates=1))
-        for cell in report.cells:
+        cells = run_experiment(self._plan(replicates=1))
+        for cell in cells:
             assert cell.minimum == cell.mean == cell.maximum
             assert cell.sd is None
 
     def test_cell_grid_shape(self):
-        report = run_experiment(self._plan())
-        assert len(report.cells) == 4
-        assert all(c.n_ok == 3 and c.n_failed == 0 for c in report.cells)
+        cells = run_experiment(self._plan())
+        assert len(cells) == 4
+        assert all(c.n_ok == 3 and c.n_failed == 0 for c in cells)
 
     def test_invalid_order_marks_failures(self):
         plan = self._plan(
             lengths=(3, 50), estimators=(EstimatorSpec("empirical", 4),)
         )
-        report = run_experiment(plan)
-        short, long = report.cells
+        cells = run_experiment(plan)
+        short, long = cells
         assert short.n_ok == 0 and short.n_failed == 3
         assert short.mean is None
         assert long.n_ok == 3
@@ -386,18 +390,51 @@ class TestRunExperiment:
             estimators=(EstimatorSpec("swlz"),),
             seed=11,
         )
-        report = run_experiment(plan)
+        cells = run_experiment(plan)
         streams = np.random.SeedSequence(plan.seed).spawn(plan.replicates)
         init = stationary_eigen(plan.generator)
         seqs = [
             simulate_chain(plan.generator, 600, init=init, rng=np.random.default_rng(s))
             for s in streams
         ]
-        for cell in report.cells:
+        for cell in cells:
             fresh = [swlz_entropy(seq.prefix(cell.length)).value for seq in seqs]
             assert (cell.n_ok, cell.n_failed) == (4, 0)
             assert cell.mean == float(np.mean(fresh))
             assert (cell.minimum, cell.maximum) == (min(fresh), max(fresh))
+
+    @settings(deadline=None, max_examples=12)
+    @given(
+        kind=st.sampled_from(["low", "medium", "high"]),
+        n=st.integers(20, 400),
+        method=st.sampled_from(["empirical", "eigen", "limit", "swlz"]),
+        order=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="low", n=20, method="eigen", order=2, seed=0)  # reducible
+    @example(kind="medium", n=400, method="limit", order=1, seed=0)
+    def test_estimate_bootstrap_and_experiment_share_one_estimation_path(
+        self, kind, n, method, order, seed
+    ):
+        spec = EstimatorSpec(method, None if method == "swlz" else order)
+        P = benchmark_matrix(kind)
+        # The sequence that the experiment's one replicate simulates.
+        (stream,) = np.random.SeedSequence(seed).spawn(1)
+        seq = simulate_chain(P, n, rng=np.random.default_rng(stream))
+        (cell,) = run_experiment(self._plan(
+            generator=P, lengths=(n,), replicates=1, estimators=(spec,), seed=seed
+        ))
+        config = BootstrapConfig(None, 2, seed)
+        try:
+            value = run_estimator(seq, spec).value
+        except EstimationError as exc:
+            assert (cell.n_ok, cell.n_failed) == (0, 1)
+            with pytest.raises(type(exc)):
+                bootstrap_se(seq, spec, config)
+            return
+        assert (cell.n_ok, cell.n_failed) == (1, 0)
+        assert cell.mean.hex() == value.hex()
+        assert bootstrap_se(seq, spec, config).point.value.hex() == value.hex()
 
     def test_second_order_generator(self):
         plan = self._plan(
@@ -406,8 +443,8 @@ class TestRunExperiment:
             replicates=4,
             estimators=(EstimatorSpec("empirical", 2),),
         )
-        report = run_experiment(plan)
-        assert report.cells[0].n_ok == 4
+        cells = run_experiment(plan)
+        assert cells[0].n_ok == 4
 
     def test_paper_zero_mode_turns_failures_into_zeros(self):
         # Low benchmark at tiny n: the eigen method hits reducible estimates.
@@ -428,9 +465,9 @@ class TestRunExperiment:
                 seed=123,
             )
         )
-        assert hard.cells[0].n_failed > 0
-        assert soft.cells[0].n_failed == 0
-        assert soft.cells[0].minimum == 0.0
+        assert hard[0].n_failed > 0
+        assert soft[0].n_failed == 0
+        assert soft[0].minimum == 0.0
 
     def test_plain_value_error_propagates(self, monkeypatch):
         # Only EstimationError counts as a failed replicate.
@@ -451,9 +488,9 @@ class TestRunExperiment:
             estimators=(EstimatorSpec("empirical", 1),),
             seed=3,
         )
-        report = run_experiment(plan)
+        cells = run_experiment(plan)
         truth = -(0.95 * np.log2(0.95) + 0.05 * np.log2(0.05 / 7.0))
-        assert report.cells[0].mean == pytest.approx(truth, abs=0.05)
+        assert cells[0].mean == pytest.approx(truth, abs=0.05)
 
 
 class TestRandomMatrixHelpers:
