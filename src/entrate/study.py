@@ -18,7 +18,7 @@ from .ingest import InputError, check_writable, read_text, read_tokens, write_te
 from .markov import TransitionMatrix
 
 if TYPE_CHECKING:
-    from .simulate import CellResult, ExperimentPlan
+    from .simulate import ExperimentPlan
 
 
 # ---------------------------------------------------------------- simulate
@@ -174,12 +174,12 @@ def _load_plan(path: str) -> tuple[ExperimentPlan, dict[str, Any]]:
     return plan, plan_dict
 
 
-def _report_to_dict(
-    plan: ExperimentPlan, cells: tuple[CellResult, ...], plan_dict: dict[str, Any]
-) -> dict[str, Any]:
-    out = _base_report("experiment", plan.seed)
-    out["plan"] = plan_dict
-    out["cells"] = [
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    plan, plan_dict = _load_plan(args.plan)
+    json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
+    check_writable(json_path, args.csv, inputs=[args.plan])
+    cells = cli.run_experiment(plan)  # looked up where the tests patch it
+    rows = [
         {
             "length": cell.length,
             "method": cell.estimator.tag,
@@ -193,16 +193,8 @@ def _report_to_dict(
         }
         for cell in cells
     ]
-    return out
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    plan, plan_dict = _load_plan(args.plan)
-    json_path = args.json or str(Path(args.plan).with_suffix(".report.json"))
-    check_writable(json_path, args.csv, inputs=[args.plan])
-    cells = cli.run_experiment(plan)  # looked up where the tests patch it
-    out = _report_to_dict(plan, cells, plan_dict)
-    _write_reports(json_path, args.csv, out, out["cells"])
+    report = _base_report("experiment", plan.seed) | {"plan": plan_dict, "cells": rows}
+    _write_reports(json_path, args.csv, report, rows)
     fmt = "{:>7} {:>22} {:>9} {:>9} {:>9} {:>9} {:>7}"
     print(fmt.format("length", "estimator", "min", "mean", "max", "sd", "failed"))
     for c in cells:

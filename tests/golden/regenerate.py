@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -112,8 +113,6 @@ def golden_files() -> list[Path]:
 
 
 def main() -> None:
-    import tempfile
-
     for old in golden_files():
         old.unlink()
     for name in CASES:
