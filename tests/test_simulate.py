@@ -421,9 +421,9 @@ class TestRunExperiment:
         # The sequence that the experiment's one replicate simulates.
         (stream,) = np.random.SeedSequence(seed).spawn(1)
         seq = simulate_chain(P, n, rng=np.random.default_rng(stream))
-        (cell,) = run_experiment(self._plan(
-            generator=P, lengths=(n,), replicates=1, estimators=(spec,), seed=seed
-        ))
+        (cell,) = run_experiment(
+            self._plan(generator=P, lengths=(n,), replicates=1, estimators=(spec,), seed=seed)
+        )
         config = BootstrapConfig(None, 2, seed)
         try:
             value = run_estimator(seq, spec).value
