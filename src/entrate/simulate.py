@@ -65,8 +65,9 @@ __all__ = [
     "run_experiment",
 ]
 
-# Steps walked per block of Python floats.  It bounds the walk's Python lists:
-# full-length ones would hold about 32 MB of floats at n = 1e6.
+# Uniforms read per block of the walk.  It bounds the walk's Python lists and
+# its per-block arrays (the band mask, the uniforms outside the band and the
+# fill index): full-length ones would hold about 32 MB of floats at n = 1e6.
 _WALK_BLOCK = 4096
 
 
@@ -84,11 +85,23 @@ def simulate_chain(
     None for the exact stationary distribution (so the realized process is
     stationary from the start; this raises for reducible matrices).
     Subsequent symbols are drawn from the current row by inverse-CDF sampling:
-    one uniform per step, all n drawn at once after x_0, each located by
-    ``bisect_right`` in the row's cumulative sums.  The walk reads the uniforms
-    block-wise as Python floats and writes each block of states with one slice
-    assignment, so no step boxes a numpy scalar; its Python lists hold at most
-    4096 entries whatever n is.
+    n uniforms are drawn at once after x_0, and step t >= 1 locates ``us[t]``
+    by ``bisect_right`` in the current row's cumulative sums (``us[0]`` is
+    never read).
+
+    Only the steps that can move the chain are walked.  A uniform u in the
+    band [lo, hi), with lo = max_{k>=1} cum[k, k-1] and hi = min_k cum[k, k],
+    has cum[k, k-1] <= u < cum[k, k] for every state k, so ``bisect_right``
+    would return the current state whatever it is; such a step keeps the
+    state before it.  The band test compares each uniform exactly with the
+    row values that ``bisect_right`` reads, so the states are the ones a
+    step-by-step walk gives, bit for bit.  When the band is empty (lo >= hi,
+    as when some row favours another state) every step is walked.
+
+    The walk reads the uniforms block-wise: per block of 4096 it walks those
+    outside the band as Python floats, so no step boxes a numpy scalar, and
+    fills the block's states with one assignment.  Besides the output and the
+    uniforms, its lists and arrays hold at most one block whatever n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -107,17 +120,29 @@ def simulate_chain(
     cum = np.cumsum(P.probs, axis=1)
     cum[:, -1] = 1.0
     rows = [row.tolist() for row in cum]
+    lo = float(cum.diagonal(-1).max(initial=0.0))
+    hi = float(cum.diagonal().min())
     out = np.empty(n, dtype=np.int64)
     out[0] = x0
     us = rng.random(n)
     state = x0
-    for lo in range(1, n, _WALK_BLOCK):
-        block: list[int] = []
-        append = block.append
-        for u in us[lo : lo + _WALK_BLOCK].tolist():
+    for start in range(1, n, _WALK_BLOCK):
+        block = us[start : start + _WALK_BLOCK]
+        moves = block < lo
+        moves |= block >= hi
+        walked = [state]
+        append = walked.append
+        for u in block[moves].tolist():
             state = bisect_right(rows[state], u)
             append(state)
-        out[lo : lo + _WALK_BLOCK] = block
+        if len(walked) > block.size:
+            # Nothing was skipped, as always when the band is empty; the fill
+            # below would cost such walks about a tenth of their time.
+            # walked[0] rewrites the state already at start - 1.
+            out[start - 1 : start + block.size] = walked
+        else:
+            # A skipped step keeps the state of the last walked one before it.
+            out[start : start + block.size] = np.take(walked, np.cumsum(moves))
     return Sequence(out, Alphabet.of_size(kappa))
 
 

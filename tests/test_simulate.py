@@ -1,3 +1,6 @@
+import tracemalloc
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from conftest import random_stochastic, simulate_chain_oracle
@@ -70,7 +73,7 @@ class TestSimulateChain:
     @settings(deadline=None)
     @given(
         st.integers(1, 12),
-        st.sampled_from(["weights", "flat"]),
+        st.sampled_from(["weights", "flat", "sticky"]),
         st.sampled_from(["stationary", "state", "vector"]),
         st.one_of(
             st.integers(1, 3),
@@ -79,12 +82,19 @@ class TestSimulateChain:
         st.integers(0, 2**32 - 1),
     )
     @example(10, "flat", "state", _WALK_BLOCK + 1, 0)
+    @example(1, "sticky", "state", _WALK_BLOCK + 2, 0)  # kappa = 1: no step is walked
+    @example(3, "sticky", "vector", 2 * _WALK_BLOCK + 1, 9)  # x_0 = 2; state 0 absorbs
+    @example(4, "sticky", "state", 3, 6)  # x_0 = 0 and the first uniform read is hi
+    @example(6, "sticky", "stationary", _WALK_BLOCK + 2, 2)
     def test_equals_step_oracle(self, k, shape, init_kind, n, seed):
         # "weights" rows come from integer weights 0-9 with zeros; "flat" rows
         # spread equal mass over a random support, and six, seven or ten
         # equal masses sum to 0.9999999999999999 (the example has two such
-        # rows).  The walk runs n - 1 steps, so n = j * _WALK_BLOCK + 1 fills
-        # exactly j blocks.
+        # rows).  "sticky" rows keep their state with mass at least 0.9 and
+        # spread the rest by the weights, so the band of uniforms that leaves
+        # every state in place is nonempty; a row with no other support is
+        # absorbing.  The walk runs n - 1 steps, so n = j * _WALK_BLOCK + 1
+        # fills exactly j blocks.
         rng = np.random.default_rng(seed)
         weights = rng.integers(0, 10, size=(k, k)) * (rng.random((k, k)) < 0.6)
         if shape == "flat":
@@ -93,9 +103,24 @@ class TestSimulateChain:
             # A cycle through every state keeps the chain irreducible.
             cycle = rng.permutation(k)
             weights[cycle, np.roll(cycle, 1)] += 1
-        empty = weights.sum(axis=1) == 0
-        weights[empty, np.flatnonzero(empty)] = 1
-        P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
+        if shape == "sticky":
+            np.fill_diagonal(weights, 0)
+            support = weights.sum(axis=1)
+            stay = np.where(support > 0, 0.9 + 0.1 * rng.random(k), 1.0)
+            if init_kind == "state" and n > 1 and support[0] > 0:
+                # From a fixed x_0 the walk first reads the second uniform of
+                # its generator.  Row 0 keeps itself with exactly that mass
+                # and no row with less, so hi = cum[0, 0] is a uniform read.
+                first = np.random.default_rng(seed).random(2)[1]
+                stay = np.maximum(stay, first)
+                stay[0] = first
+            probs = weights / np.maximum(support, 1)[:, None] * (1.0 - stay)[:, None]
+            np.fill_diagonal(probs, stay)
+            P = TransitionMatrix(probs)
+        else:
+            empty = weights.sum(axis=1) == 0
+            weights[empty, np.flatnonzero(empty)] = 1
+            P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
         init = {
             "stationary": None,
             "state": int(rng.integers(0, k)),
@@ -108,6 +133,42 @@ class TestSimulateChain:
         assert np.array_equal(got.states, want)
         # Both walks leave the caller's generator at the same position.
         assert got_rng.random() == want_rng.random()
+
+    def test_steps_in_the_band_are_not_walked(self, monkeypatch):
+        # A low step is walked only when its uniform falls below lo = 0.05
+        # (row 7's mass before its diagonal) or at or above hi = 0.95 (row 0's
+        # diagonal): about a tenth of the steps.  The medium band is empty,
+        # so every one of its n - 1 steps is walked.
+        import entrate.simulate as simulate_module
+
+        calls = []
+
+        def counted(row, u):
+            calls.append(u)
+            return bisect_right(row, u)
+
+        monkeypatch.setattr(simulate_module, "bisect_right", counted)
+        n = 10_000
+        simulate_chain(benchmark_matrix("low"), n, init=0, rng=5)
+        assert len(calls) < 0.2 * n
+        calls.clear()
+        simulate_chain(benchmark_matrix("medium"), n, init=0, rng=5)
+        assert len(calls) == n - 1
+
+    @pytest.mark.parametrize("kind", ["low", "medium"])
+    def test_walk_memory_is_its_output_and_uniforms(self, kind):
+        # The output and the uniforms take 8n bytes each; every other list or
+        # array of the walk is one block long.  A full-length boolean mask
+        # (n bytes) or index array would break the bound.
+        n = 200_000
+        P = benchmark_matrix(kind)
+        tracemalloc.start()
+        try:
+            simulate_chain(P, n, init=0, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 8 * n, f"peak {peak / (8 * n):.3f} x 8n bytes"
 
 
 class TestBenchmarkMatrix:
