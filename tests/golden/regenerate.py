@@ -1,13 +1,17 @@
 """Golden reports of the ``entrate`` CLI: the JSON, CSV and standard output of
-a fixed list of small runs, one set of files per run in this directory.
+a fixed list of small runs, one set of files per run in this directory, and
+of each shipped ``plans/*.json`` run through ``entrate experiment``, in
+``plans/`` here.
 
     python tests/golden/regenerate.py
 
 rewrites every golden file from the source tree this script sits in;
 ``tests/test_golden.py`` runs the same ``CASES`` and compares byte for byte.
+The shipped plans take seconds, so only this script runs them; a change
+that leaves ``git diff tests/golden`` empty after it kept their reports.
 Each run happens in a fresh working directory holding the inputs that
-``write_inputs`` draws from fixed seeds, under relative names, so that no
-report holds a machine path.
+``write_inputs`` draws from fixed seeds, or a copy of the plan, under
+relative names, so that no report holds a machine path.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN = Path(__file__).resolve().parent
+PLAN_GOLDEN = GOLDEN / "plans"
+SHIPPED_PLANS = GOLDEN.parents[1] / "plans"
 SUFFIXES = (".stdout", ".json", ".csv")
 
 # name -> argv; a run that writes reports writes ``<name>.json`` and ``<name>.csv``.
@@ -87,6 +94,21 @@ def write_inputs(workdir: Path) -> None:
 def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     """The golden files of case ``name`` by file name, from running it with
     ``entrate.cli.main`` in ``workdir``, where ``write_inputs`` has run."""
+    return _run(name, CASES[name], workdir)
+
+
+def run_plan(plan: Path, workdir: Path) -> dict[str, bytes]:
+    """The golden files of the shipped ``plan`` by file name, from running
+    ``entrate experiment plans/<name>.json`` on a copy of it in ``workdir``,
+    with the reports ``<name>.json`` and ``<name>.csv``."""
+    name = plan.stem
+    (workdir / "plans").mkdir()
+    shutil.copy(plan, workdir / "plans" / plan.name)
+    argv = ["experiment", f"plans/{plan.name}", "--json", f"{name}.json", "--csv", f"{name}.csv"]
+    return _run(name, argv, workdir)
+
+
+def _run(name: str, argv: list[str], workdir: Path) -> dict[str, bytes]:
     from entrate.cli import main
 
     stdout = io.StringIO()
@@ -94,11 +116,11 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout):
-            rc = main(list(CASES[name]))
+            rc = main(list(argv))
     finally:
         os.chdir(cwd)
     if rc != 0:
-        raise RuntimeError(f"entrate {' '.join(CASES[name])} exited {rc}")
+        raise RuntimeError(f"entrate {' '.join(argv)} exited {rc}")
     files = {f"{name}.stdout": stdout.getvalue().encode("utf-8")}
     for suffix in SUFFIXES[1:]:
         report = workdir / f"{name}{suffix}"
@@ -107,19 +129,24 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
     return files
 
 
-def golden_files() -> list[Path]:
-    """The golden files now in this directory."""
-    return sorted(p for p in GOLDEN.iterdir() if p.suffix in SUFFIXES)
+def golden_files(directory: Path = GOLDEN) -> list[Path]:
+    """The golden files now in ``directory``."""
+    return sorted(p for p in directory.iterdir() if p.suffix in SUFFIXES)
 
 
 def main() -> None:
-    for old in golden_files():
+    PLAN_GOLDEN.mkdir(exist_ok=True)
+    for old in golden_files() + golden_files(PLAN_GOLDEN):
         old.unlink()
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             write_inputs(Path(tmp))
             for file_name, data in run_case(name, Path(tmp)).items():
                 (GOLDEN / file_name).write_bytes(data)
+    for plan in sorted(SHIPPED_PLANS.glob("*.json")):
+        with tempfile.TemporaryDirectory() as tmp:
+            for file_name, data in run_plan(plan, Path(tmp)).items():
+                (PLAN_GOLDEN / file_name).write_bytes(data)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """The CLI's reports match the golden files under tests/golden byte for byte.
 
 A change that alters a report on purpose reruns
-``python tests/golden/regenerate.py`` and says so in CHANGES.md.
+``python tests/golden/regenerate.py`` and says so in CHANGES.md.  The
+reports of the shipped plans under tests/golden/plans take seconds to
+rebuild, so only that script compares them; here their file names are
+checked.
 """
 
 import importlib.util
@@ -29,3 +32,10 @@ def test_report_matches_its_golden_files(name, tmp_path):
 
 def test_every_golden_file_belongs_to_a_case():
     assert {p.stem for p in regenerate.golden_files()} <= set(regenerate.CASES)
+
+
+def test_every_shipped_plan_has_its_golden_files():
+    plans = sorted(regenerate.SHIPPED_PLANS.glob("*.json"))
+    assert plans
+    expected = sorted(f"{plan.stem}{suffix}" for plan in plans for suffix in regenerate.SUFFIXES)
+    assert [p.name for p in regenerate.golden_files(regenerate.PLAN_GOLDEN)] == expected
