@@ -208,6 +208,7 @@ def _estimator_specs(args: argparse.Namespace) -> list[EstimatorSpec]:
 
 
 def _estimate_record(
+    spec: EstimatorSpec,
     est: EntropyEstimate,
     se: float | None,
     p_used: float | None,
@@ -215,8 +216,8 @@ def _estimate_record(
     extra_warnings: list[str],
 ) -> dict[str, Any]:
     return {
-        "method": est.method,
-        "order": est.order,
+        "method": spec.tag,
+        "order": spec.order,
         "value_bits": _round(est.value),
         "se": _round(se),
         "p_used": _round(p_used),
@@ -254,7 +255,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 if spec.method == "swlz"
                 else "transitions across file boundaries excluded"
             )
-        records.append(_estimate_record(est, se, p_used, replicates, extra))
+        records.append(_estimate_record(spec, est, se, p_used, replicates, extra))
         detail = f"{est.value:.4f} bits"
         if se is not None:
             detail += f"  (SE {se:.4f}, p={p_used:.4f}, B={replicates})"
@@ -429,7 +430,3 @@ def main(argv: list[str] | None = None) -> int:
     except EstimationError as exc:
         _emit_error("numeric", str(exc))
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -63,16 +63,12 @@ _CESARO_DRIFT_TOL = 1e-6
 class EntropyEstimate(_Value):
     """Point estimate of an entropy rate in bits per symbol, with its notes.
 
-    ``method`` is one of direct_empirical, direct_eigen, direct_limit, swlz,
-    or direct_exact for analytic evaluation of a known matrix.  ``order`` is
-    None when the method assumes none (swlz, direct_exact).  ``warnings``
-    are the notes the report prints beside the value.
+    ``warnings`` are the notes the report prints beside the value.  Which
+    estimator gave it is the caller's ``EstimatorSpec``, not a field here.
     """
 
-    def __init__(
-        self, value: float, method: str, order: int | None = None, warnings: tuple[str, ...] = ()
-    ) -> None:
-        self.__dict__.update(value=value, method=method, order=order, warnings=warnings)
+    def __init__(self, value: float, warnings: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(value=value, warnings=warnings)
 
 
 def _plugin_rate(weights: np.ndarray | float, p: np.ndarray) -> float:
@@ -186,16 +182,16 @@ def stationary_limit(
 
 
 def entropy_rate(P: TransitionMatrix, pi: ProbabilityVector | np.ndarray) -> EntropyEstimate:
-    """Plug-in rate -sum_ij pi_i P_ij log2 P_ij of a known matrix, as a
-    "direct_exact" estimate, summed over P's positive entries; rows with zero
-    stationary weight contribute nothing.
+    """Exact rate -sum_ij pi_i P_ij log2 P_ij of a known matrix, summed over
+    P's positive entries; rows with zero stationary weight contribute
+    nothing.  The estimate carries no notes.
     """
     if not isinstance(pi, ProbabilityVector):
         pi = ProbabilityVector(np.asarray(pi))
     if pi.size != P.size:
         raise ValueError("dimension mismatch between P and pi")
     src, dst = np.nonzero(P.probs > 0.0)
-    return EntropyEstimate(_plugin_rate(pi.probs[src], P.probs[src, dst]), "direct_exact")
+    return EntropyEstimate(_plugin_rate(pi.probs[src], P.probs[src, dst]))
 
 
 def estimate_direct(
@@ -261,7 +257,6 @@ def estimate_direct(
             f"order-{order} direct estimates are unreliable"
         )
     visited, _, row_totals = counts.row_runs
-    method = f"direct_{stationary}"
     if stationary == "empirical":
         weights = row_totals / counts.grand_total
         if visited.size < counts.kappa:
@@ -282,10 +277,10 @@ def estimate_direct(
             if not paper_zero_mode:
                 raise
             warn.append(f"{exc}; estimate forced to 0")
-            return EntropyEstimate(0.0, method, order, tuple(warn))
+            return EntropyEstimate(0.0, tuple(warn))
         weights = pi.probs[counts.nonzero()[0]]
     value = _plugin_rate(weights, counts.n / row_totals)
-    return EntropyEstimate(value, method, order, tuple(warn))
+    return EntropyEstimate(value, tuple(warn))
 
 
 def estimate_direct_pooled(

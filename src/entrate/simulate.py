@@ -346,28 +346,22 @@ def entropy_surface(
 ) -> np.ndarray:
     """Exact entropy rate over a (phi, gamma) grid at fixed (p, q).
 
-    Returns an array of shape (len(phi_grid), len(gamma_grid)) in bits; grid
-    points violating the dependence bounds, or whose pair chain degenerates
-    (e.g. the phi = -1 or gamma = -1 edges), are marked NaN.
+    Returns an array of shape (len(phi_grid), len(gamma_grid)) in bits, each
+    point ``second_order_entropy`` of its ``ReparamPoint``.  A (p, q) outside
+    (0, 1) raises ValueError; grid points that ``ReparamPoint`` refuses (a
+    dependence bound violated) or whose pair chain degenerates (e.g. the
+    phi = -1 or gamma = -1 edges) are marked NaN.
     """
+    ReparamPoint(p, q, 0.0, 0.0)  # refuses a (p, q) outside (0, 1) before the grid
     phi_grid = np.asarray(phi_grid, dtype=np.float64)
     gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
     out = np.full((phi_grid.size, gamma_grid.size), np.nan)
-    pb, gb = phi_bound(p), gamma_bound(q)
-    for i, phi in enumerate(phi_grid):
-        if not -1.0 - _BOUND_TOL <= phi <= pb + _BOUND_TOL:
-            continue
-        for j, gamma in enumerate(gamma_grid):
-            if not -1.0 - _BOUND_TOL <= gamma <= gb + _BOUND_TOL:
-                continue
-            point = ReparamPoint(p=p, q=q, phi=float(phi), gamma=float(gamma))
-            params = reparam_to_abcd(point)
+    for i, phi in enumerate(phi_grid.tolist()):
+        for j, gamma in enumerate(gamma_grid.tolist()):
             try:
-                pi = second_order_stationary(params)
-            except ReducibleMatrixError:
-                continue
-            P = second_order_matrix(params)
-            out[i, j] = entropy_rate(P, pi).value
+                out[i, j] = second_order_entropy(reparam_to_abcd(ReparamPoint(p, q, phi, gamma)))
+            except (ValueError, ReducibleMatrixError):
+                pass
     return out
 
 

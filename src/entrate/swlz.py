@@ -251,4 +251,4 @@ def swlz_estimate(novelty: NovelLengths, kappa: int) -> EntropyEstimate:
             f"estimate {value:.4f} exceeds log2(kappa) = {cap:.4f}; "
             "sequence is too short for a reliable estimate",
         )
-    return EntropyEstimate(value, "swlz", warnings=warn)
+    return EntropyEstimate(value, warn)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 
 from entrate import (
     Alphabet,
@@ -22,6 +23,15 @@ def int_seq(values, kappa: int | None = None) -> Sequence:
     if kappa is None:
         kappa = max(values) + 1
     return Sequence(np.asarray(values, dtype=np.int64), Alphabet.of_size(kappa))
+
+
+def assert_refused(build, error: type[Exception], message: str) -> None:
+    """``build()`` raises exactly ``error`` (not a subclass) with exactly
+    ``message``."""
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def token_seq(text: str) -> Sequence:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import int_seq, stationary_bootstrap_oracle
+from conftest import assert_refused, int_seq, stationary_bootstrap_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +37,14 @@ class TestChooseP:
         # H = 2.8934 at n = 1000 targets blocks of mean length about 3.44.
         p, _ = choose_p(2.8934, 1000)
         assert 1.0 / p == pytest.approx(3.44, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "h_hat, n, message",
+        [(-0.1, 100, "entropy estimate must be nonnegative"), (1.0, 1, "need n >= 2")],
+        ids=["negative-estimate", "n-below-2"],
+    )
+    def test_invalid_arguments_rejected(self, h_hat, n, message):
+        assert_refused(lambda: choose_p(h_hat, n), ValueError, message)
 
 
 class TestStationaryBootstrapSample:
@@ -130,6 +138,15 @@ class TestStationaryBootstrapSample:
         with pytest.raises(ValueError):
             stationary_bootstrap_sample(seq, 1.5, np.random.default_rng(1))
 
+    def test_single_symbol_rejected(self):
+        seq = int_seq([1], kappa=2)
+        rng = np.random.default_rng(1)
+        assert_refused(
+            lambda: stationary_bootstrap_sample(seq, 0.5, rng),
+            ValueError,
+            "need at least 2 symbols to resample",
+        )
+
 
 class TestBootstrapSe:
     def test_constant_sequence_zero_se(self):
@@ -154,7 +171,7 @@ class TestBootstrapSe:
         seq = int_seq(rng.integers(0, 3, 300), kappa=3)
         spec = EstimatorSpec("swlz")
         result = bootstrap_se(seq, spec, BootstrapConfig(p=0.3, replicates=10, seed=5))
-        assert result.point.method == spec.tag == "swlz"
+        assert result.point == run_estimator(seq, spec)
         assert result.point.value > 0
 
     def test_zero_failure_policy(self):

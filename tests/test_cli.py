@@ -1091,6 +1091,20 @@ class TestEndToEnd:
         assert error["type"] == "input"
         assert "--seed" in error["message"] and "seed must be >= 0" in error["message"]
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--replicates", "x", "argument --replicates: expected int, got 'x'"),
+            ("--p", "half", "argument --p: expected float, got 'half'"),
+        ],
+        ids=["replicates", "p"],
+    )
+    def test_unparsable_flag_value_is_input_error(self, capsys, flag, value, message):
+        argv = ["bootstrap", "--text", "A B A B A A B", "--replicates", "3", flag, value]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": {"type": "input", "message": message}}
+
     def test_unknown_command_is_input_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    assert_refused,
     cesaro_loop_oracle,
     entropy_rate_loop_oracle,
     flow_defect_oracle,
@@ -71,6 +72,13 @@ class TestStationaryEmpirical:
         seq = simulate_chain(P, 20_000, rng=3)
         pi = stationary_empirical(count_transitions(seq))
         assert np.allclose(pi.probs, [0.5, 0.5], atol=0.02)
+
+    def test_zero_transitions_rejected(self):
+        assert_refused(
+            lambda: stationary_empirical(TransitionCounts(2, [], [])),
+            ValueError,
+            "cannot estimate stationary distribution from zero transitions",
+        )
 
 
 class TestStationaryEigen:
@@ -184,6 +192,10 @@ class TestStationaryLimit:
         with pytest.raises(ReducibleMatrixError):
             stationary_limit(P, steps=10)
 
+    def test_zero_steps_rejected(self):
+        P = TransitionMatrix([[0, 1], [1, 0]])
+        assert_refused(lambda: stationary_limit(P, steps=0), ValueError, "steps must be >= 1")
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(1, 16),
@@ -268,7 +280,6 @@ class TestEntropyRate:
         P = TransitionMatrix(probs)
         est = entropy_rate(P, weights)
         assert est.value == pytest.approx(entropy_rate_loop_oracle(probs, weights), abs=1e-12)
-        assert est.method == "direct_exact" and est.order is None
         assert est.warnings == ()
 
 
@@ -277,7 +288,6 @@ class TestEstimateDirect:
         seq = int_seq([0, 1] * 500, kappa=2)
         est = estimate_direct(seq, order=1, stationary="empirical")
         assert est.value == 0.0
-        assert est.method == "direct_empirical"
 
     def test_low_entropy_simulation(self):
         P = benchmark_matrix("low")
@@ -338,7 +348,6 @@ class TestEstimateDirect:
         seq = int_seq(states, kappa=2)
         est = estimate_direct(seq, order=1, stationary="limit", paper_zero_mode=True)
         assert est.value == 0.0
-        assert est.method == "direct_limit"
         assert est.warnings == (f"{message}; estimate forced to 0",)
 
     @settings(deadline=None)
@@ -367,7 +376,6 @@ class TestEstimateDirect:
         seq = simulate_chain(P, 5000, rng=47)
         est_limit = estimate_direct(seq, stationary="limit")
         est_eigen = estimate_direct(seq, stationary="eigen")
-        assert est_limit.method == "direct_limit"
         assert est_limit.value == pytest.approx(est_eigen.value, abs=1e-3)
 
     def test_short_data_warning(self):
@@ -526,6 +534,21 @@ class TestEstimateDirectPooled:
         seq = int_seq([0, 1, 1, 0, 1, 0, 0, 1], kappa=2)
         with pytest.raises(ValueError, match="unknown stationary method 'bogus'"):
             estimate_direct_pooled([seq], 1, "bogus")
+
+    @pytest.mark.parametrize(
+        "seq, order, message",
+        [
+            (int_seq([0, 1, 1, 0], kappa=2), 0, "order must be >= 1"),
+            (
+                embed_order(int_seq([0, 1, 1, 0], kappa=2), 2),
+                1,
+                "direct estimates expect base-alphabet sequences",
+            ),
+        ],
+        ids=["order-0", "composite-alphabet"],
+    )
+    def test_invalid_arguments_rejected(self, seq, order, message):
+        assert_refused(lambda: estimate_direct(seq, order=order), ValueError, message)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import pytest
+from conftest import assert_refused
 
 from entrate.ingest import (
     InputError,
@@ -116,6 +117,17 @@ class TestIngestTokens:
         assert seq.tokens() == ["b", "a"]
         assert seq.alphabet.symbols == ("b", "a")
         assert starts == [0]
+
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            ([], "no input sources"),
+            ([("--text", ["a", "b"]), ("b.txt", [])], "empty input: b.txt"),
+        ],
+        ids=["no-sources", "empty-source"],
+    )
+    def test_missing_input_rejected(self, sources, message):
+        assert_refused(lambda: ingest_many(sources), InputError, message)
 
 
 class TestTokensFromText:

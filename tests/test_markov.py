@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import (
+    assert_refused,
     count_transitions_oracle,
     int_seq,
     random_stochastic,
@@ -18,6 +19,7 @@ from entrate import (
     Alphabet,
     CompositeAlphabet,
     InsufficientDataError,
+    ProbabilityVector,
     ReducibleMatrixError,
     Sequence,
     StateSpaceError,
@@ -518,3 +520,44 @@ class TestValidation:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             TransitionMatrix([[1.1, -0.1], [0.5, 0.5]])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CompositeAlphabet(Alphabet.of_size(2), 0), "composite order must be >= 1"),
+            (
+                lambda: CompositeAlphabet(Alphabet.of_size(2), 2).decode(4),
+                "composite index 4 out of range",
+            ),
+            (
+                lambda: Sequence(np.array([], dtype=np.int64), Alphabet.of_size(2)),
+                "sequence must be a nonempty 1-d array of states",
+            ),
+            (lambda: TransitionMatrix([[0.5, 0.5]]), "transition matrix must be square"),
+            (
+                lambda: ProbabilityVector(np.array([])),
+                "probability vector must be a nonempty 1-d array",
+            ),
+            (
+                lambda: ProbabilityVector(np.array([0.5, 0.4])),
+                "probabilities must sum to 1 within 1e-12",
+            ),
+            (lambda: embed_order(int_seq([0, 1, 0], kappa=2), 0), "order m must be >= 1"),
+            (
+                lambda: embed_order(embed_order(int_seq([0, 1, 0, 1], kappa=2), 2), 2),
+                "sequence is already over a composite alphabet",
+            ),
+        ],
+        ids=[
+            "composite-order-0",
+            "decode-out-of-range",
+            "empty-sequence",
+            "matrix-not-square",
+            "empty-vector",
+            "vector-not-summing-to-1",
+            "embed-order-0",
+            "embed-composite",
+        ],
+    )
+    def test_invalid_arguments_rejected(self, build, message):
+        assert_refused(build, ValueError, message)

@@ -5,6 +5,7 @@ import inspect
 
 import numpy as np
 import pytest
+from conftest import assert_refused
 
 from entrate import (
     Alphabet,
@@ -28,13 +29,13 @@ from entrate import (
 
 ALPHABET = Alphabet(("a", "b"))
 SPEC = EstimatorSpec("eigen", 2, True)
-ESTIMATE = EntropyEstimate(0.5, "direct_eigen", 2, ("note",))
+ESTIMATE = EntropyEstimate(0.5, ("note",))
 
 # Each record type with the positional arguments of one instance.
 VALUE_RECORDS = [
     (CompositeAlphabet, (ALPHABET, 2)),
     (BootstrapConfig, (0.5, 10, 3)),
-    (EntropyEstimate, (0.5, "direct_eigen", 2, ("note",))),
+    (EntropyEstimate, (0.5, ("note",))),
     (EstimatorSpec, ("eigen", 2, True)),
     (SecondOrderParams, (0.1, 0.2, 0.3, 0.4)),
     (ReparamPoint, (0.4, 0.3, 0.1, -0.2)),
@@ -110,7 +111,16 @@ def test_value_records_differ_in_any_field():
     assert EstimatorSpec("eigen", 2) != EstimatorSpec("eigen", 3)
     assert EstimatorSpec("eigen", 2) != EstimatorSpec("eigen", 2, True)
     assert EstimatorSpec("eigen") == EstimatorSpec("eigen", 1)
-    assert EntropyEstimate(0.5, "swlz") != EntropyEstimate(0.5, "swlz", None, ("note",))
+    assert EntropyEstimate(0.5) != EntropyEstimate(0.5, ("note",))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(("swlz", 2), "swlz does not take an order"), (("empirical", 0), "order must be >= 1")],
+    ids=["swlz-with-order", "order-0"],
+)
+def test_estimator_spec_rejected(args, message):
+    assert_refused(lambda: EstimatorSpec(*args), ValueError, message)
 
 
 def test_estimator_spec_is_a_dict_key():

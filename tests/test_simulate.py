@@ -3,7 +3,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from conftest import random_stochastic, simulate_chain_oracle
+from conftest import assert_refused, random_stochastic, simulate_chain_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -361,6 +361,16 @@ class TestEntropySurface:
         rate = second_order_entropy(reparam_to_abcd(CASE_I))
         assert rate == pytest.approx(0.4976, abs=1e-3)
 
+    @pytest.mark.parametrize("p, q", [(1.5, 0.75), (-0.2, 0.5), (0.0, 0.5), (0.4, 1.0)])
+    def test_invalid_p_q_rejected(self, p, q):
+        # Not an all-NaN grid, nor a ZeroDivisionError from the bounds at 0 or 1.
+        grid = np.linspace(-1.0, 1.0, 5)
+        assert_refused(
+            lambda: entropy_surface(p, q, grid, grid),
+            ValueError,
+            "p and q must lie strictly inside (0, 1)",
+        )
+
 
 class TestSimulateSecondOrder:
     def test_alphabet_and_determinism(self):
@@ -369,6 +379,14 @@ class TestSimulateSecondOrder:
         b = simulate_second_order(params, 50, rng=5)
         assert a.alphabet.symbols == ("A", "B")
         assert np.array_equal(a.states, b.states)
+
+    def test_length_below_two_rejected(self):
+        params = reparam_to_abcd(CASE_I)
+        assert_refused(
+            lambda: simulate_second_order(params, 1, rng=5),
+            ValueError,
+            "need n >= 2 to carry second-order structure",
+        )
 
     def test_long_run_second_order_estimate_matches_truth(self):
         params = reparam_to_abcd(CASE_I)
@@ -436,6 +454,19 @@ class TestRunExperiment:
     def test_decreasing_lengths_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             self._plan(lengths=(50, 20))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"lengths": ()}, "at least one cut length required"),
+            ({"lengths": (1, 20)}, "lengths must be >= 2"),
+            ({"replicates": 0}, "replicates must be >= 1"),
+            ({"estimators": ()}, "at least one estimator required"),
+        ],
+        ids=["no-lengths", "length-1", "replicates-0", "no-estimators"],
+    )
+    def test_invalid_plan_rejected(self, field, message):
+        assert_refused(lambda: self._plan(**field), ValueError, message)
 
     def test_duplicate_estimator_rejected(self):
         spec = EstimatorSpec("empirical", 1)

@@ -3,7 +3,13 @@ from functools import cache
 
 import numpy as np
 import pytest
-from conftest import int_seq, match_lengths_level_oracle, naive_novel_length, token_seq
+from conftest import (
+    assert_refused,
+    int_seq,
+    match_lengths_level_oracle,
+    naive_novel_length,
+    token_seq,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +17,7 @@ from entrate import (
     Alphabet,
     EstimationError,
     InsufficientDataError,
+    Parsing,
     Sequence,
     format_parsing,
     novel_lengths,
@@ -130,6 +137,13 @@ class TestParse:
         assert format_parsing(seq, parsing) == "A | AA | A"
         assert parsing.last_capped
 
+    @pytest.mark.parametrize(
+        "phrases", [((0, 1), (2, 1)), ((0, 0), (0, 2))], ids=["gap", "empty-phrase"]
+    )
+    def test_phrases_that_do_not_tile_rejected(self, phrases):
+        message = "phrases must tile the sequence contiguously"
+        assert_refused(lambda: Parsing(phrases, False), ValueError, message)
+
     def test_phrases_tile_and_are_novel(self):
         rng = np.random.default_rng(89)
         for _ in range(40):
@@ -160,8 +174,6 @@ class TestSwlzEntropy:
         expected = np.log2(1000) / (total / 999)
         assert est.value == pytest.approx(expected, abs=1e-12)
         assert 0.0 < est.value < 0.1
-        assert est.method == "swlz"
-        assert est.order is None
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
