@@ -3,8 +3,8 @@
 A change that alters a report on purpose reruns
 ``python tests/golden/regenerate.py`` and says so in CHANGES.md.  The
 reports of the shipped plans under tests/golden/plans take seconds to
-rebuild, so only that script compares them; here their file names are
-checked.
+rebuild, so only that script runs them (``git diff tests/golden`` then
+shows any change); here their file names are checked.
 """
 
 import importlib.util

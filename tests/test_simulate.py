@@ -363,7 +363,7 @@ class TestEntropySurface:
 
     @pytest.mark.parametrize("p, q", [(1.5, 0.75), (-0.2, 0.5), (0.0, 0.5), (0.4, 1.0)])
     def test_invalid_p_q_rejected(self, p, q):
-        # Not an all-NaN grid, nor a ZeroDivisionError from the bounds at 0 or 1.
+        # Refused up front: no all-NaN grid, and no division by zero in the bounds.
         grid = np.linspace(-1.0, 1.0, 5)
         assert_refused(
             lambda: entropy_surface(p, q, grid, grid),
@@ -456,7 +456,7 @@ class TestRunExperiment:
             self._plan(lengths=(50, 20))
 
     @pytest.mark.parametrize(
-        "field, message",
+        "override, message",
         [
             ({"lengths": ()}, "at least one cut length required"),
             ({"lengths": (1, 20)}, "lengths must be >= 2"),
@@ -465,8 +465,8 @@ class TestRunExperiment:
         ],
         ids=["no-lengths", "length-1", "replicates-0", "no-estimators"],
     )
-    def test_invalid_plan_rejected(self, field, message):
-        assert_refused(lambda: self._plan(**field), ValueError, message)
+    def test_invalid_plan_rejected(self, override, message):
+        assert_refused(lambda: self._plan(**override), ValueError, message)
 
     def test_duplicate_estimator_rejected(self):
         spec = EstimatorSpec("empirical", 1)
