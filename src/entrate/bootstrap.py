@@ -11,7 +11,9 @@ the mean novelty length implied by an entropy estimate: p = H_hat / log2(n).
 
 Segmented data (files whose boundary transitions are excluded) is resampled
 one segment at a time, each within itself, and every replicate pools its
-resampled segments the way the point estimate pools the originals.
+resampled segments the way the point estimate pools the originals.  A failed
+replicate is left out of the standard error and counted, as a failed Monte
+Carlo replicate is.
 """
 
 from __future__ import annotations
@@ -48,18 +50,17 @@ class BootstrapConfig(_Value):
 
 
 class BootstrapResult(_Frozen):
-    """Point estimate and replicate estimates (0.0 for each of the
-    ``n_failures`` failed replicates) under block parameter ``p_used``;
-    ``warnings`` notes a clamped block parameter and failed replicates.  The
-    standard error is derived from the estimates, not stored beside them."""
+    """Point estimate and the estimates of the replicates that succeeded, in
+    stream order, under block parameter ``p_used``; ``warnings`` notes a clamped
+    block parameter and the failed replicates.  The standard error is derived
+    from the estimates, not stored beside them."""
 
     def __init__(
         self, estimates: np.ndarray, p_used: float, point: EntropyEstimate,
-        n_failures: int = 0, warnings: tuple[str, ...] = (),
+        warnings: tuple[str, ...] = (),
     ) -> None:
         self.__dict__.update(
-            estimates=_freeze(estimates), p_used=p_used, point=point, n_failures=n_failures,
-            warnings=warnings,
+            estimates=_freeze(estimates), p_used=p_used, point=point, warnings=warnings
         )
 
     @cached_property
@@ -139,10 +140,11 @@ def bootstrap_se(
     under 2 symbols is kept as it is.
 
     A replicate whose estimator raises EstimationError (reducible matrix,
-    state space too large, ...) is recorded as 0.0 and counted in
-    ``n_failures``; any other exception, ValueError included, propagates.  Under
-    ``estimator.paper_zero_mode`` a reducible replicate is not a failure: the
-    estimator itself returns 0.0.
+    state space too large, ...) is left out of the estimates, and a note
+    counts it; under ``estimator.paper_zero_mode`` a reducible replicate
+    estimates 0.0, as the point estimate does.  Fewer than 2 successful
+    replicates raise EstimationError; any other exception, ValueError
+    included, propagates.
     """
     segments = (seq, *more)
     point = run_estimator(seq, estimator, *more)
@@ -150,10 +152,8 @@ def bootstrap_se(
     if p is None:
         p, note = choose_p(point.value, sum(s.length for s in segments))
         notes = [note] if note else []
-    streams = np.random.SeedSequence(config.seed).spawn(config.replicates)
     values: list[float] = []
-    n_failures = 0
-    for stream in streams:
+    for stream in np.random.SeedSequence(config.seed).spawn(config.replicates):
         rng = np.random.default_rng(stream)
         resample = [
             stationary_bootstrap_sample(s, p, rng) if s.length >= 2 else s for s in segments
@@ -161,14 +161,12 @@ def bootstrap_se(
         try:
             values.append(run_estimator(resample[0], estimator, *resample[1:]).value)
         except EstimationError:
-            n_failures += 1
-            values.append(0.0)
-    if n_failures:
-        notes.append(f"{n_failures} bootstrap replicate(s) failed (zero policy)")
-    return BootstrapResult(
-        estimates=np.asarray(values, dtype=np.float64),
-        p_used=p,
-        point=point,
-        n_failures=n_failures,
-        warnings=tuple(notes),
-    )
+            continue
+    failed = config.replicates - len(values)
+    if len(values) < 2:
+        raise EstimationError(
+            f"{failed} of {config.replicates} bootstrap replicates failed; an SE needs 2"
+        )
+    if failed:
+        notes.append(f"{failed} bootstrap replicate(s) failed and were left out of the SE")
+    return BootstrapResult(np.asarray(values), p, point, tuple(notes))

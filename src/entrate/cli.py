@@ -349,7 +349,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         est.add_argument(
             "--paper-zero-mode",
             action="store_true",
-            help="report reducible eigen/limit estimates as 0 instead of failing",
+            help="report a reducible eigen/limit estimate, the point's or a replicate's, "
+            "as 0 instead of failing",
         )
         est.add_argument(
             "--exclude-boundaries",

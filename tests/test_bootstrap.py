@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from entrate import (
     Alphabet,
     BootstrapConfig,
+    EstimationError,
     EstimatorSpec,
     ReducibleMatrixError,
     Sequence,
@@ -174,28 +175,51 @@ class TestBootstrapSe:
         assert result.point == run_estimator(seq, spec)
         assert result.point.value > 0
 
-    def test_zero_failure_policy(self):
-        # Rare symbol: some resamples never leave state 0, making the eigen
-        # method fail on those replicates.
-        seq = int_seq([0] * 60 + [1] + [0] * 60 + [1, 0], kappa=2)
+    # Rare symbol: some resamples never leave state 0, and eigen fails on them.
+    RARE = [0] * 60 + [1] + [0] * 60 + [1, 0]
+
+    def test_failed_replicates_are_left_out(self):
+        # 5 of the 40 replicates fail; the other 35 are the estimates, in
+        # stream order, and only they enter the SE.
+        seq = int_seq(self.RARE, kappa=2)
         spec = EstimatorSpec("eigen", 1)
-        config = BootstrapConfig(p=0.9, replicates=40, seed=21)
-        zero = bootstrap_se(seq, spec, config)
-        assert zero.n_failures > 0
-        assert len(zero.estimates) == 40
-        assert (zero.estimates == 0.0).sum() >= zero.n_failures
-        note = f"{zero.n_failures} bootstrap replicate(s) failed (zero policy)"
-        assert note in zero.warnings
+        result = bootstrap_se(seq, spec, BootstrapConfig(p=0.9, replicates=40, seed=21))
+        replayed = []
+        for stream in np.random.SeedSequence(21).spawn(40):
+            resample = stationary_bootstrap_sample(seq, 0.9, np.random.default_rng(stream))
+            try:
+                replayed.append(run_estimator(resample, spec).value)
+            except EstimationError:
+                continue
+        assert len(replayed) == result.estimates.size == 35
+        assert result.estimates.tobytes() == np.array(replayed).tobytes()
+        assert result.standard_error == pytest.approx(0.0576287, abs=1e-7)
+        assert result.warnings == (
+            "5 bootstrap replicate(s) failed and were left out of the SE",
+        )
 
     def test_paper_zero_mode_replicates_are_zeros_not_failures(self):
-        seq = int_seq([0] * 60 + [1] + [0] * 60 + [1, 0], kappa=2)
+        seq = int_seq(self.RARE, kappa=2)
         config = BootstrapConfig(p=0.9, replicates=40, seed=21)
         hard = bootstrap_se(seq, EstimatorSpec("eigen", 1), config)
         soft = bootstrap_se(seq, EstimatorSpec("eigen", 1, paper_zero_mode=True), config)
-        assert hard.n_failures > 0
-        assert soft.n_failures == 0
-        assert (soft.estimates == 0.0).sum() >= hard.n_failures
+        assert hard.estimates.size == 35
+        assert soft.estimates.size == 40
+        assert (soft.estimates == 0.0).sum() >= 40 - 35
         assert soft.warnings == ()
+        assert soft.standard_error == pytest.approx(0.0715009, abs=1e-7)
+
+    def test_fewer_than_two_successful_replicates_raise(self):
+        # Of B = 2 replicates, seed 1 has one fail and seed 0 none.
+        seq = int_seq(self.RARE, kappa=2)
+        spec = EstimatorSpec("eigen", 1)
+        assert_refused(
+            lambda: bootstrap_se(seq, spec, BootstrapConfig(p=0.9, replicates=2, seed=1)),
+            EstimationError,
+            "1 of 2 bootstrap replicates failed; an SE needs 2",
+        )
+        kept = bootstrap_se(seq, spec, BootstrapConfig(p=0.9, replicates=2, seed=0)).estimates
+        assert kept.size == 2
 
     def test_p_none_is_choose_p_of_the_point(self):
         rng = np.random.default_rng(23)

@@ -451,6 +451,39 @@ class TestBootstrapCommand:
         assert len(notes) == 1 and "drift" in notes[0]
         assert notes[0] in out
 
+    def test_all_replicates_failing_is_numeric_error(self, capsys):
+        code, out, err = run(
+            capsys, "bootstrap", "--text", "AABBABAA", "--method", "limit", "--order", "2",
+            "--replicates", "10", "--seed", "1", "--p", "0.5",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "numeric"
+        assert error["message"] == "10 of 10 bootstrap replicates failed; an SE needs 2"
+
+    @pytest.mark.parametrize(
+        "zero_mode, se, notes",
+        [
+            ([], 0.0576287, ["5 bootstrap replicate(s) failed and were left out of the SE"]),
+            (["--paper-zero-mode"], 0.0715009, []),
+        ],
+        ids=["failures-left-out", "zero-mode-zeros"],
+    )
+    def test_failed_replicates_leave_the_se(self, capsys, tmp_path, zero_mode, se, notes):
+        # 5 of the 40 resamples of a rare symbol never leave state 0.  They
+        # fail and leave the SE, or under zero mode estimate 0 and stay in it.
+        path = write(tmp_path, "rare.txt", " ".join("A" * 60 + "B" + "A" * 60 + "BA"))
+        out_json = tmp_path / "r.json"
+        code, _, err = run(
+            capsys, "bootstrap", path, "--method", "eigen", "--replicates", "40",
+            "--seed", "21", "--p", "0.9", *zero_mode, "--json", str(out_json),
+        )
+        assert code == 0, err
+        record = json.loads(out_json.read_text())["estimates"][0]
+        assert record["se"] == pytest.approx(se, abs=1e-7)
+        assert record["replicates"] == 40
+        assert record["warnings"] == notes
+
 
 class TestSimulateCommand:
     def test_benchmark_deterministic(self, capsys):

@@ -1,8 +1,8 @@
 """Full-precision digests of library outputs on fixed seeds.
 
 Reports round to 10 digits; these pin every bit.  Each bootstrap case pins
-the sha256 of its replicate estimates' bytes and ``float.hex`` of its point
-estimate, and the plan case pins each cell mean.  A change that alters any
+how many replicates succeed, the sha256 of their estimates' bytes and
+``float.hex`` of its point estimate, and the plan case pins each cell mean.  A change that alters any
 value on purpose updates the digests here and says so in CHANGES.md.
 """
 
@@ -25,36 +25,37 @@ def _chain(kind: str, n: int, seed: int):
     return simulate_chain(benchmark_matrix(kind), n, rng=seed)
 
 
-# id -> (method, order, replicates, segments as (benchmark, length, seed),
+# id -> (method, order, replicates, replicates that succeed,
+#        segments as (benchmark, length, seed),
 #        sha256 of the replicate estimates, float.hex of the point estimate)
 BOOTSTRAPS = {
     "order1-empirical-low-1k": (
-        "empirical", 1, 50, [("low", 1_000, 11)],
+        "empirical", 1, 50, 50, [("low", 1_000, 11)],
         "e3412b7177497a97ebf486e28db59495fa8f582c014a2a86531d93fe9a0b1854",
         "0x1.6a623bbd3e97fp-2",
     ),
     "order1-eigen-low-1k": (
-        "eigen", 1, 50, [("low", 1_000, 11)],
-        "980eab79d8638ad3ca84c9d2f262917a4268e99ff16d29d32117043f7e9b8ec3",
+        "eigen", 1, 50, 49, [("low", 1_000, 11)],
+        "2a4fed2f0e17ad066471a913dca3cd9693a93cc6130a037bbfca40b6840da373",
         "0x1.69b35b0c635b6p-2",
     ),
     "order2-eigen-medium-10k": (
-        "eigen", 2, 10, [("medium", 10_000, 12)],
+        "eigen", 2, 10, 10, [("medium", 10_000, 12)],
         "1f9e202fd7b9f830589fedadeb3596b9f17623e83232c08efae54292d0100f0e",
         "0x1.9690c14db8a0cp+0",
     ),
     "order2-limit-medium-10k": (
-        "limit", 2, 10, [("medium", 10_000, 12)],
+        "limit", 2, 10, 10, [("medium", 10_000, 12)],
         "fa06f5566693e38fdfe36f9b97a225791ae26fca2ad4a6b6ce8d0d989f357d52",
         "0x1.9690668445762p+0",
     ),
     "order4-empirical-medium-10k": (
-        "empirical", 4, 10, [("medium", 10_000, 12)],
+        "empirical", 4, 10, 10, [("medium", 10_000, 12)],
         "8e1b6066779018ffa4e4c4edca3baabeae0e2e0f5ce1669d67e3be40ba086a04",
         "0x1.53aa658bdeb1cp+0",
     ),
     "order2-eigen-pooled-two-segments": (
-        "eigen", 2, 20, [("medium", 3_000, 13), ("medium", 2_000, 14)],
+        "eigen", 2, 20, 20, [("medium", 3_000, 13), ("medium", 2_000, 14)],
         "ae9fbbe7f6dcd7cff448023630d7c13ec8094925e2993d548fc2cfc022cf7b3f",
         "0x1.8a5377bb73a8cp+0",
     ),
@@ -63,13 +64,13 @@ BOOTSTRAPS = {
 
 @pytest.mark.parametrize("case", sorted(BOOTSTRAPS))
 def test_bootstrap_digest(case):
-    method, order, replicates, segments, estimates_sha, point_hex = BOOTSTRAPS[case]
+    method, order, replicates, kept, segments, estimates_sha, point_hex = BOOTSTRAPS[case]
     seqs = [_chain(kind, n, seed) for kind, n, seed in segments]
     seqs[1:] = [Sequence(seq.states, seqs[0].alphabet) for seq in seqs[1:]]
     result = bootstrap_se(
         seqs[0], EstimatorSpec(method, order), BootstrapConfig(None, replicates, 7), *seqs[1:]
     )
-    assert result.estimates.dtype == "float64" and result.estimates.size == replicates
+    assert result.estimates.dtype == "float64" and result.estimates.size == kept
     assert hashlib.sha256(result.estimates.tobytes()).hexdigest() == estimates_sha
     assert result.point.value.hex() == point_hex
 

@@ -47,7 +47,7 @@ IDENTITY_RECORDS = [
     (TransitionCounts, (2, np.array([1, 2]), np.array([1, 1]))),
     (TransitionMatrix, (np.eye(2),)),
     (ProbabilityVector, (np.array([0.5, 0.5]),)),
-    (BootstrapResult, (np.zeros(2), 0.5, ESTIMATE, 0, ())),
+    (BootstrapResult, (np.zeros(2), 0.5, ESTIMATE, ())),
     (NovelLengths, (np.array([0, 1, 2]),)),
     (Parsing, (((0, 1), (1, 2)), True)),
     (ExperimentPlan, (TransitionMatrix(np.eye(2)), (10, 20), 2, (SPEC,), 1)),
