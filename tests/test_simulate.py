@@ -505,6 +505,7 @@ class TestRunExperiment:
     )
     @example(kind="low", n=20, method="eigen", order=2, seed=0)  # reducible
     @example(kind="medium", n=400, method="limit", order=1, seed=0)
+    @example(kind="high", n=20, method="eigen", order=1, seed=7)  # a replicate fails
     def test_estimate_bootstrap_and_experiment_share_one_estimation_path(
         self, kind, n, method, order, seed
     ):
@@ -526,7 +527,14 @@ class TestRunExperiment:
             return
         assert (cell.n_ok, cell.n_failed) == (1, 0)
         assert cell.mean.hex() == value.hex()
-        assert bootstrap_se(seq, spec, config).point.value.hex() == value.hex()
+        try:
+            result = bootstrap_se(seq, spec, config)
+        except EstimationError as exc:
+            # A resample can miss a state the original visits; with 2 replicates
+            # one such failure leaves too few for an SE.
+            assert str(exc).endswith("of 2 bootstrap replicates failed; an SE needs 2")
+            return
+        assert result.point.value.hex() == value.hex()
 
     def test_second_order_generator(self):
         plan = self._plan(
