@@ -180,17 +180,19 @@ class TestBootstrapSe:
 
     def test_failed_replicates_are_left_out(self):
         # 5 of the 40 replicates fail; the other 35 are the estimates, in
-        # stream order, and only they enter the SE.
+        # stream order, and only they enter the SE.  Each failure replays
+        # from its (seed, index) alone.
         seq = int_seq(self.RARE, kappa=2)
         spec = EstimatorSpec("eigen", 1)
         result = bootstrap_se(seq, spec, BootstrapConfig(p=0.9, replicates=40, seed=21))
-        replayed = []
-        for stream in np.random.SeedSequence(21).spawn(40):
+        replayed, failed = [], []
+        for index, stream in enumerate(np.random.SeedSequence(21).spawn(40)):
             resample = stationary_bootstrap_sample(seq, 0.9, np.random.default_rng(stream))
             try:
                 replayed.append(run_estimator(resample, spec).value)
-            except EstimationError:
-                continue
+            except ReducibleMatrixError:
+                failed.append(index)
+        assert failed == [11, 13, 20, 21, 29]
         assert len(replayed) == result.estimates.size == 35
         assert result.estimates.tobytes() == np.array(replayed).tobytes()
         assert result.standard_error == pytest.approx(0.0576287, abs=1e-7)
