@@ -11,9 +11,9 @@ the mean novelty length implied by an entropy estimate: p = H_hat / log2(n).
 
 Segmented data (files whose boundary transitions are excluded) is resampled
 one segment at a time, each within itself, and every replicate pools its
-resampled segments the way the point estimate pools the originals.  A failed
-replicate is left out of the standard error and counted, as a failed Monte
-Carlo replicate is.
+resampled segments the way the point estimate pools the originals.  As in a
+Monte Carlo experiment, replicate i reads child stream i of the seed only, and
+a failed estimate is counted, not kept in the standard error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .direct import EntropyEstimate
-from .estimators import EstimatorSpec, run_estimator
+from .estimators import EstimatorSpec, _replicate_estimates, run_estimator
 from .markov import EstimationError, Sequence, _freeze, _Frozen, _Value
 
 __all__ = [
@@ -134,14 +134,14 @@ def bootstrap_se(
     the same ``estimator`` as every replicate; errors on it propagate.  When
     ``config.p`` is None the block parameter is ``choose_p`` of the point
     estimate's value and the total length n, and its clamping note joins the
-    result's warnings.  Each replicate draws from an independent child stream of
-    the seeded generator, so results do not depend on evaluation order, and
-    resamples ``seq`` and then each of ``more`` from that stream; a segment
-    under 2 symbols is kept as it is.
+    result's warnings.  Replicate i reads child stream i of ``config.seed``
+    only, so it replays from (seed, i) alone; it resamples ``seq`` and then
+    each of ``more`` from that stream, and keeps a segment under 2 symbols as
+    it is.
 
     A replicate whose estimator raises EstimationError (reducible matrix,
-    state space too large, ...) is left out of the estimates, and a note
-    counts it; under ``estimator.paper_zero_mode`` a reducible replicate
+    state space too large, ...) is counted in a note, not kept in the
+    estimates; under ``estimator.paper_zero_mode`` a reducible replicate
     estimates 0.0, as the point estimate does.  Fewer than 2 successful
     replicates raise EstimationError; any other exception, ValueError
     included, propagates.
@@ -152,21 +152,16 @@ def bootstrap_se(
     if p is None:
         p, note = choose_p(point.value, sum(s.length for s in segments))
         notes = [note] if note else []
-    values: list[float] = []
-    for stream in np.random.SeedSequence(config.seed).spawn(config.replicates):
-        rng = np.random.default_rng(stream)
-        resample = [
-            stationary_bootstrap_sample(s, p, rng) if s.length >= 2 else s for s in segments
-        ]
-        try:
-            values.append(run_estimator(resample[0], estimator, *resample[1:]).value)
-        except EstimationError:
-            continue
-    failed = config.replicates - len(values)
-    if len(values) < 2:
+
+    def replicate(rng: np.random.Generator) -> list:
+        resample = [stationary_bootstrap_sample(s, p, rng) if s.length >= 2 else s for s in segments]
+        return [lambda: run_estimator(resample[0], estimator, *resample[1:])]
+
+    [(values, failed)] = _replicate_estimates(config.seed, config.replicates, replicate)
+    if values.size < 2:
         raise EstimationError(
             f"{failed} of {config.replicates} bootstrap replicates failed; an SE needs 2"
         )
     if failed:
         notes.append(f"{failed} bootstrap replicate(s) failed and were left out of the SE")
-    return BootstrapResult(np.asarray(values), p, point, tuple(notes))
+    return BootstrapResult(values, p, point, tuple(notes))

@@ -6,8 +6,12 @@ simulation experiment plans, and the CLI.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
+import numpy as np
+
 from .direct import DIRECT_METHODS, EntropyEstimate, estimate_direct
-from .markov import Sequence, _Value
+from .markov import EstimationError, Sequence, _Value
 from .swlz import swlz_entropy
 
 __all__ = ["EstimatorSpec", "run_estimator"]
@@ -55,3 +59,21 @@ def run_estimator(seq: Sequence, spec: EstimatorSpec, *more: Sequence) -> Entrop
         seq, *more, order=spec.order, stationary=spec.method,
         paper_zero_mode=spec.paper_zero_mode,
     )
+
+
+def _replicate_estimates(seed: int, count: int, replicate: Callable) -> list[tuple[np.ndarray, int]]:
+    """Per estimate call of ``replicate(rng)``, in call order: the values that
+    succeeded, as a float64 array in stream order, and the count that raised
+    EstimationError.  Replicate i reads child stream i of ``seed`` only, so it
+    replays from (seed, i) alone; it returns as many calls each time.  A failed
+    estimate is counted, not kept; any other exception propagates."""
+    kept: list[list[float]] = []
+    for stream in np.random.SeedSequence(seed).spawn(count):
+        calls = replicate(np.random.default_rng(stream))
+        kept = kept or [[] for _ in calls]
+        for values, call in zip(kept, calls):
+            try:
+                values.append(call().value)
+            except EstimationError:
+                pass  # counted from the values it did not add
+    return [(np.asarray(values, dtype=np.float64), count - len(values)) for values in kept]

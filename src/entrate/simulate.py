@@ -26,16 +26,16 @@ makes the entropy rate analytic over the whole (phi, gamma) region.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 
 import numpy as np
 
 from . import swlz
 from .direct import entropy_rate, stationary_eigen
-from .estimators import EstimatorSpec, run_estimator
+from .estimators import EstimatorSpec, _replicate_estimates, run_estimator
 from .markov import (
     DENSE_STATE_LIMIT,
     Alphabet,
-    EstimationError,
     ProbabilityVector,
     ReducibleMatrixError,
     Sequence,
@@ -407,15 +407,15 @@ class CellResult(_Frozen):
 def run_experiment(plan: ExperimentPlan) -> tuple[CellResult, ...]:
     """Simulate, cut, and estimate per the plan; deterministic under its seed.
 
-    Each replicate simulates one sequence of the longest cut length; every
-    estimator is then applied to each prefix cut, swlz through one pass over
-    the whole sequence that every cut reuses.  Cells report min, mean,
-    max, and the across-replicate sample standard deviation, plus the count of
-    replicates where the estimator raised EstimationError (too-short prefix,
-    reducible matrix without zero mode in its spec, state space too large,
-    ...); any other exception, ``ValueError`` included, propagates.  The
-    cells come back length by length, in the plan's estimator order within
-    each length; the plan itself stays with the caller.
+    Replicate i reads child stream i of the plan's seed only and simulates one
+    sequence of the longest cut length; every estimator is then applied to
+    each prefix cut, swlz through one pass over the whole sequence that every
+    cut reuses.  Cells report min, mean, max, and the across-replicate sample
+    standard deviation; an estimate that raised EstimationError (too-short
+    prefix, reducible matrix without zero mode in its spec, state space too
+    large, ...) is counted, not kept.  Any other exception, ``ValueError``
+    included, propagates.  The cells come back length by length, in the plan's
+    estimator order within each length; the plan itself stays with the caller.
     """
     gen = plan.generator
     if isinstance(gen, TransitionMatrix):
@@ -430,39 +430,26 @@ def run_experiment(plan: ExperimentPlan) -> tuple[CellResult, ...]:
             return simulate_second_order(gen, n, rng=rng)
 
     max_len = plan.lengths[-1]
-    values: dict[tuple[int, EstimatorSpec], list[float]] = {
-        (n, est): [] for n in plan.lengths for est in plan.estimators
-    }
-    failures: dict[tuple[int, EstimatorSpec], int] = dict.fromkeys(values, 0)
     uses_swlz = any(est.method == "swlz" for est in plan.estimators)
-    for stream in np.random.SeedSequence(plan.seed).spawn(plan.replicates):
-        seq = sample(max_len, np.random.default_rng(stream))
+    keys = [(n, est) for n in plan.lengths for est in plan.estimators]
+
+    def replicate(rng: np.random.Generator) -> list:
+        seq = sample(max_len, rng)
         novelty = swlz.novel_lengths(seq) if uses_swlz else None
-        for n in plan.lengths:
-            cut = seq.prefix(n)
-            for est in plan.estimators:
-                try:
-                    if est.method == "swlz":
-                        estimate = swlz.swlz_estimate(novelty.cut(n), seq.alphabet.kappa)
-                    else:
-                        estimate = run_estimator(cut, est)
-                    values[(n, est)].append(estimate.value)
-                except EstimationError:
-                    failures[(n, est)] += 1
-    cells = []
-    for n in plan.lengths:
-        for est in plan.estimators:
-            vals = np.asarray(values[(n, est)])
-            cells.append(
-                CellResult(
-                    length=n,
-                    estimator=est,
-                    n_ok=int(vals.size),
-                    n_failed=failures[(n, est)],
-                    minimum=float(vals.min()) if vals.size else None,
-                    mean=float(vals.mean()) if vals.size else None,
-                    maximum=float(vals.max()) if vals.size else None,
-                    sd=float(vals.std(ddof=1)) if vals.size > 1 else None,
-                )
-            )
-    return tuple(cells)
+        return [
+            partial(swlz.swlz_estimate, novelty.cut(n), seq.alphabet.kappa)
+            if est.method == "swlz" else partial(run_estimator, seq.prefix(n), est)
+            for n, est in keys
+        ]
+
+    outcomes = _replicate_estimates(plan.seed, plan.replicates, replicate)
+    return tuple(
+        CellResult(
+            length=n, estimator=est, n_ok=int(vals.size), n_failed=failed,
+            minimum=float(vals.min()) if vals.size else None,
+            mean=float(vals.mean()) if vals.size else None,
+            maximum=float(vals.max()) if vals.size else None,
+            sd=float(vals.std(ddof=1)) if vals.size > 1 else None,
+        )
+        for (n, est), (vals, failed) in zip(keys, outcomes)
+    )
