@@ -1,7 +1,7 @@
 """Uniform descriptor for the available entropy rate estimators.
 
-Used wherever an estimator must be named as data: bootstrap replication,
-simulation experiment plans, and the CLI.
+Names an estimator as data for bootstrap replication, experiment plans and
+the CLI, and runs the replicate loop that bootstrap and experiment share.
 """
 
 from __future__ import annotations
