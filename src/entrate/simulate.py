@@ -215,8 +215,8 @@ class ReparamPoint(_Value):
     def __init__(self, p: float, q: float, phi: float, gamma: float) -> None:
         if not (0.0 < p < 1.0 and 0.0 < q < 1.0):
             raise ValueError("p and q must lie strictly inside (0, 1)")
-        _check_bound("phi", phi, phi_bound(p), p, "p")
-        _check_bound("gamma", gamma, gamma_bound(q), q, "q")
+        _check_bound("phi", phi, p, "p")
+        _check_bound("gamma", gamma, q, "q")
         self.__dict__.update(p=p, q=q, phi=phi, gamma=gamma)
 
 
@@ -224,16 +224,15 @@ _BOUND_TOL = 1e-12
 
 
 def phi_bound(p: float) -> float:
-    """Upper limit of phi: min(p/(1-p), (1-p)/p); the lower limit is -1."""
+    """Upper limit of phi over p and of gamma over q: min(p/(1-p), (1-p)/p); both are >= -1."""
     return min(p / (1.0 - p), (1.0 - p) / p)
 
 
-def gamma_bound(q: float) -> float:
-    """Upper limit of gamma: min(q/(1-q), (1-q)/q); the lower limit is -1."""
-    return min(q / (1.0 - q), (1.0 - q) / q)
+gamma_bound = phi_bound
 
 
-def _check_bound(name: str, value: float, upper: float, base: float, base_name: str) -> None:
+def _check_bound(name: str, value: float, base: float, base_name: str) -> None:
+    upper = phi_bound(base)
     if not -1.0 - _BOUND_TOL <= value <= upper + _BOUND_TOL:
         raise ValueError(
             f"{name}={value} violates -1 <= {name} <= "

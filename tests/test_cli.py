@@ -234,6 +234,22 @@ class TestEstimateCommand:
         assert boot["value_bits"] == plain["value_bits"] == pytest.approx(0.7296, abs=1e-4)
         assert boot["se"] == pytest.approx(0.1513, abs=1e-4)
         assert "transitions across file boundaries excluded" in boot["warnings"]
+        # So does the bootstrap command at order 2, the limit solve included.
+        p3 = write(tmp_path, "three.txt", "A B B A A B A B B B A A B A A A B B A B\n")
+        p4 = write(tmp_path, "four.txt", "B A A B B A B A A A B B A B B B A A B A\n")
+        runs = []
+        for command, extra in (("estimate", []), ("bootstrap", ["--replicates", "20"])):
+            out_json = tmp_path / f"{command}.json"
+            code, _, err = run(
+                capsys, command, p3, p4, "--exclude-boundaries", "--method", "empirical",
+                "--method", "limit", "--order", "2", *extra, "--json", str(out_json),
+            )
+            assert code == 0, err
+            runs.append(json.loads(out_json.read_text())["estimates"])
+        plain, boot = runs
+        assert [r["value_bits"] for r in boot] == [r["value_bits"] for r in plain]
+        assert [r["replicates"] for r in boot] == [20, 20]
+        assert all("transitions across file boundaries excluded" in r["warnings"] for r in boot)
 
     def test_exclude_boundaries_warns_for_swlz(self, capsys, tmp_path):
         # swlz matches across the concatenated files whether or not the flag
@@ -1107,6 +1123,37 @@ class TestEndToEnd:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == TABLE_PARSING
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["estimate", "--text", "A B A B A A B B A"], 0,
+             "n = 9 observations over 2 symbols"),
+            (["estimate", "--text", "A B", "--order", "0"], 1, None),
+            (["bootstrap", "--text", "AABBABAA", "--method", "limit", "--order", "2",
+              "--replicates", "10", "--seed", "1", "--p", "0.5"], 2, None),
+            (["bootstrap", "--help"], 0, "usage: entrate bootstrap"),
+        ],
+        ids=["success", "input-error", "numeric-error", "help"],
+    )
+    def test_program_reads_its_arguments_and_exits_with_its_code(self, argv, code, out):
+        # The package run as a program: __main__ hands main() no argv, so it
+        # reads sys.argv, and its return value becomes the exit status.
+        src = str(Path(__file__).parents[1] / "src")
+        env = os.environ | {
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrate", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            assert out in proc.stdout
+            return
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == {1: "input", 2: "numeric"}[code]
 
     @pytest.mark.parametrize(
         "argv",

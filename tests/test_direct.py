@@ -130,6 +130,24 @@ class TestStationaryEigen:
             stationary_eig_oracle(P)
         assert np.allclose(stationary_eigen(P).probs, [0.5, 0.5], rtol=0, atol=1e-6)
 
+    def test_solve_off_the_fixed_point_refused(self, monkeypatch):
+        # No input was found whose solve misses pi P = pi: chains with blocks
+        # coupled down to 1e-15 all pass.  A solve that is 1e-6 off on two
+        # entries stands in for one.
+        solve = np.linalg.solve
+
+        def off(A, b):
+            pi = solve(A, b)
+            pi[:2] += [1e-6, -1e-6]
+            return pi
+
+        monkeypatch.setattr(np.linalg, "solve", off)
+        assert_refused(
+            lambda: stationary_eigen(benchmark_matrix("medium")),
+            ReducibleMatrixError,
+            "reducible transition matrix: stationary fixed point not attained",
+        )
+
     def test_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigendecomposition called")

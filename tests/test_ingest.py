@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from conftest import assert_refused
 
@@ -175,3 +177,15 @@ class TestCheckWritable:
             check_writable(out, out)
         assert str(twice.value) == f"cannot write {out}: it is named for two outputs"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt"]
+
+    def test_refuses_a_directory_it_may_not_write_in(self, tmp_path, monkeypatch):
+        # Root writes through any mode bits, so chmod cannot stand in for
+        # os.access refusing the directory.
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        path = str(tmp_path / "r.json")
+        assert_refused(
+            lambda: check_writable(None, path),
+            InputError,
+            f"cannot write {path}: [Errno 13] Permission denied: '{path}'",
+        )
+        assert list(tmp_path.iterdir()) == []

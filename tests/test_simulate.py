@@ -267,10 +267,16 @@ class TestReparam:
         assert params.b == params.d == pytest.approx(0.75)
 
     def test_bounds_rejected_with_constraint(self):
-        with pytest.raises(ValueError, match="phi"):
-            ReparamPoint(p=0.4, q=0.75, phi=0.7, gamma=0.0)
-        with pytest.raises(ValueError, match="gamma"):
-            ReparamPoint(p=0.4, q=0.75, phi=0.0, gamma=0.5)
+        assert_refused(
+            lambda: ReparamPoint(p=0.4, q=0.75, phi=0.7, gamma=0.0),
+            ValueError,
+            "phi=0.7 violates -1 <= phi <= min(p/(1-p), (1-p)/p) = 0.666667 for p=0.4",
+        )
+        assert_refused(
+            lambda: ReparamPoint(p=0.4, q=0.75, phi=0.0, gamma=0.5),
+            ValueError,
+            "gamma=0.5 violates -1 <= gamma <= min(q/(1-q), (1-q)/q) = 0.333333 for q=0.75",
+        )
 
     def test_round_trip_identity(self):
         for phi in np.linspace(-1, phi_bound(0.4), 21):
