@@ -60,6 +60,18 @@ BOOTSTRAPS = {
         "ae9fbbe7f6dcd7cff448023630d7c13ec8094925e2993d548fc2cfc022cf7b3f",
         "0x1.8a5377bb73a8cp+0",
     ),
+    # SWLZ uses no BLAS, so these two hold on any CPU.  The first is the
+    # boot-swlz shape; the second runs many match rounds per replicate.
+    "swlz-high-10k": (
+        "swlz", None, 20, 20, [("high", 10_000, 12)],
+        "307268a64132a50ccd562e1f49978b48f9347ca0aeb7f3dd3fe1c358f4001ae0",
+        "0x1.6799a4fd2a928p+1",
+    ),
+    "swlz-low-10k": (
+        "swlz", None, 20, 20, [("low", 10_000, 12)],
+        "029714894f34e599673c0dd9bf3385e45fa55bdf7f4d68f0c8c3e72ce554a421",
+        "0x1.d17d1aa2eb0aep-2",
+    ),
 }
 
 
