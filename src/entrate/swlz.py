@@ -16,9 +16,12 @@ min(M[i], n - i), so one pass over a sequence serves every prefix cut.
 M is computed in numpy by refining L-gram classes s symbols per round: one
 plain sort of one int64 word per live position, (class, next s symbols,
 position) from the top bits down, resolves all s lengths (s = 8 at kappa = 8
-and n = 10k).  The work is one sort per s symbols of the longest match plus
-vectorised steps over the live positions, and memory stays O(n).  Constant
-and periodic input is still quadratic (see ``_match_lengths``).
+and n = 10k).  A round first settles the positions that match all s symbols,
+which can be the least position of no shorter gram's class, and resolves the
+shallower depths among the rest.  The work is one sort per s symbols of the
+longest match plus vectorised steps over the positions that did not match
+fully, and memory stays O(n).  Constant and periodic input is still
+quadratic (see ``_match_lengths``).
 """
 
 from __future__ import annotations
@@ -103,6 +106,14 @@ class Parsing(_Frozen):
         self.__dict__.update(phrases=phrases, last_capped=last_capped)
 
 
+# A round gathers the rows that did not match all s symbols, and runs its
+# shallower depth steps over them alone, once at least this share of its rows
+# matched fully.  Gathering copies the rows: always doing it made 10k-symbol
+# `high` chains (0.03 % of rows full) 9 % slower, and a half missed the first
+# round of `medium` ones (about 30 % full); 0.1 to 0.25 kept both gains.
+_GATHER_SHARE = 0.25
+
+
 def _digits_per_round(n: int, kappa: int) -> int:
     """Digits s per SWLZ round: s digits of kappa.bit_length() bits (symbol
     values 0..kappa-1) beside two n.bit_length()-bit fields in 63 bits."""
@@ -121,22 +132,33 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
     code[i + L]) << pb | i`` with pb = n.bit_length(), so any sort gives the
     same order and the input sets s (``_digits_per_round``): 8 at kappa = 8
     and n = 10k, 2 at kappa = 4096 and n = 1e5.  Each (L+t)-gram class,
-    t = 1..s, is then a run of rows sharing the top t digits.  Its first
-    occurrence f is the run's least position: the first row of a finest run
-    (t = s), whose rows are in position order, or a coarser run's minimum.
-    Member i is matched at length L + t iff f + L + t <= i.  Matching at
-    L + t implies matching at every shorter length, so M[i] is L plus the
-    depths that matched i.  A group with a digit 0 is the one position that
-    ends there, never matched.  After depth s, a class with no matched
-    member cannot match longer and is dropped, as is every position whose
-    next gram would run past the end.
+    t = 1..s, is then a run of rows sharing the top t digits, and its first
+    occurrence f is the run's least position; member i is matched at length
+    L + t iff f + L + t <= i.  Matching at L + t implies matching at every
+    shorter length, so M[i] is L plus the depths that matched i.  A group
+    with a digit 0 is the one position that ends there, never matched.
 
-    Every array is O(n), and a round costs one sort of its live positions
-    plus s vectorised depth steps, so the work is about one sort per s
+    The round takes the finest depth first: an (L+s)-class's rows are in
+    position order, so its first row is f, and a row with f <= i - L - s
+    matches fully and is settled at L + s.  Such a row is never the least
+    position of an (L+t)-group, t < s: f lies in the same group and f < i.
+    The depths t = 1..s-1 therefore need only the other rows, and as a sorted
+    group stays one run when rows leave it, the XOR of consecutive kept
+    words still bounds it.  Gathering them is worth its cost once a quarter
+    of the rows matched fully (``_GATHER_SHARE``); below that the steps run
+    over all rows, where the full ones change no group's least position.  A
+    class with no fully matched row cannot match longer and is dropped, as
+    is every position whose next gram would run past the end; a kept class
+    is named by its f, which is less than n.
+
+    Every array is O(n), and a round costs one sort of its live rows plus
+    depth steps 1..s-1 over the rows that did not match all s symbols (over
+    all rows when under a quarter did), so the work is about one sort per s
     symbols of the longest match.  Constant and periodic input is still
-    quadratic: nearly every position stays live for about n / (2s) rounds.
-    All-'A' took 0.41-0.58 s at n = 16k and period-3 0.14-0.21 s at n = 8k,
-    on a 2-vCPU Xeon with numpy 2.4.
+    quadratic: nearly every position stays live for about n / (2s) rounds,
+    though most of it matches fully in each.
+    At n = 32k all-'A' took 0.86-1.18 s and period-3 1.21-1.83 s, on a
+    2-vCPU Xeon with numpy 2.4.
     """
     x = np.asarray(states, dtype=np.int64)
     n = x.size
@@ -156,13 +178,31 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
         # Rows r-1 and r share their top t digits iff differ < 2**(bits*(s-t)+pb).
         differ = word[1:] ^ word[:-1]
         head = np.ones(pos.size + 1, dtype=bool)  # head[-1] closes the last run
-        slack = pos - L
-        depth = np.zeros(pos.size, dtype=np.int64)
-        for t in range(1, s + 1):
+        np.greater_equal(differ, 1 << pb, out=head[1:-1])
+        bounds = np.flatnonzero(head)
+        starts = bounds[:-1]
+        size = np.subtract(bounds[1:], starts, out=sizes[: starts.size])
+        # An (L+s)-class's rows are in position order; its least position names it.
+        cls = np.repeat(pos[starts], size)
+        full = cls <= pos - (L + s)
+        live = np.zeros(n, dtype=bool)
+        live[cls[full]] = True
+        keep = live[cls] & (pos < n - L - s)
+        cls = cls[keep]
+        if np.count_nonzero(full) >= _GATHER_SHARE * pos.size:
+            rest = np.flatnonzero(~full)
+            rows, word = pos[rest], word[rest]
+            differ = word[1:] ^ word[:-1]
+            head = np.ones(rows.size + 1, dtype=bool)
+        else:
+            rows = pos
+        slack = rows - L
+        depth = np.zeros(rows.size, dtype=np.int64)
+        for t in range(1, s):
             np.greater_equal(differ, 1 << bits * (s - t) + pb, out=head[1:-1])
             bounds = np.flatnonzero(head)
             starts = bounds[:-1]
-            first = pos[starts] if t == s else np.minimum.reduceat(pos, starts)
+            first = np.minimum.reduceat(rows, starts)
             size = np.subtract(bounds[1:], starts, out=sizes[: starts.size])
             slack -= 1
             matched = np.repeat(first, size) <= slack
@@ -170,14 +210,10 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
                 break
             depth += matched
         hit = depth > 0
-        matches[pos[hit]] = L + depth[hit]
+        matches[rows[hit]] = L + depth[hit]
+        matches[pos[full]] = L + s
+        pos = pos[keep]
         L += s
-        # After an early break nothing matched, so every class is dropped.
-        cls = np.cumsum(head[:-1]) - 1
-        live = np.zeros(starts.size, dtype=bool)
-        live[cls[matched]] = True
-        keep = live[cls] & (pos < n - L)
-        pos, cls = pos[keep], cls[keep]
     return matches
 
 

@@ -297,12 +297,18 @@ class TestMatchLengthKernel:
     def test_equals_level_oracle_at_benchmark_scale(self):
         # The benchmark inputs: 10k high-entropy symbols, three of their
         # stationary resamples (repeated blocks force several rounds) and 10k
-        # low-entropy symbols.
+        # low-entropy symbols.  10k medium-entropy symbols put rounds on both
+        # sides of the share of fully matched rows that gathers the rest, and in
+        # 3,000 all-'A' and period-3 symbols nearly every row matches fully in
+        # most of their 39 and 79 rounds.
         high = simulate_chain(benchmark_matrix("high"), 10_000, rng=11)
         rng = np.random.default_rng(5)
         resamples = [stationary_bootstrap_sample(high, 0.212, rng) for _ in range(3)]
         low = simulate_chain(benchmark_matrix("low"), 10_000, rng=12)
-        for seq in (high, *resamples, low):
+        medium = simulate_chain(benchmark_matrix("medium"), 10_000, rng=13)
+        i = np.arange(3_000)
+        constant, periodic = int_seq(i % 1, 1), int_seq(i % 3, 3)
+        for seq in (high, *resamples, low, medium, constant, periodic):
             lengths, capped = expected_novelty(match_lengths_level_oracle(seq.states))
             nl = novel_lengths(seq)
             assert np.array_equal(nl.lengths, lengths)
