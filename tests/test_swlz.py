@@ -314,6 +314,24 @@ class TestMatchLengthKernel:
             assert np.array_equal(nl.lengths, lengths)
             assert np.array_equal(nl.capped, capped)
 
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 8, 9, 16, 17])
+    def test_equals_level_oracle_on_every_short_length(self, kappa):
+        # Every n = 2..40: inputs shorter than the s symbols packed per round
+        # (s = 10-59 here) or than a power-of-two run of them, and odd s.  One
+        # symbol of each draw is renamed kappa - 1, so the kernel packs kappa
+        # values and runs and periods survive.
+        rng = np.random.default_rng(1998 + kappa)
+        for n in range(2, 41):
+            iid = rng.integers(0, kappa, n)
+            runs = np.repeat(rng.integers(0, kappa, n), rng.integers(1, 6, n))[:n]
+            periodic = np.resize(rng.integers(0, kappa, rng.integers(1, 6)), n)
+            for states in (iid, runs, periodic):
+                states[states == states[rng.integers(n)]] = kappa - 1
+                lengths, capped = expected_novelty(match_lengths_level_oracle(states))
+                nl = novel_lengths(int_seq(states, kappa))
+                assert np.array_equal(nl.lengths, lengths), (n, states.tolist())
+                assert np.array_equal(nl.capped, capped), (n, states.tolist())
+
     def test_digits_per_round(self):
         # A class id and a position of n.bit_length() bits each, plus s digits.
         assert _digits_per_round(10_000, 8) == 8
