@@ -16,12 +16,13 @@ min(M[i], n - i), so one pass over a sequence serves every prefix cut.
 M is computed in numpy by refining L-gram classes s symbols per round: one
 plain sort of one int64 word per live position, (class, next s symbols,
 position) from the top bits down, resolves all s lengths (s = 8 at kappa = 8
-and n = 10k).  A round first settles the positions that match all s symbols,
-which can be the least position of no shorter gram's class, and resolves the
-shallower depths among the rest.  The work is one sort per s symbols of the
-longest match plus vectorised steps over the positions that did not match
-fully, and memory stays O(n).  Constant and periodic input is still
-quadratic (see ``_match_lengths``).
+and n = 10k), packed once by doubling digit widths.  A round first settles
+the positions that match all s symbols, which can be the least position of
+no shorter gram's class, reads each class's liveness off its last row, and
+resolves the shallower depths among the rest.  The work is one sort per s
+symbols of the longest match plus vectorised steps over the positions that
+did not match fully, with no n-length term per round, and memory stays O(n).
+Constant and periodic input is still quadratic (see ``_match_lengths``).
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
 
     ``code[i]`` packs the s symbols from i into one int64, most significant
     first, one ``bits``-wide digit per symbol (symbol + 1; 0 past the end).
+    Doubling builds it: the run of w digits from i gives that of 2w as
+    ``run[i] << bits * w | run[i + w]``, and ``code`` joins the runs of s's
+    set bits (10 = 2 + 8), 8 array passes at s = 8 against 24 per digit.
     A round starts from the positions whose L-gram class may still match
     and sorts one unique word per position, ``((class << bits * s) |
     code[i + L]) << pb | i`` with pb = n.bit_length(), so any sort gives the
@@ -149,68 +153,80 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
     over all rows, where the full ones change no group's least position.  A
     class with no fully matched row cannot match longer and is dropped, as
     is every position whose next gram would run past the end; a kept class
-    is named by its f, which is less than n.
+    is named by its f, which is less than n.  As f is fixed and i grows along
+    a class, "full" holds from some row on: a class has a full row iff its
+    last row is full.  A row matched at depth t >= 1 was full in the round
+    before (f + L < i), so it holds L already and the round adds its depth.
 
     Every array is O(n), and a round costs one sort of its live rows plus
     depth steps 1..s-1 over the rows that did not match all s symbols (over
-    all rows when under a quarter did), so the work is about one sort per s
-    symbols of the longest match.  Constant and periodic input is still
-    quadratic: nearly every position stays live for about n / (2s) rounds,
-    though most of it matches fully in each.
-    At n = 32k all-'A' took 0.86-1.18 s and period-3 1.21-1.83 s, on a
-    2-vCPU Xeon with numpy 2.4.
+    all rows when under a quarter did), with no n-length term, so the work
+    is about one sort per s symbols of the longest match.  Constant and
+    periodic input is still quadratic: nearly every position stays live for
+    about n / (2s) rounds, though most of it matches fully in each.  On a
+    2-vCPU Xeon with numpy 2.4, a 10k ``high`` resample took 1.0-1.1 ms,
+    10k ``low`` 3.5-3.7 ms and ``medium`` 1.6-1.8 ms; n = 32k all-'A' took
+    0.64-0.66 s and period-3 0.91-0.99 s.
     """
     x = np.asarray(states, dtype=np.int64)
     n = x.size
     matches = np.zeros(n, dtype=np.int64)
     kappa = int(x.max()) + 1
     s, bits, pb = _digits_per_round(n, kappa), kappa.bit_length(), n.bit_length()
-    code = np.zeros(n, dtype=np.int64)
-    for j in range(min(s, n)):
-        code[: n - j] |= (x[j:] + 1) << bits * (s - 1 - j) + pb
+    run, w, width = (x + 1) << pb, 1, 0
+    while True:
+        if s & w:
+            if width:
+                code <<= bits * w
+                code[: max(n - width, 0)] |= run[width:]
+            else:
+                code = run
+            width += w
+        if 2 * w > s:
+            break
+        wider = run << bits * w
+        wider[: max(n - w, 0)] |= run[w:]
+        run, w = wider, 2 * w
     pos = np.arange(n)
     cls = np.zeros(n, dtype=np.int64)
     sizes = np.empty(n, dtype=np.int64)
     L = 0
     while pos.size:
-        word = np.sort((cls << bits * s + pb) | code[pos + L] | pos)
+        word = (cls << bits * s + pb) | code[pos + L] | pos
+        word.sort()
         pos = word & (1 << pb) - 1
         # Rows r-1 and r share their top t digits iff differ < 2**(bits*(s-t)+pb).
         differ = word[1:] ^ word[:-1]
         head = np.ones(pos.size + 1, dtype=bool)  # head[-1] closes the last run
         np.greater_equal(differ, 1 << pb, out=head[1:-1])
-        bounds = np.flatnonzero(head)
+        bounds = head.nonzero()[0]
         starts = bounds[:-1]
         size = np.subtract(bounds[1:], starts, out=sizes[: starts.size])
         # An (L+s)-class's rows are in position order; its least position names it.
-        cls = np.repeat(pos[starts], size)
+        cls = pos[starts].repeat(size)
         full = cls <= pos - (L + s)
-        live = np.zeros(n, dtype=bool)
-        live[cls[full]] = True
-        keep = live[cls] & (pos < n - L - s)
+        keep = full[bounds[1:] - 1].repeat(size) & (pos < n - L - s)
         cls = cls[keep]
         if np.count_nonzero(full) >= _GATHER_SHARE * pos.size:
-            rest = np.flatnonzero(~full)
+            rest = (~full).nonzero()[0]
             rows, word = pos[rest], word[rest]
             differ = word[1:] ^ word[:-1]
             head = np.ones(rows.size + 1, dtype=bool)
         else:
             rows = pos
-        slack = rows - L
         depth = np.zeros(rows.size, dtype=np.int64)
         for t in range(1, s):
             np.greater_equal(differ, 1 << bits * (s - t) + pb, out=head[1:-1])
-            bounds = np.flatnonzero(head)
+            bounds = head.nonzero()[0]
             starts = bounds[:-1]
             first = np.minimum.reduceat(rows, starts)
+            first += L + t
             size = np.subtract(bounds[1:], starts, out=sizes[: starts.size])
-            slack -= 1
-            matched = np.repeat(first, size) <= slack
+            matched = first.repeat(size) <= rows
             if not matched.any():
                 break
             depth += matched
-        hit = depth > 0
-        matches[rows[hit]] = L + depth[hit]
+        matches[rows] += depth
         matches[pos[full]] = L + s
         pos = pos[keep]
         L += s

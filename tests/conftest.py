@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entrate import (
     Alphabet,
@@ -15,6 +17,12 @@ from entrate import (
     TransitionMatrix,
     stationary_eigen,
 )
+
+# CI runs the kernel's property tests longer under HYPOTHESIS_PROFILE=kernel;
+# without the variable every test keeps hypothesis's default profile.
+settings.register_profile("kernel", max_examples=2000)
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def int_seq(values, kappa: int | None = None) -> Sequence:
