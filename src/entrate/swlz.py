@@ -164,9 +164,9 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
     is about one sort per s symbols of the longest match.  Constant and
     periodic input is still quadratic: nearly every position stays live for
     about n / (2s) rounds, though most of it matches fully in each.  On a
-    2-vCPU Xeon with numpy 2.4, a 10k ``high`` resample took 1.0-1.1 ms,
-    10k ``low`` 3.5-3.7 ms and ``medium`` 1.6-1.8 ms; n = 32k all-'A' took
-    0.64-0.66 s and period-3 0.91-0.99 s.
+    shared 2-vCPU Xeon with numpy 2.4, a resample of 10k ``high`` symbols
+    took 1.07-1.71 ms, 10k ``low`` 3.57-4.27 ms and ``medium`` 1.63-1.75 ms;
+    n = 32k all-'A' took 0.64-0.66 s and period-3 0.91-0.99 s.
     """
     x = np.asarray(states, dtype=np.int64)
     n = x.size
