@@ -237,6 +237,23 @@ class TestStationaryLimit:
         if drift is None or abs(drift - 1e-6) > 1e-12:
             assert fired == (drift is not None and drift >= 1e-6)
 
+    def test_every_step_count_to_64_matches_step_loop(self):
+        # N = 1..64 takes the N//2 average before the last of 0 to 5 doubling
+        # digits, in every pattern of them; N < 4 measures no drift.
+        chains = (
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.roll(np.eye(3), 1, axis=1),
+            random_stochastic(np.random.default_rng(23), 4).probs,
+        )
+        for probs in chains:
+            for steps in range(1, 65):
+                ref, drift = cesaro_loop_oracle(probs, steps)
+                pi, note = stationary_limit(TransitionMatrix(probs), steps=steps)
+                assert np.max(np.abs(pi.probs - ref)) <= 1e-12, steps
+                fired = "not converged" in note
+                if drift is None or abs(drift - 1e-6) > 1e-12:
+                    assert fired == (drift is not None and drift >= 1e-6), steps
+
     def test_unconverged_note_reaches_the_estimate(self):
         seq = simulate_chain(benchmark_matrix("medium"), 10_000, rng=5)
         with warnings.catch_warnings():

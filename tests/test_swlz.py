@@ -314,10 +314,11 @@ class TestMatchLengthKernel:
             assert np.array_equal(nl.lengths, lengths)
             assert np.array_equal(nl.capped, capped)
 
-    @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 8, 9, 16, 17])
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 64])
     def test_equals_level_oracle_on_every_short_length(self, kappa):
         # Every n = 2..40: inputs shorter than the s symbols packed per round
-        # (s = 10-59 here) or than a power-of-two run of them, and odd s.  One
+        # (s = 7-59 here; kappa 33 and 64 give s = 7, 8 and 9, and s = 7 joins
+        # three runs) or than a power-of-two run of them, and odd s.  One
         # symbol of each draw is renamed kappa - 1, so the kernel packs kappa
         # values and runs and periods survive.
         rng = np.random.default_rng(1998 + kappa)
