@@ -20,7 +20,7 @@ _MODULES = {
     "bootstrap": "BootstrapConfig BootstrapResult bootstrap_se choose_p "
     "stationary_bootstrap_sample",
     "direct": "EntropyEstimate entropy_rate estimate_direct estimate_direct_pooled "
-    "shannon_entropy stationary_eigen stationary_empirical stationary_limit",
+    "stationary_eigen stationary_empirical stationary_limit",
     "estimators": "EstimatorSpec run_estimator",
     "ingest": "InputError ingest_many",
     "markov": "Alphabet CompositeAlphabet EstimationError InsufficientDataError ProbabilityVector "

@@ -34,6 +34,7 @@ from .ingest import (
     write_text,
 )
 from .markov import EstimationError, Sequence
+from .swlz import format_parsing, swlz_parse
 
 # What the imports made lives until exit: no collection in a command re-traverses it.
 gc.freeze()
@@ -51,9 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-# A command imports study, simulate, stats or the SWLZ parse helpers when it
-# runs.  run_experiment, which perfbench/tracer.py and the tests patch here, is
-# imported on first use, and study._cmd_experiment calls it through this module.
+# A command imports study, simulate or stats when it runs.  run_experiment,
+# which perfbench/tracer.py and the tests patch here, is imported on first
+# use, and study._cmd_experiment calls it through this module.
 def __getattr__(name: str) -> Any:
     if name != "run_experiment":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -276,8 +277,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    from .swlz import format_parsing, swlz_parse
-
     seq, _, source = _load_sequence(args)
     parsing = swlz_parse(seq)
     rendered = format_parsing(seq, parsing)

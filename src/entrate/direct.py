@@ -39,7 +39,6 @@ from .markov import (
 
 __all__ = [
     "EntropyEstimate",
-    "shannon_entropy",
     "stationary_empirical",
     "stationary_eigen",
     "stationary_limit",
@@ -71,16 +70,10 @@ class EntropyEstimate(_Value):
         self.__dict__.update(value=value, warnings=warnings)
 
 
-def _plugin_rate(weights: np.ndarray | float, p: np.ndarray) -> float:
+def _plugin_rate(weights: np.ndarray, p: np.ndarray) -> float:
     """-sum w * p * log2 p over entries with positive probability p, each
     weighted by the stationary weight w of its source state."""
     return max(0.0, float(-(weights * p * np.log2(p)).sum()))
-
-
-def shannon_entropy(dist: ProbabilityVector | np.ndarray) -> float:
-    """Shannon entropy -sum_i p_i log2 p_i in bits, with 0 log2 0 = 0."""
-    probs = dist.probs if isinstance(dist, ProbabilityVector) else ProbabilityVector(np.asarray(dist)).probs
-    return _plugin_rate(1.0, probs[probs > 0.0])
 
 
 def stationary_empirical(counts: TransitionCounts) -> ProbabilityVector:
@@ -144,9 +137,10 @@ def stationary_limit(
     ``acc @ power`` to ``acc`` and squares ``power``; a 1-digit multiplies
     ``power`` by P and adds its first row.  That costs about 2 log2 N
     products of K x K matrices and two extra K x K arrays, instead of N
-    vector-matrix steps.  The note carries the measured drift when the
-    average still moves by 1e-6 or more between N//2 and N steps (checked
-    when N//2 >= 2).
+    vector-matrix steps.  The digits before the last one are those of N//2,
+    so ``acc`` before the last digit sums the first N//2 powers.  The note
+    carries the measured drift when the average still moves by 1e-6 or more
+    between N//2 and N steps (checked when N//2 >= 2).
     """
     if not is_irreducible(P):
         raise ReducibleMatrixError("reducible transition matrix")
@@ -154,25 +148,19 @@ def stationary_limit(
         raise ValueError("steps must be >= 1")
     probs = P.probs
     power = probs
-    acc = probs[0].copy()
+    acc = probs[0]
     half = steps // 2
-    half_avg = None
-    k = 1
     for digit in bin(steps)[3:]:
-        # k reaches N//2 just before the last digit is applied.
-        if k == half >= 2:
-            half_avg = acc / half
-        acc += acc @ power
+        half_acc = acc
+        acc = acc + acc @ power
         power = power @ power
-        k *= 2
         if digit == "1":
             power = power @ probs
-            acc += power[0]
-            k += 1
+            acc = acc + power[0]
     avg = acc / steps
     note = ""
-    if half_avg is not None:
-        drift = float(np.max(np.abs(avg - half_avg)))
+    if half >= 2:
+        drift = float(np.max(np.abs(avg - half_acc / half)))
         if drift >= _CESARO_DRIFT_TOL:
             note = (
                 f"Cesaro average not converged after {steps} steps "

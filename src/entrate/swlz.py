@@ -13,16 +13,7 @@ x[i:] that occurs entirely inside x[:i] (the "longest previous
 non-overlapping factor" of Crochemore & Ilie, IPL 106(2), 2008).  The
 novelty length at i is M[i] + 1, and a prefix of length n keeps
 min(M[i], n - i), so one pass over a sequence serves every prefix cut.
-M is computed in numpy by refining L-gram classes s symbols per round: one
-plain sort of one int64 word per live position, (class, next s symbols,
-position) from the top bits down, resolves all s lengths (s = 8 at kappa = 8
-and n = 10k), packed once by doubling digit widths.  A round first settles
-the positions that match all s symbols, which can be the least position of
-no shorter gram's class, reads each class's liveness off its last row, and
-resolves the shallower depths among the rest.  The work is one sort per s
-symbols of the longest match plus vectorised steps over the positions that
-did not match fully, with no n-length term per round, and memory stays O(n).
-Constant and periodic input is still quadratic (see ``_match_lengths``).
+``_match_lengths`` computes M in numpy, s symbols per round, and describes how.
 """
 
 from __future__ import annotations
@@ -128,9 +119,13 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
 
     ``code[i]`` packs the s symbols from i into one int64, most significant
     first, one ``bits``-wide digit per symbol (symbol + 1; 0 past the end).
-    Doubling builds it: the run of w digits from i gives that of 2w as
+    Doubling builds it from one array of the n digits and s zero digits
+    after them: the run of w digits from i gives that of 2w as
     ``run[i] << bits * w | run[i + w]``, and ``code`` joins the runs of s's
-    set bits (10 = 2 + 8), 8 array passes at s = 8 against 24 per digit.
+    set bits (10 = 2 + 8), offset by the widths joined before.  The pad
+    holds the zeros past the end: the run of width w has n + s + 1 - w
+    entries, a doubled width is at most s and a joined offset plus its width
+    too, so every slice stays inside the run and none needs a clamp.
     A round starts from the positions whose L-gram class may still match
     and sorts one unique word per position, ``((class << bits * s) |
     code[i + L]) << pb | i`` with pb = n.bit_length(), so any sort gives the
@@ -163,33 +158,24 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
     all rows when under a quarter did), with no n-length term, so the work
     is about one sort per s symbols of the longest match.  Constant and
     periodic input is still quadratic: nearly every position stays live for
-    about n / (2s) rounds, though most of it matches fully in each.  On a
-    shared 2-vCPU Xeon with numpy 2.4, a resample of 10k ``high`` symbols
-    took 1.07-1.71 ms, 10k ``low`` 3.57-4.27 ms and ``medium`` 1.63-1.75 ms;
-    n = 32k all-'A' took 0.64-0.66 s and period-3 0.91-0.99 s.
+    about n / (2s) rounds, though most of it matches fully in each.
     """
     x = np.asarray(states, dtype=np.int64)
     n = x.size
     matches = np.zeros(n, dtype=np.int64)
     kappa = int(x.max()) + 1
     s, bits, pb = _digits_per_round(n, kappa), kappa.bit_length(), n.bit_length()
-    run, w, width = (x + 1) << pb, 1, 0
-    while True:
+    run = np.zeros(n + s, dtype=np.int64)
+    np.left_shift(x + 1, pb, out=run[:n])
+    code, w, width = 0, 1, 0
+    while 2 * w <= s:
         if s & w:
-            if width:
-                code <<= bits * w
-                code[: max(n - width, 0)] |= run[width:]
-            else:
-                code = run
+            code = code << bits * w | run[width : width + n]
             width += w
-        if 2 * w > s:
-            break
-        wider = run << bits * w
-        wider[: max(n - w, 0)] |= run[w:]
-        run, w = wider, 2 * w
+        run, w = run[:-w] << bits * w | run[w:], 2 * w
+    code = code << bits * w | run[width : width + n]  # w is s's top bit
     pos = np.arange(n)
     cls = np.zeros(n, dtype=np.int64)
-    sizes = np.empty(n, dtype=np.int64)
     L = 0
     while pos.size:
         word = (cls << bits * s + pb) | code[pos + L] | pos
@@ -201,7 +187,7 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
         np.greater_equal(differ, 1 << pb, out=head[1:-1])
         bounds = head.nonzero()[0]
         starts = bounds[:-1]
-        size = np.subtract(bounds[1:], starts, out=sizes[: starts.size])
+        size = bounds[1:] - starts
         # An (L+s)-class's rows are in position order; its least position names it.
         cls = pos[starts].repeat(size)
         full = cls <= pos - (L + s)
@@ -221,7 +207,7 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
             starts = bounds[:-1]
             first = np.minimum.reduceat(rows, starts)
             first += L + t
-            size = np.subtract(bounds[1:], starts, out=sizes[: starts.size])
+            size = bounds[1:] - starts
             matched = first.repeat(size) <= rows
             if not matched.any():
                 break

@@ -29,7 +29,6 @@ from entrate import (
     estimate_direct,
     estimate_direct_pooled,
     mle_transition_matrix,
-    shannon_entropy,
     stationary_eigen,
     stationary_empirical,
     stationary_limit,
@@ -39,22 +38,6 @@ from entrate.simulate import benchmark_matrix, simulate_chain
 
 PQ_CHAIN = TransitionMatrix([[0.6, 0.4], [0.75, 0.25]])
 LOW_TRUE_RATE = -(0.95 * np.log2(0.95) + 0.05 * np.log2(0.05 / 7))
-
-
-class TestShannonEntropy:
-    def test_uniform_eight(self):
-        assert shannon_entropy(np.full(8, 0.125)) == pytest.approx(3.0)
-
-    def test_point_mass(self):
-        assert shannon_entropy(np.array([1.0, 0.0, 0.0])) == 0.0
-
-    def test_two_point(self):
-        # -0.4 log2 0.4 - 0.6 log2 0.6
-        assert shannon_entropy(np.array([0.4, 0.6])) == pytest.approx(0.9710, abs=1e-4)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            shannon_entropy([np.nan, 1.0])
 
 
 class TestStationaryEmpirical:
