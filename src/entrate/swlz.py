@@ -174,6 +174,7 @@ def _match_lengths(states: np.ndarray) -> np.ndarray:
             width += w
         run, w = run[:-w] << bits * w | run[w:], 2 * w
     code = code << bits * w | run[width : width + n]  # w is s's top bit
+    del run  # the rounds read only code, and their peak memory is the call's
     pos = np.arange(n)
     cls = np.zeros(n, dtype=np.int64)
     L = 0

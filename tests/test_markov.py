@@ -542,6 +542,10 @@ class TestValidation:
                 lambda: ProbabilityVector(np.array([0.5, 0.4])),
                 "probabilities must sum to 1 within 1e-12",
             ),
+            (
+                lambda: ProbabilityVector(np.array([np.nan, 1.0])),
+                "probabilities must be nonnegative",
+            ),
             (lambda: embed_order(int_seq([0, 1, 0], kappa=2), 0), "order m must be >= 1"),
             (
                 lambda: embed_order(embed_order(int_seq([0, 1, 0, 1], kappa=2), 2), 2),
@@ -555,6 +559,7 @@ class TestValidation:
             "matrix-not-square",
             "empty-vector",
             "vector-not-summing-to-1",
+            "vector-with-nan",
             "embed-order-0",
             "embed-composite",
         ],
